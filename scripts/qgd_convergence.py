@@ -55,8 +55,8 @@ def main(argv=None):
     else:
         eta = 0.5 if args.eta is None else args.eta
         task = synthetic_classification(
-            n_rows=args.rows,
-            n_cols=args.cols,
+            n_samples=args.rows,
+            n_features=args.cols,
             eta=eta,
             t_iter=args.steps,
             budget_bits=args.budget_bits,

@@ -21,23 +21,24 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import fir, qgd, receiver
 from .convergence import check_convergence_conditions
 from .problem import (
+    DEFAULT_ORACLE_CAP,
     AllocationProblem,
     ContractViolation,
     InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
 )
-from .swarm import RunResult, SwarmConfig, run_gcpso, run_ppso
+from .swarm import SwarmConfig, run_gcpso, run_ppso
 
-_APPLICATIONS = ("fir", "receiver", "qgd")
 _STRATEGIES = ("naive", "lc", "ppso", "gcpso", "oracle")
 
 
@@ -65,34 +66,30 @@ class _Section:
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
-        self._parser = parser
+        self.parser = parser
 
     def has(self, key: str) -> bool:
-        return self._parser.has_option(self.name, key)
+        return self.parser.has_option(self.name, key)
 
     def raw(self, key: str, default: str | None = None) -> str:
         if not self.has(key):
             if default is None:
                 raise _fail(f"[{self.name}] {key}", "required key is missing")
             return default
-        return self._parser.get(self.name, key).strip()
+        return self.parser.get(self.name, key).strip()
 
-    def text(self, key: str, default: str | None = None) -> str:
-        return self.raw(key, default)
-
-    def integer(self, key: str, default: int | None = None) -> int:
-        raw = self.raw(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise _fail(f"[{self.name}] {key}", f"expected an integer, got {raw!r}") from None
-
-    def number(self, key: str, default: float | None = None) -> float:
+    def _parsed(self, key: str, default, parse: Callable, what: str):
         raw = self.raw(key, None if default is None else repr(default))
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise _fail(f"[{self.name}] {key}", f"expected a number, got {raw!r}") from None
+            raise _fail(f"[{self.name}] {key}", f"expected {what}, got {raw!r}") from None
+
+    def integer(self, key: str, default: int | None = None) -> int:
+        return self._parsed(key, default, int, "an integer")
+
+    def number(self, key: str, default: float | None = None) -> float:
+        return self._parsed(key, default, float, "a number")
 
     def flag(self, key: str, default: bool) -> bool:
         raw = self.raw(key, str(default)).lower()
@@ -115,28 +112,24 @@ def _load_parser(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _swarm_config(parser: configparser.ConfigParser, seed: int) -> SwarmConfig:
-    cfg = SwarmConfig(seed=seed)
-    if not parser.has_section("swarm"):
-        return cfg
-    section = _Section(parser, "swarm")
-    fields = {
-        "n_pop": section.integer("n_pop", cfg.n_pop),
-        "i_iter": section.integer("i_iter", cfg.i_iter),
-        "w_min": section.number("w_min", cfg.w_min),
-        "w_max": section.number("w_max", cfg.w_max),
-        "c1_min": section.number("c1_min", cfg.c1_min),
-        "c1_max": section.number("c1_max", cfg.c1_max),
-        "c2_min": section.number("c2_min", cfg.c2_min),
-        "c2_max": section.number("c2_max", cfg.c2_max),
-        "v_min": section.number("v_min", cfg.v_min),
-        "v_max": section.number("v_max", cfg.v_max),
-        "penalty_weight": section.number("penalty_weight", cfg.penalty_weight),
-        "restarts": section.integer("restarts", cfg.restarts),
-        "per_dimension_draws": section.flag("per_dimension_draws", cfg.per_dimension_draws),
+def _keys_for(section: _Section, cls, exclude: tuple[str, ...]) -> dict:
+    """Each field of dataclass cls not in exclude, read with its default's type."""
+    readers = {bool: section.flag, int: section.integer, float: section.number}
+    return {
+        f.name: readers[type(f.default)](f.name, f.default)
+        for f in fields(cls)
+        if f.name not in exclude
     }
+
+
+def _swarm_config(parser: configparser.ConfigParser, seed: int) -> Optional[SwarmConfig]:
+    """SwarmConfig's defaults overridden by [swarm] and seeded from
+    [experiment]; None when there is no [swarm]."""
+    if not parser.has_section("swarm"):
+        return None
+    overrides = _keys_for(_Section(parser, "swarm"), SwarmConfig, ("seed",))
     try:
-        return replace(cfg, **fields)
+        return SwarmConfig(seed=seed, **overrides)
     except ContractViolation as exc:
         raise _fail("[swarm]", str(exc)) from None
 
@@ -157,16 +150,29 @@ def _bits_str(bits) -> str:
     return " ".join(str(int(b)) for b in np.asarray(bits).ravel())
 
 
-def _trace_rows(result: RunResult) -> list[list]:
-    return [[it, _fmt(cost)] for it, cost in enumerate(result.trace)]
+def _add_result(rows: list, summary: list, labels: dict, strategy, key, value, cons, bits):
+    """Append one results.csv row and its summary.json entry."""
+    rows.append([*map(_fmt, labels.values()), strategy, _fmt(value), _fmt(cons), _bits_str(bits)])
+    entry = {"strategy": strategy, key: value, "consumption": cons, "bits": [int(b) for b in bits]}
+    summary.append({**labels, **entry})
 
 
-# -- application runners -------------------------------------------------------
+# -- problem builders, one per application ------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One problem an experiment solves, with the labels its outputs carry."""
+
+    problem: AllocationProblem
+    labels: dict = field(default_factory=dict)  # leading results.csv columns
+    trace_suffix: str = ""
+    lc: Optional[Callable[[], np.ndarray]] = None  # closed-form allocation, if any
 
 
 def _fir_spec_from(section: _Section, n_taps: int) -> fir.FilterSpec:
     if section.has("benchmark"):
-        return fir.benchmark_spec(section.text("benchmark"), n_taps)
+        return fir.benchmark_spec(section.raw("benchmark"), n_taps)
     for key in ("bands", "desired", "weights"):
         if not section.has(key):
             raise _fail(f"[fir] {key}", "required when no benchmark letter is given")
@@ -184,16 +190,15 @@ def _fir_spec_from(section: _Section, n_taps: int) -> fir.FilterSpec:
         raise _fail("[fir]", str(exc)) from None
 
 
-def _run_fir(parser, strategies, swarm_cfg, seed, out_dir, config_dir):
-    section = _Section(parser, "fir")
-    coeff_path = Path(section.text("coefficients"))
+def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
+    coeff_path = Path(section.raw("coefficients"))
     if not coeff_path.is_absolute():
         coeff_path = config_dir / coeff_path
     if not coeff_path.exists():
         raise _fail("[fir] coefficients", f"file not found: {coeff_path}")
     coeffs = fir.load_coefficients(coeff_path)
     spec = _fir_spec_from(section, coeffs.n_taps)
-    kind = section.text("kind", "fixed")
+    kind = section.raw("kind", "fixed")
     if kind not in ("fixed", "float"):
         raise _fail("[fir] kind", f"expected 'fixed' or 'float', got {kind!r}")
     budget_bits = section.integer("budget_bits", 8)
@@ -202,119 +207,33 @@ def _run_fir(parser, strategies, swarm_cfg, seed, out_dir, config_dir):
     problem = fir.fir_problem(
         spec, coeffs, kind, budget_bits, exp_bits=exp_bits, points_per_tap=points_per_tap
     )
-    cap = _Section(parser, "experiment").integer("oracle_cap", 10**6)
 
-    rows, traces, summary = [], {}, []
-    for strategy in strategies:
-        try:
-            if strategy == "naive":
-                bits = np.full(problem.dimension, budget_bits, dtype=np.int64)
-            elif strategy == "lc":
-                if kind == "fixed":
-                    bits = fir.lc_fixed_alloc(coeffs.n_taps, budget_bits)
-                else:
-                    relaxed = fir.lc_float_alloc(coeffs, budget_bits, strict=False)
-                    bits = fir.lc_float_map(relaxed, coeffs, budget_bits)
-            elif strategy == "oracle":
-                bits, _ = brute_force_optimum(problem, cap=cap)
-            else:
-                engine = run_gcpso if strategy == "gcpso" else run_ppso
-                result = engine(problem, swarm_cfg)
-                bits = result.best
-                traces[f"trace_{strategy}.csv"] = _trace_rows(result)
-        except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
-            print(f"strategy {strategy}: {exc}", file=sys.stderr)
-            rows.append([strategy, "nan", "nan", ""])
-            continue
-        error = problem.evaluate_objective(bits)
-        cons = problem.evaluate_consumption(bits)
-        rows.append([strategy, _fmt(error), _fmt(cons), _bits_str(bits)])
-        summary.append(
-            {
-                "strategy": strategy,
-                "minimax_error": error,
-                "consumption": cons,
-                "bits": [int(b) for b in bits],
-            }
-        )
-    _write_csv(out_dir / "results.csv", seed, ["strategy", "minimax_error", "consumption", "bits"], rows)
-    for name, trace_rows in traces.items():
-        _write_csv(out_dir / name, seed, ["iteration", "best_cost"], trace_rows)
-    return summary
+    def lc() -> np.ndarray:
+        if kind == "fixed":
+            return fir.lc_fixed_alloc(coeffs.n_taps, budget_bits)
+        relaxed = fir.lc_float_alloc(coeffs, budget_bits, strict=False)
+        return fir.lc_float_map(relaxed, coeffs, budget_bits)
+
+    yield _Case(problem, lc=lc)
 
 
-def _receiver_config(section: _Section, seed: int, p_u: float) -> receiver.SystemConfig:
-    try:
-        return receiver.SystemConfig(
-            m_antennas=section.integer("m_antennas", 64),
-            k_users=section.integer("k_users", 10),
-            p_u=p_u,
-            cell_radius=section.number("cell_radius", 1000.0),
-            r_min=section.number("r_min", 100.0),
-            path_loss_exponent=section.number("path_loss_exponent", 3.8),
-            shadowing_db=section.number("shadowing_db", 8.0),
-            budget_bits=section.integer("budget_bits", 1),
-            mc_channels=section.integer("mc_channels", 100),
-            seed=seed,
-            redraw_large_scale=section.flag("redraw_large_scale", True),
-        )
-    except ContractViolation as exc:
-        raise _fail("[receiver]", str(exc)) from None
-
-
-def _pu_label(p_u_db: float) -> str:
-    return f"{p_u_db:g}".replace("-", "m").replace(".", "p")
-
-
-def _run_receiver(parser, strategies, swarm_cfg, seed, out_dir, config_dir):
-    section = _Section(parser, "receiver")
+def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
+    """One problem per transmit power in p_u_db, built when the sweep reaches it."""
+    keys = _keys_for(section, receiver.SystemConfig, ("p_u", "seed"))
     p_u_db_list = _floats("receiver", "p_u_db", section.raw("p_u_db", "0"))
-    cap = _Section(parser, "experiment").integer("oracle_cap", 10**6)
-
-    rows, traces, summary = [], {}, []
+    if not p_u_db_list:
+        raise _fail("[receiver] p_u_db", "at least one power is required")
     for p_u_db in p_u_db_list:
-        cfg = _receiver_config(section, seed, 10.0 ** (p_u_db / 10.0))
-        problem = receiver.receiver_problem(cfg)
-        for strategy in strategies:
-            try:
-                if strategy == "naive":
-                    bits = np.full(problem.dimension, cfg.budget_bits, dtype=np.int64)
-                elif strategy == "oracle":
-                    bits, _ = brute_force_optimum(problem, cap=cap)
-                else:
-                    engine = run_gcpso if strategy == "gcpso" else run_ppso
-                    result = engine(problem, swarm_cfg)
-                    bits = result.best
-                    traces[f"trace_{strategy}_pu{_pu_label(p_u_db)}dB.csv"] = _trace_rows(result)
-            except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
-                print(f"strategy {strategy} at {p_u_db} dB: {exc}", file=sys.stderr)
-                rows.append([_fmt(p_u_db), strategy, "nan", "nan", ""])
-                continue
-            rate = -problem.evaluate_objective(bits)
-            cons = problem.evaluate_consumption(bits)
-            rows.append([_fmt(p_u_db), strategy, _fmt(rate), _fmt(cons), _bits_str(bits)])
-            summary.append(
-                {
-                    "p_u_dB": p_u_db,
-                    "strategy": strategy,
-                    "sum_rate_bps_hz": rate,
-                    "consumption": cons,
-                    "bits": [int(b) for b in bits],
-                }
-            )
-    _write_csv(
-        out_dir / "results.csv",
-        seed,
-        ["p_u_dB", "strategy", "sum_rate_bps_hz", "consumption", "bits"],
-        rows,
-    )
-    for name, trace_rows in traces.items():
-        _write_csv(out_dir / name, seed, ["iteration", "best_cost"], trace_rows)
-    return summary
+        try:
+            cfg = receiver.SystemConfig(p_u=10.0 ** (p_u_db / 10.0), seed=seed, **keys)
+        except ContractViolation as exc:
+            raise _fail("[receiver]", str(exc)) from None
+        suffix = f"_pu{p_u_db:g}dB".replace("-", "m").replace(".", "p")
+        yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
 
 def _qgd_task(section: _Section, seed: int, config_dir: Path) -> qgd.QgdTask:
-    kind = section.text("task", "least_squares")
+    kind = section.raw("task", "least_squares")
     eta = section.number("eta", 0.001)
     t_iter = section.integer("t_iter", 200)
     budget_bits = section.integer("budget_bits", 4)
@@ -354,145 +273,158 @@ def _qgd_task(section: _Section, seed: int, config_dir: Path) -> qgd.QgdTask:
         raise _fail("[qgd]", str(exc)) from None
 
 
-def _run_qgd(parser, strategies, swarm_cfg, seed, out_dir, config_dir):
-    section = _Section(parser, "qgd")
+def _qgd_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
+    """The first descent step's allocation problem, at the zero start."""
     task = _qgd_task(section, seed, config_dir)
-    if parser.has_section("swarm"):
-        step_cfg = swarm_cfg
-    else:
-        step_cfg = replace(qgd.DEFAULT_STEP_SWARM, seed=seed)
+    yield _Case(qgd.qgd_problem(task, np.zeros(task.dimension)))
 
+
+# -- runners ---------------------------------------------------------------------
+
+
+class _Experiment:
+    """A config checked as far as run and oracle share: [experiment] and the application."""
+
+    def __init__(self, config_path: Path):
+        parser = _load_parser(config_path)
+        if not parser.has_section("experiment"):
+            raise _fail("[experiment]", "section is missing")
+        self.exp = _Section(parser, "experiment")
+        application = self.exp.raw("application")
+        if application not in _APPLICATIONS:
+            raise _fail("[experiment] application", f"must be one of {', '.join(_APPLICATIONS)}")
+        if not parser.has_section(application):
+            raise _fail(f"[{application}]", "section is missing")
+        self.app = _APPLICATIONS[application]
+        self.section = _Section(parser, application)
+        self.seed = self.exp.integer("seed", 0)
+        self.config_dir = config_path.resolve().parent
+
+    def cases(self) -> Iterator[_Case]:
+        return self.app.cases(self.section, self.seed, self.config_dir)
+
+
+def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> list:
+    """Solve every case with every strategy and score each allocation."""
+    cap = ex.exp.integer("oracle_cap", DEFAULT_ORACLE_CAP)
+    swarm_cfg = swarm_cfg or SwarmConfig(seed=ex.seed)
+    rows, traces, summary = [], {}, []
+    for case in ex.cases():
+        problem = case.problem
+        for strategy in strategies:
+            try:
+                if strategy == "naive":
+                    bits = np.full(problem.dimension, problem.budget_bits, dtype=np.int64)
+                elif strategy == "lc":
+                    bits = case.lc()
+                elif strategy == "oracle":
+                    bits, _ = brute_force_optimum(problem, cap=cap)
+                else:
+                    result = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, swarm_cfg)
+                    bits = result.best
+                    traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
+                        [it, _fmt(cost)] for it, cost in enumerate(result.trace)
+                    ]
+            except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
+                at = "".join(f" at {name} = {value}" for name, value in case.labels.items())
+                print(f"strategy {strategy}{at}: {exc}", file=sys.stderr)
+                rows.append([*map(_fmt, case.labels.values()), strategy, "nan", "nan", ""])
+                continue
+            value = ex.app.sign * problem.evaluate_objective(bits)
+            cons = problem.evaluate_consumption(bits)
+            _add_result(rows, summary, case.labels, strategy, ex.app.value, value, cons, bits)
+    header = [*case.labels, "strategy", ex.app.value, "consumption", "bits"]
+    _write_csv(out_dir / "results.csv", ex.seed, header, rows)
+    for name, trace_rows in traces.items():
+        _write_csv(out_dir / name, ex.seed, ["iteration", "best_cost"], trace_rows)
+    return summary
+
+
+def _run_qgd(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> list:
+    """Train once per strategy; without [swarm] the engines use qgd's per-step default."""
+    task = _qgd_task(ex.section, ex.seed, ex.config_dir)
+    metric_name = "error" if task.z_star is not None else "loss"
     rows, summary = [], []
     for strategy in strategies:
         qgd_strategy = "uniform" if strategy == "naive" else strategy
-        result = qgd.train(task, qgd_strategy, swarm_config=step_cfg)
-        metric_name = "error" if task.z_star is not None else "loss"
+        result = qgd.train(task, qgd_strategy, swarm_config=swarm_cfg)
         trace_rows = [
             [t, _fmt(value), int(result.allocations[t - 1].sum()) if t else 0]
             for t, value in enumerate(result.metric_trace)
         ]
-        _write_csv(
-            out_dir / f"trace_{strategy}.csv",
-            seed,
-            ["iteration", metric_name, "bits_used"],
-            trace_rows,
-        )
-        final = float(result.metric_trace[-1])
-        final_bits = result.allocations[-1]
-        rows.append([strategy, _fmt(final), _fmt(final_bits.sum()), _bits_str(final_bits)])
-        summary.append(
-            {
-                "strategy": strategy,
-                f"final_{metric_name}": final,
-                "consumption": float(final_bits.sum()),
-                "bits": [int(b) for b in final_bits],
-            }
-        )
-    _write_csv(
-        out_dir / "results.csv",
-        seed,
-        ["strategy", "final_metric", "consumption", "bits"],
-        rows,
-    )
+        header = ["iteration", metric_name, "bits_used"]
+        _write_csv(out_dir / f"trace_{strategy}.csv", ex.seed, header, trace_rows)
+        final, bits = float(result.metric_trace[-1]), result.allocations[-1]
+        key = f"final_{metric_name}"
+        _add_result(rows, summary, {}, strategy, key, final, float(bits.sum()), bits)
+    header = ["strategy", "final_metric", "consumption", "bits"]
+    _write_csv(out_dir / "results.csv", ex.seed, header, rows)
     return summary
 
 
-_RUNNERS = {"fir": _run_fir, "receiver": _run_receiver, "qgd": _run_qgd}
-_VALID_STRATEGIES = {
-    "fir": ("naive", "lc", "ppso", "gcpso", "oracle"),
-    "receiver": ("naive", "ppso", "gcpso", "oracle"),
-    "qgd": ("naive", "ppso", "gcpso"),
+class _Application(NamedTuple):
+    """How one application builds its problems and runs its strategies."""
+
+    cases: Callable[[_Section, int, Path], Iterator[_Case]]  # the oracle solves the first
+    strategies: tuple[str, ...]
+    run: Callable[[_Experiment, list, Optional[SwarmConfig], Path], list]
+    value: str = ""  # results column of the reported objective
+    sign: float = 1.0  # the reported value is sign * objective
+
+
+_APPLICATIONS = {
+    "fir": _Application(
+        _fir_cases, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations,
+        "minimax_error",
+    ),
+    "receiver": _Application(
+        _receiver_cases, ("naive", "ppso", "gcpso", "oracle"), _run_allocations,
+        "sum_rate_bps_hz", -1.0,
+    ),
+    "qgd": _Application(_qgd_cases, ("naive", "ppso", "gcpso"), _run_qgd),
 }
 
 
 def run_experiment(config_path) -> int:
-    config_path = Path(config_path)
-    parser = _load_parser(config_path)
-    if not parser.has_section("experiment"):
-        raise _fail("[experiment]", "section is missing")
-    exp = _Section(parser, "experiment")
-    application = exp.text("application")
-    if application not in _APPLICATIONS:
-        raise _fail(
-            "[experiment] application", f"must be one of {', '.join(_APPLICATIONS)}"
-        )
-    strategies = _split_list(exp.raw("strategies"))
+    ex = _Experiment(Path(config_path))
+    application = ex.section.name
+    strategies = _split_list(ex.exp.raw("strategies"))
     for strategy in strategies:
         if strategy not in _STRATEGIES:
             raise _fail(
                 "[experiment] strategies",
                 f"unknown strategy {strategy!r}; valid: {', '.join(_STRATEGIES)}",
             )
-        if strategy not in _VALID_STRATEGIES[application]:
+        if strategy not in ex.app.strategies:
             raise _fail(
                 "[experiment] strategies",
                 f"strategy {strategy!r} is not valid for application {application!r}",
             )
     if not strategies:
         raise _fail("[experiment] strategies", "at least one strategy is required")
-    seed = exp.integer("seed", 0)
-    config_dir = config_path.resolve().parent
-    out_dir = Path(exp.text("output_dir", "results"))
+    out_dir = Path(ex.exp.raw("output_dir", "results"))
     if not out_dir.is_absolute():
-        out_dir = config_dir / out_dir
+        out_dir = ex.config_dir / out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not parser.has_section(application):
-        raise _fail(f"[{application}]", "section is missing")
-    swarm_cfg = _swarm_config(parser, seed)
+    swarm_cfg = _swarm_config(ex.exp.parser, ex.seed)
 
-    summary = _RUNNERS[application](parser, strategies, swarm_cfg, seed, out_dir, config_dir)
-    if exp.flag("json_summary", False):
-        payload = {"application": application, "seed": seed, "results": summary}
+    summary = ex.app.run(ex, strategies, swarm_cfg, out_dir)
+    if ex.exp.flag("json_summary", False):
+        payload = {"application": application, "seed": ex.seed, "results": summary}
         (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def run_oracle(config_path) -> int:
-    config_path = Path(config_path)
-    parser = _load_parser(config_path)
-    if not parser.has_section("experiment"):
-        raise _fail("[experiment]", "section is missing")
-    exp = _Section(parser, "experiment")
-    application = exp.text("application")
-    seed = exp.integer("seed", 0)
-    cap = exp.integer("oracle_cap", 10**6)
-    config_dir = config_path.resolve().parent
-
-    problem: AllocationProblem
-    if application == "fir":
-        section = _Section(parser, "fir")
-        coeff_path = Path(section.text("coefficients"))
-        if not coeff_path.is_absolute():
-            coeff_path = config_dir / coeff_path
-        coeffs = fir.load_coefficients(coeff_path)
-        spec = _fir_spec_from(section, coeffs.n_taps)
-        problem = fir.fir_problem(
-            spec,
-            coeffs,
-            section.text("kind", "fixed"),
-            section.integer("budget_bits", 8),
-            exp_bits=section.integer("exp_bits", fir.DEFAULT_EXP_BITS),
-            points_per_tap=section.integer("points_per_tap", fir.DEFAULT_POINTS_PER_TAP),
-        )
-    elif application == "receiver":
-        section = _Section(parser, "receiver")
-        p_u_db = _floats("receiver", "p_u_db", section.raw("p_u_db", "0"))[0]
-        problem = receiver.receiver_problem(
-            _receiver_config(section, seed, 10.0 ** (p_u_db / 10.0))
-        )
-    elif application == "qgd":
-        section = _Section(parser, "qgd")
-        task = _qgd_task(section, seed, config_dir)
-        problem = qgd.qgd_problem(task, np.zeros(task.dimension))
-    else:
-        raise _fail("[experiment] application", f"must be one of {', '.join(_APPLICATIONS)}")
-
+    ex = _Experiment(Path(config_path))
+    cap = ex.exp.integer("oracle_cap", DEFAULT_ORACLE_CAP)
+    problem = next(ex.cases()).problem
     try:
         bits, value = brute_force_optimum(problem, cap=cap)
     except (SearchSpaceTooLarge, InfeasibleBudgetError) as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return 1
-    print(f"problem: {problem.name or application} (dimension {problem.dimension}, "
+    print(f"problem: {problem.name or ex.section.name} (dimension {problem.dimension}, "
           f"{len(problem.allowed_values)} allowed values)")
     print(f"bits = {_bits_str(bits)}")
     print(f"objective = {_fmt(value)}")

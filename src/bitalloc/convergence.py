@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ContractViolation
+from .swarm import SwarmConfig, schedule_hyperparams
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +118,28 @@ def check_schedule(
 
     The stability argument treats (w, c) as constants while the engines
     vary them per iteration; this helper reconciles the two views by
-    evaluating the check pointwise at every scheduled iteration and
-    returning the report with the smallest margin threshold -
-    lambda_max(P). With the default schedules c1 and c2 move in
-    opposite directions at equal rates, so c stays constant while w
-    sweeps from near w_max down to w_min.
+    evaluating the check pointwise at every scheduled iteration, taken
+    from the engines' own schedule_hyperparams, and returning the report
+    with the smallest margin threshold - lambda_max(P). The bounds must
+    form a valid SwarmConfig schedule. With the default schedules c1 and
+    c2 move in opposite directions at equal rates, so c stays constant
+    while w sweeps from near w_max down to w_min.
     """
     if iterations < 1:
         raise ContractViolation(f"iterations must be >= 1, got {iterations}")
+    config = SwarmConfig(
+        i_iter=iterations,
+        w_min=w_min,
+        w_max=w_max,
+        c1_min=c1_min,
+        c1_max=c1_max,
+        c2_min=c2_min,
+        c2_max=c2_max,
+    )
     worst: ConvergenceReport | None = None
     worst_margin = np.inf
     for it in range(1, iterations + 1):
-        frac = it / iterations
-        w = w_max - (w_max - w_min) * frac
-        c1 = c1_max + (c1_min - c1_max) * frac
-        c2 = c2_min + (c2_max - c2_min) * frac
-        report = check_convergence_conditions(w, c1, c2)
+        report = check_convergence_conditions(*schedule_hyperparams(config, it))
         margin = report.threshold - report.lambda_max_P
         if margin < worst_margin:
             worst_margin = margin

@@ -153,15 +153,20 @@ def load_coefficients(path) -> CoefficientSet:
     return CoefficientSet(h=np.array(values))
 
 
+def _tap_weights(half_size: int) -> np.ndarray:
+    """Multiplicity of each unique coefficient: edge taps twice, center once."""
+    weights = np.full(half_size, 2.0)
+    weights[-1] = 1.0
+    return weights
+
+
 def _half_and_weights(h) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(h, CoefficientSet):
         half = h.half
     else:
         h = np.asarray(h, dtype=float)
         half = h[: (h.size + 1) // 2]
-    weights = np.full(half.size, 2.0)
-    weights[-1] = 1.0
-    return half, weights
+    return half, _tap_weights(half.size)
 
 
 def _cosine_matrix(n_taps: int, omegas: np.ndarray) -> np.ndarray:
@@ -300,23 +305,18 @@ def fir_problem(
     if budget_bits < 1:
         raise ContractViolation(f"budget_bits must be >= 1, got {budget_bits}")
     ev = _MinimaxEvaluator(spec, coeffs, points_per_tap)
-    dim = ev.half.size
-    cons_weights = np.full(dim, 2.0)
-    cons_weights[-1] = 1.0
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:
         return ev.error_of_bits(np.asarray(mat, dtype=np.int64), kind, exp_bits)
 
     def consumption_batch(mat: np.ndarray) -> np.ndarray:
-        return np.asarray(mat, dtype=float) @ cons_weights
+        return np.asarray(mat, dtype=float) @ ev.tap_weights
 
     return AllocationProblem(
-        dimension=dim,
+        dimension=ev.half.size,
         allowed_values=tuple(range(1, 2 * budget_bits + 2)),
         budget_bits=budget_bits,
         budget=float(spec.n_taps * budget_bits),
-        objective=lambda b: float(objective_batch(np.asarray(b)[None, :])[0]),
-        consumption=lambda b: float(np.asarray(b, dtype=float) @ cons_weights),
         objective_batch=objective_batch,
         consumption_batch=consumption_batch,
         name=f"fir-{kind}-{spec.n_taps}tap",
@@ -373,10 +373,8 @@ def lc_float_alloc(h, m_bar: int, strict: bool = True) -> np.ndarray:
 
 def _half_msqe_coeffs(h: np.ndarray) -> np.ndarray:
     """Per-unique-coefficient MSQE weight for the floating-point model."""
-    half = h[: (h.size + 1) // 2]
-    c = (math.pi / 3.0) * half**2
-    c[-1] *= 0.5
-    return c
+    half, weights = _half_and_weights(h)
+    return (math.pi / 6.0) * half**2 * weights
 
 
 def fixed_msqe_surrogate(half_bits) -> float:
@@ -427,8 +425,7 @@ def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
     n = h.size
     half_n = (n + 1) // 2
     mt = m_tilde[:half_n]
-    cons_weights = np.full(half_n, 2.0)
-    cons_weights[-1] = 1.0
+    cons_weights = _tap_weights(half_n)
 
     floors = np.floor(mt)
     fractional = mt != floors

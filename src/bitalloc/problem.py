@@ -2,9 +2,13 @@
 
 An allocation problem is: minimize F(b) subject to C(b) <= budget with
 every b_n drawn from a finite integer set. Applications provide F and C
-as callables (optionally batched over a matrix of candidate rows); this
-module adds the penalty wrapper used by the penalized swarm and an
-exhaustive oracle for desk-scale instances.
+as batch callables that map a (rows, N) integer matrix of candidate
+allocations to one value per row; single-vector evaluation goes through
+the same callables on a one-row matrix, so every formula has exactly
+one implementation. A scalar function f lifts to the batch form with
+``lambda mat: np.array([f(row) for row in mat])``. This module adds the
+penalty wrapper used by the penalized swarm and an exhaustive oracle
+for desk-scale instances.
 
 Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
@@ -20,8 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-Objective = Callable[[np.ndarray], float]
-BatchObjective = Callable[[np.ndarray], np.ndarray]
+BatchFunction = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -48,19 +51,18 @@ class AllocationProblem:
         uniform vector [budget_bits]*N is the canonical feasible start).
     budget: the consumption bound C(b) must not exceed. Stored as a
         number rather than recomputed so nonlinear budgets plug in.
-    objective / consumption: evaluate one integer vector.
-    objective_batch / consumption_batch: optional vectorized forms over
-        a (rows, N) matrix; engines fall back to row loops when absent.
+    objective_batch / consumption_batch: F and C over a (rows, N)
+        integer matrix, returning one value per row. They are the only
+        callables; evaluate_objective / evaluate_consumption pass one
+        vector through them as a one-row matrix.
     """
 
     dimension: int
     allowed_values: tuple[int, ...]
     budget_bits: int
     budget: float
-    objective: Objective = field(repr=False)
-    consumption: Objective = field(repr=False)
-    objective_batch: Optional[BatchObjective] = field(default=None, repr=False)
-    consumption_batch: Optional[BatchObjective] = field(default=None, repr=False)
+    objective_batch: BatchFunction = field(repr=False)
+    consumption_batch: BatchFunction = field(repr=False)
     name: str = ""
 
     def __post_init__(self):
@@ -73,10 +75,10 @@ class AllocationProblem:
         if not np.isfinite(self.budget):
             raise ContractViolation(f"budget must be finite, got {self.budget}")
         uniform = np.full(self.dimension, self.budget_bits, dtype=np.int64)
-        if self.budget_bits in allowed and self.consumption(uniform) > self.budget:
+        if self.budget_bits in allowed and self.evaluate_consumption(uniform) > self.budget:
             raise ContractViolation(
                 "the uniform budget_bits vector must be feasible: "
-                f"C={self.consumption(uniform)} > budget={self.budget}"
+                f"C={self.evaluate_consumption(uniform)} > budget={self.budget}"
             )
 
     # -- evaluation helpers ------------------------------------------------
@@ -97,29 +99,26 @@ class AllocationProblem:
             )
         return mat
 
-    def evaluate_objective(self, b) -> float:
-        return float(self.objective(self._check_vector(b)))
-
-    def evaluate_consumption(self, b) -> float:
-        return float(self.consumption(self._check_vector(b)))
-
-    def evaluate_objective_batch(self, mat) -> np.ndarray:
+    def _evaluate_batch(self, fn: BatchFunction, mat, what: str) -> np.ndarray:
         mat = self._check_matrix(mat)
-        if self.objective_batch is not None:
-            out = np.asarray(self.objective_batch(mat), dtype=float)
-        else:
-            out = np.array([self.objective(row) for row in mat], dtype=float)
+        out = np.asarray(fn(mat), dtype=float)
         if out.shape != (mat.shape[0],):
             raise ContractViolation(
-                f"batch objective returned shape {out.shape} for {mat.shape[0]} rows"
+                f"batch {what} returned shape {out.shape} for {mat.shape[0]} rows"
             )
         return out
 
+    def evaluate_objective_batch(self, mat) -> np.ndarray:
+        return self._evaluate_batch(self.objective_batch, mat, "objective")
+
     def evaluate_consumption_batch(self, mat) -> np.ndarray:
-        mat = self._check_matrix(mat)
-        if self.consumption_batch is not None:
-            return np.asarray(self.consumption_batch(mat), dtype=float)
-        return np.array([self.consumption(row) for row in mat], dtype=float)
+        return self._evaluate_batch(self.consumption_batch, mat, "consumption")
+
+    def evaluate_objective(self, b) -> float:
+        return float(self.evaluate_objective_batch(self._check_vector(b)[None, :])[0])
+
+    def evaluate_consumption(self, b) -> float:
+        return float(self.evaluate_consumption_batch(self._check_vector(b)[None, :])[0])
 
     def is_feasible(self, b) -> bool:
         return self.evaluate_consumption(b) <= self.budget
@@ -127,16 +126,14 @@ class AllocationProblem:
 
 def penalized_fitness(problem: AllocationProblem, b, penalty_weight: float) -> float:
     """F(b) plus penalty_weight times the budget violation, if any."""
-    if not penalty_weight > 0:
-        raise ContractViolation(f"penalty_weight must be > 0, got {penalty_weight}")
     b = problem._check_vector(b)
-    excess = problem.evaluate_consumption(b) - problem.budget
-    return problem.evaluate_objective(b) + penalty_weight * max(0.0, excess)
+    return float(penalized_fitness_batch(problem, b[None, :], penalty_weight)[0])
 
 
 def penalized_fitness_batch(
     problem: AllocationProblem, mat, penalty_weight: float
 ) -> np.ndarray:
+    """penalized_fitness of every row; the penalized swarm's cost."""
     if not penalty_weight > 0:
         raise ContractViolation(f"penalty_weight must be > 0, got {penalty_weight}")
     excess = problem.evaluate_consumption_batch(mat) - problem.budget

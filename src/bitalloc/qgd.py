@@ -86,17 +86,11 @@ class QgdTask:
 
 def loss(task: QgdTask, z) -> float:
     """Training objective at parameters z."""
-    z = np.asarray(z, dtype=float)
-    if task.kind == "least_squares":
-        r = task.targets - task.features @ z
-        return float(0.5 * (r @ r))
-    m = task.features.shape[0]
-    scores = task.targets * (task.features @ z)
-    return float(np.logaddexp(0.0, -scores).mean() + 0.5 * (z @ z) / m)
+    return float(_loss_batch(task, np.asarray(z, dtype=float)[None, :])[0])
 
 
 def _loss_batch(task: QgdTask, zs: np.ndarray) -> np.ndarray:
-    """loss() over a (rows, D) parameter matrix."""
+    """Training objective per row of a (rows, D) parameter matrix."""
     if task.kind == "least_squares":
         r = task.targets[None, :] - zs @ task.features.T
         return 0.5 * (r * r).sum(axis=1)
@@ -125,11 +119,11 @@ def quantize_gradient(g, bits) -> np.ndarray:
     quantizer's domain; the coordinate equal to the norm itself (when
     the gradient has a single nonzero entry) saturates to 1 - 2^(-b),
     a documented bias of the scheme. A zero gradient passes through as
-    zeros.
+    zeros. bits may also be a (rows, D) matrix, one allocation per row.
     """
     g = np.asarray(g, dtype=float)
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.shape != g.shape:
+    if bits.shape[-1:] != g.shape:
         raise ContractViolation(f"bit vector has shape {bits.shape}, expected {g.shape}")
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
@@ -146,22 +140,17 @@ def qgd_problem(task: QgdTask, z) -> AllocationProblem:
     """
     z = np.asarray(z, dtype=float)
     g = gradient(task, z)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
+    if float(np.linalg.norm(g)) == 0.0:
         raise ContractViolation("gradient is zero; descent has converged")
-    g_unit = g / norm
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:
-        q = norm * quantize_fixed_bits(g_unit[None, :], np.asarray(mat, dtype=np.int64))
-        return _loss_batch(task, z[None, :] - task.eta * q)
+        return _loss_batch(task, z[None, :] - task.eta * quantize_gradient(g, mat))
 
     return AllocationProblem(
         dimension=task.dimension,
         allowed_values=task.allowed_values,
         budget_bits=task.budget_bits,
         budget=float(task.dimension * task.budget_bits),
-        objective=lambda b: float(objective_batch(np.asarray(b)[None, :])[0]),
-        consumption=lambda b: float(np.asarray(b, dtype=float).sum()),
         objective_batch=objective_batch,
         consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
         name=f"qgd-{task.kind}",

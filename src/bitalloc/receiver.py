@@ -144,40 +144,6 @@ def generate_channel(
     return ChannelRealization(G=H * np.sqrt(gamma)[None, :], gamma=np.asarray(gamma))
 
 
-def _per_user_rates(G: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p_u: float) -> np.ndarray:
-    """log2(1 + SINR_k) for one realization and one allocation."""
-    k = G.shape[1]
-    A = (G.conj() * alpha[:, None]).T @ G  # A[k, i] = g_k^H D_alpha g_i
-    d = p_u * (np.abs(G) ** 2).sum(axis=1) + 1.0
-    noise_diag = alpha**2 + alpha * beta * d
-    noise = ((np.abs(G) ** 2) * noise_diag[:, None]).sum(axis=0)
-    signal = p_u * np.abs(np.diagonal(A)) ** 2
-    interference = p_u * (np.abs(A) ** 2).sum(axis=1) - signal
-    den = interference + noise
-    sinr = np.divide(signal, den, out=np.zeros(k), where=den > 0)
-    return np.log2(1.0 + sinr)
-
-
-def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
-    """Sum achievable rate of one realization under one bit allocation."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.shape != (channel.G.shape[0],):
-        raise ContractViolation(
-            f"allocation has shape {bits.shape}, expected ({channel.G.shape[0]},)"
-        )
-    alpha = alpha_of_bits(bits)
-    beta = beta_of_bits(bits)
-    return float(_per_user_rates(channel.G, alpha, beta, p_u).sum())
-
-
-def unquantized_sum_rate(channel: ChannelRealization, p_u: float) -> float:
-    """Infinite-resolution reference (alpha = 1, no quantization noise)."""
-    m = channel.G.shape[0]
-    return float(
-        _per_user_rates(channel.G, np.ones(m), np.zeros(m), p_u).sum()
-    )
-
-
 class _RateEvaluator:
     """Precomputed channel tensors for batched ergodic-rate evaluation."""
 
@@ -188,27 +154,53 @@ class _RateEvaluator:
         self.U = np.abs(G) ** 2  # (R, M, K)
         self.d = p_u * self.U.sum(axis=2) + 1.0  # (R, M)
         self.dU = self.d[:, :, None] * self.U
-        self.k = G.shape[2]
+
+    def mean_rates(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Sum over users of log2(1 + SINR_k), averaged over realizations.
+
+        alpha and beta are (rows, M) per-antenna gains and distortions;
+        A[r, k, i] = g_k^H D_alpha g_i for realization r.
+        """
+        A = np.einsum("bm,rmki->brki", alpha, self.T, optimize=True)
+        diag = np.einsum("brkk->brk", A)
+        signal = self.p_u * np.abs(diag) ** 2
+        interference = self.p_u * (np.abs(A) ** 2).sum(axis=3) - signal
+        noise = np.einsum("bm,rmk->brk", alpha**2, self.U) + np.einsum(
+            "bm,rmk->brk", alpha * beta, self.dU
+        )
+        den = interference + noise
+        sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0)
+        return np.log2(1.0 + sinr).sum(axis=2).mean(axis=1)
 
     def ergodic_rates(self, bits: np.ndarray) -> np.ndarray:
         """Mean sum rate per allocation row, averaged over realizations."""
         out = np.empty(bits.shape[0])
         for start in range(0, bits.shape[0], _CHUNK_ROWS):
             chunk = bits[start : start + _CHUNK_ROWS]
-            alpha = alpha_of_bits(chunk)
-            beta = beta_of_bits(chunk)
-            A = np.einsum("bm,rmki->brki", alpha, self.T, optimize=True)
-            diag = np.einsum("brkk->brk", A)
-            signal = self.p_u * np.abs(diag) ** 2
-            interference = self.p_u * (np.abs(A) ** 2).sum(axis=3) - signal
-            noise = np.einsum("bm,rmk->brk", alpha**2, self.U) + np.einsum(
-                "bm,rmk->brk", alpha * beta, self.dU
+            out[start : start + _CHUNK_ROWS] = self.mean_rates(
+                alpha_of_bits(chunk), beta_of_bits(chunk)
             )
-            den = interference + noise
-            sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0)
-            rates = np.log2(1.0 + sinr).sum(axis=2).mean(axis=1)
-            out[start : start + _CHUNK_ROWS] = rates
         return out
+
+    def unquantized_rate(self) -> float:
+        """Mean sum rate at infinite resolution (alpha = 1, beta = 0)."""
+        m = self.U.shape[1]
+        return float(self.mean_rates(np.ones((1, m)), np.zeros((1, m)))[0])
+
+
+def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
+    """Sum achievable rate of one realization under one bit allocation."""
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.shape != (channel.G.shape[0],):
+        raise ContractViolation(
+            f"allocation has shape {bits.shape}, expected ({channel.G.shape[0]},)"
+        )
+    return float(_RateEvaluator([channel], p_u).ergodic_rates(bits[None, :])[0])
+
+
+def unquantized_sum_rate(channel: ChannelRealization, p_u: float) -> float:
+    """Infinite-resolution reference (alpha = 1, no quantization noise)."""
+    return _RateEvaluator([channel], p_u).unquantized_rate()
 
 
 def draw_realizations(cfg: SystemConfig) -> list[ChannelRealization]:
@@ -241,8 +233,6 @@ def receiver_problem(cfg: SystemConfig) -> AllocationProblem:
         allowed_values=cfg.allowed_values,
         budget_bits=cfg.budget_bits,
         budget=float(cfg.m_antennas * 2**cfg.budget_bits),
-        objective=lambda b: float(objective_batch(np.asarray(b)[None, :])[0]),
-        consumption=lambda b: float(consumption_batch(np.asarray(b)[None, :])[0]),
         objective_batch=objective_batch,
         consumption_batch=consumption_batch,
         name=f"receiver-{cfg.m_antennas}x{cfg.k_users}",
@@ -257,5 +247,4 @@ def ergodic_sum_rate(cfg: SystemConfig, bits) -> float:
 
 def unquantized_reference(cfg: SystemConfig) -> float:
     """Ergodic unquantized sum rate over the same pinned channel set."""
-    realizations = draw_realizations(cfg)
-    return float(np.mean([unquantized_sum_rate(c, cfg.p_u) for c in realizations]))
+    return _RateEvaluator(draw_realizations(cfg), cfg.p_u).unquantized_rate()

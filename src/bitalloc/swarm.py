@@ -26,11 +26,17 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError
+from .problem import (
+    AllocationProblem,
+    ContractViolation,
+    InfeasibleBudgetError,
+    penalized_fitness_batch,
+)
 from .quantizers import round_half_away
 
 # Seed-sequence domain tag that decouples the engine's draws from any
@@ -143,41 +149,46 @@ def snap_to_allowed(values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 # -- sensitivity and greedy budget repair ------------------------------------
 
 
+def _step_down_values(
+    problem: AllocationProblem, allowed: np.ndarray, mat: np.ndarray
+) -> np.ndarray:
+    """(r, n) values F(row i of mat with coordinate j stepped down to
+    the next smaller allowed value), +inf where none lies below. The
+    r * n candidates go to the objective as one batch; floor coordinates
+    are evaluated unchanged, then masked."""
+    r, n = mat.shape
+    idx = np.searchsorted(allowed, mat)
+    diag = np.arange(n)
+    candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
+    candidates[:, diag, diag] = allowed[np.maximum(idx - 1, 0)]
+    values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
+    values[idx == 0] = np.inf
+    return values
+
+
 def sensitivity(problem: AllocationProblem, b, j: int) -> float:
     """Objective increase from removing one bit from coordinate j.
 
     Returns F(b with b_j stepped down to the next smaller allowed
-    value) - F(b). The caller is responsible for treating coordinates
-    already at the smallest allowed value as infinitely sensitive; this
-    function rejects them.
+    value) - F(b), as entry j of sensitivity_vector. The caller is
+    responsible for treating coordinates already at the smallest
+    allowed value as infinitely sensitive; this function rejects them.
     """
     b = np.asarray(problem._check_vector(b), dtype=np.int64)
     if not 0 <= j < problem.dimension:
         raise ContractViolation(f"coordinate {j} outside 0..{problem.dimension - 1}")
-    allowed = _allowed_array(problem)
-    idx = int(np.searchsorted(allowed, b[j]))
-    if idx == 0:
+    if b[j] <= problem.allowed_values[0]:
         raise ContractViolation(
-            f"coordinate {j} is already at the smallest allowed value {allowed[0]}"
+            f"coordinate {j} is already at the smallest allowed value {problem.allowed_values[0]}"
         )
-    stepped = b.copy()
-    stepped[j] = allowed[idx - 1]
-    return problem.evaluate_objective(stepped) - problem.evaluate_objective(b)
+    return float(sensitivity_vector(problem, b)[j])
 
 
 def sensitivity_vector(problem: AllocationProblem, b) -> np.ndarray:
     """All coordinate sensitivities at once, +inf where already minimal."""
     allowed = _allowed_array(problem)
     b = np.asarray(problem._check_vector(b), dtype=np.int64)
-    idx = np.searchsorted(allowed, b)
-    at_floor = idx == 0
-    diag = np.arange(problem.dimension)
-    candidates = np.repeat(b[None, :], problem.dimension, axis=0)
-    candidates[diag, diag] = allowed[np.maximum(idx - 1, 0)]
-    values = problem.evaluate_objective_batch(candidates)
-    out = values - problem.evaluate_objective(b)
-    out[at_floor] = np.inf
-    return out
+    return _step_down_values(problem, allowed, b[None, :])[0] - problem.evaluate_objective(b)
 
 
 def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
@@ -203,24 +214,16 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
         cons[over] = problem.evaluate_consumption_batch(allowed[idx[over]])
         over = cons > problem.budget
 
-    n = problem.dimension
-    diag = np.arange(n)
     while over.any():
         rows = idx[over]  # (r, n) indices into the allowed set
-        r = rows.shape[0]
         if (~(rows > 0).any(axis=1)).any():
             raise InfeasibleBudgetError(
                 "budget repair ran out of bits to remove: even the all-minimum "
                 f"allocation exceeds the budget of {problem.budget}"
             )
-        candidates = np.repeat(rows[:, None, :], n, axis=1)  # (r, n, n)
-        candidates[:, diag, diag] = np.maximum(rows - 1, 0)
-        values = problem.evaluate_objective_batch(
-            allowed[candidates.reshape(r * n, n)]
-        ).reshape(r, n)
-        values[rows == 0] = np.inf
+        values = _step_down_values(problem, allowed, allowed[rows])
         j = np.argmin(values, axis=1)  # lowest index wins ties
-        rows[np.arange(r), j] -= 1
+        rows[np.arange(rows.shape[0]), j] -= 1
         idx[over] = rows
         cons[over] = problem.evaluate_consumption_batch(allowed[rows])
         over = cons > problem.budget
@@ -261,16 +264,6 @@ def step_swarm(
     return pos, vel
 
 
-def _penalized_costs(problem: AllocationProblem, config: SwarmConfig) -> Callable:
-    def costs(mat: np.ndarray) -> np.ndarray:
-        excess = problem.evaluate_consumption_batch(mat) - problem.budget
-        return problem.evaluate_objective_batch(mat) + config.penalty_weight * np.maximum(
-            0.0, excess
-        )
-
-    return costs
-
-
 def init_swarm(
     problem: AllocationProblem, config: SwarmConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,7 +302,7 @@ def _run_single(
     costs = (
         problem.evaluate_objective_batch
         if repair
-        else _penalized_costs(problem, config)
+        else partial(penalized_fitness_batch, problem, penalty_weight=config.penalty_weight)
     )
 
     pos, vel, g_best = init_swarm(problem, config, rng)

@@ -34,8 +34,6 @@ def weighted_msqe_problem(
         allowed_values=tuple(allowed),
         budget_bits=budget_bits,
         budget=float(budget),
-        objective=lambda b: float(objective_batch(np.asarray(b)[None, :])[0]),
-        consumption=lambda b: float(np.asarray(b, dtype=float).sum()),
         objective_batch=objective_batch,
         consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
         name="msqe-toy",

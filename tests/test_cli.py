@@ -1,5 +1,6 @@
 """Command-line interface: run, oracle and check-convergence."""
 
+import configparser
 import csv
 import json
 
@@ -13,6 +14,7 @@ from bitalloc.problem import brute_force_optimum
 from conftest import FIXTURE_DIR
 
 TOY_COEFFS = FIXTURE_DIR / "toy7.txt"
+CONFIG_DIR = FIXTURE_DIR.parent / "configs"
 
 FIR_TOY_CONFIG = """\
 [experiment]
@@ -129,6 +131,20 @@ class TestRunFir:
             assert (out_dir / name).read_bytes() == before[name]
 
 
+def test_shipped_toy_outputs_reproduce_byte_for_byte(tmp_path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(CONFIG_DIR / "fir_toy_oracle.ini")
+    parser["fir"]["coefficients"] = str((CONFIG_DIR / parser["fir"]["coefficients"]).resolve())
+    parser["experiment"]["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "fir_toy_oracle.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    assert cli.main(["run", str(config)]) == 0
+    shipped = CONFIG_DIR / "out" / "fir_toy_oracle"
+    expected = {p.name: p.read_bytes() for p in shipped.iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == expected
+
+
 class TestRunQgd:
     CONFIG = """\
 [experiment]
@@ -169,9 +185,9 @@ budget_bits = 3
 
 
 class TestRunValidation:
-    def run_expecting_config_error(self, tmp_path, text, fragment, capsys):
+    def run_expecting_config_error(self, tmp_path, text, fragment, capsys, command="run"):
         config = write_config(tmp_path, text)
-        assert cli.main(["run", str(config)]) == 2
+        assert cli.main([command, str(config)]) == 2
         err = capsys.readouterr().err
         assert fragment in err
         return err
@@ -217,9 +233,18 @@ benchmark = a
             tmp_path, text, "[fir] coefficients", capsys
         )
 
-    def test_missing_coefficient_file_reported(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_missing_coefficient_file_reported(self, tmp_path, capsys, command):
         text = FIR_TOY_CONFIG.format(coeffs="no_such_file.txt")
-        self.run_expecting_config_error(tmp_path, text, "file not found", capsys)
+        self.run_expecting_config_error(
+            tmp_path, text, "[fir] coefficients: file not found", capsys, command
+        )
+
+    def test_oracle_reports_missing_application_section(self, tmp_path, capsys):
+        text = "[experiment]\napplication = fir\nstrategies = naive\n"
+        self.run_expecting_config_error(
+            tmp_path, text, "[fir]: section is missing", capsys, "oracle"
+        )
 
     def test_invalid_swarm_setting_rejected(self, tmp_path, capsys):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(

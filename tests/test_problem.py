@@ -1,5 +1,7 @@
 """Allocation-problem contract, penalty wrapper and exhaustive oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,14 +22,14 @@ from conftest import weighted_msqe_problem
 
 
 def linear_problem(dimension, allowed, budget, objective, budget_bits=1):
-    """Plain sum consumption with an arbitrary objective callable."""
+    """Plain sum consumption with a per-row objective lifted to batch form."""
     return AllocationProblem(
         dimension=dimension,
         allowed_values=allowed,
         budget_bits=budget_bits,
         budget=float(budget),
-        objective=objective,
-        consumption=lambda b: float(np.asarray(b, dtype=float).sum()),
+        objective_batch=lambda mat: np.array([objective(row) for row in mat]),
+        consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
     )
 
 
@@ -52,27 +54,35 @@ class TestAllocationProblem:
         with pytest.raises(ContractViolation):
             p.evaluate_consumption(np.ones((2, 3)))
 
-    def test_batch_fallback_matches_row_loop(self):
-        p = linear_problem(3, (1, 2, 3), 9.0, lambda b: float((np.asarray(b) ** 2).sum()))
+    def test_single_vector_goes_through_batch_callables_as_one_row(self):
+        seen = []
+
+        def objective_batch(mat):
+            seen.append(mat.shape)
+            return (np.asarray(mat, dtype=float) ** 2).sum(axis=1)
+
+        p = AllocationProblem(
+            dimension=3,
+            allowed_values=(1, 2, 3),
+            budget_bits=3,
+            budget=9.0,
+            objective_batch=objective_batch,
+            consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
+        )
         mat = np.array([[1, 2, 3], [3, 3, 3], [1, 1, 1]])
         expected = [p.evaluate_objective(row) for row in mat]
+        assert seen == [(1, 3)] * 3
         np.testing.assert_array_equal(p.evaluate_objective_batch(mat), expected)
-        np.testing.assert_array_equal(
-            p.evaluate_consumption_batch(mat), [6.0, 9.0, 3.0]
-        )
+        assert [p.evaluate_consumption(row) for row in mat] == [6.0, 9.0, 3.0]
 
     def test_bad_batch_shape_reported(self):
-        p = AllocationProblem(
-            dimension=2,
-            allowed_values=(1, 2),
-            budget_bits=1,
-            budget=4.0,
-            objective=lambda b: 0.0,
-            consumption=lambda b: float(np.sum(b)),
-            objective_batch=lambda mat: np.zeros((mat.shape[0], 2)),
-        )
-        with pytest.raises(ContractViolation):
-            p.evaluate_objective_batch(np.ones((3, 2), dtype=np.int64))
+        p = linear_problem(2, (1, 2), 4.0, lambda b: 0.0)
+        bad = replace(p, objective_batch=lambda mat: np.zeros((mat.shape[0], 2)))
+        with pytest.raises(ContractViolation, match="batch objective returned shape"):
+            bad.evaluate_objective_batch(np.ones((3, 2), dtype=np.int64))
+        # The uniform-start check at construction already evaluates C.
+        with pytest.raises(ContractViolation, match="batch consumption returned shape"):
+            replace(p, consumption_batch=lambda mat: np.ones((mat.shape[0], 2)))
 
     def test_feasibility_boundary_inclusive(self):
         p = linear_problem(2, (1, 2, 3), 4.0, lambda b: 0.0)

@@ -1,6 +1,8 @@
 """Quantized gradient descent: losses, gradient coding, training loop."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +329,16 @@ class TestSparseLoader:
         path.write_text("# nothing\n")
         with pytest.raises(ContractViolation, match="no samples"):
             load_sparse_dataset(path)
+
+
+class TestConvergenceScript:
+    def test_logistic_task_runs(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "qgd_convergence.py"
+        spec = importlib.util.spec_from_file_location("qgd_convergence", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "trace.csv"
+        script.main(["--task", "logistic", "--steps", "2", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# seed=0", "iteration,loss_uniform,loss_ppso,loss_gcpso"]
+        assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bitalloc.problem import (
     ContractViolation,
@@ -200,6 +202,44 @@ class TestSensitivity:
         vec = sensitivity_vector(p, [1, 3])
         assert vec[0] == np.inf
         assert vec[1] == pytest.approx(3 * 0.5 * 2.0**-6)
+
+
+@st.composite
+def step_down_cases(draw):
+    """A weighted-MSQE toy on a contiguous or gapped set, a row in that
+    set, and a budget exactly one unit below the row's consumption."""
+    allowed = draw(st.sampled_from([tuple(range(1, 8)), (1, 2, 4, 7)]))
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    b = np.array(draw(st.lists(st.sampled_from(allowed), min_size=n, max_size=n)))
+    # budget_bits outside the set skips the uniform-start gate.
+    p = weighted_msqe_problem(weights, allowed=allowed, budget=b.sum() - 1.0, budget_bits=0)
+    return p, b
+
+
+class TestSharedStepDown:
+    @given(step_down_cases())
+    def test_vector_and_single_sensitivity_agree(self, case):
+        p, b = case
+        vec = sensitivity_vector(p, b)
+        for j in range(p.dimension):
+            if b[j] > p.allowed_values[0]:
+                assert vec[j] == sensitivity(p, b, j)
+            else:
+                assert vec[j] == np.inf
+
+    @given(step_down_cases())
+    def test_one_unit_over_loses_least_sensitive_bit(self, case):
+        p, b = case
+        assume((b > p.allowed_values[0]).any())
+        # Rescaling by (C - 1) / C rounds every b_j back to itself when
+        # no coordinate holds more than half of C, so only the greedy
+        # decrement acts.
+        assume(2 * b.max() <= b.sum())
+        j = int(np.argmin(sensitivity_vector(p, b)))  # lowest index on ties
+        expected = b.copy()
+        expected[j] = max(v for v in p.allowed_values if v < b[j])
+        np.testing.assert_array_equal(greedy_repair(p, b), expected)
 
 
 class TestGreedyRepair:
