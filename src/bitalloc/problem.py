@@ -14,6 +14,11 @@ Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
 construction so that repeated evaluation of the same vector returns the
 same value and fitness comparisons across candidates are consistent.
+A row's value may still depend, in the last bits, on the batch it is
+evaluated in (BLAS blocking, ``einsum`` path choice), so values agree
+across batch compositions to rounding only; the swarm engine pins one
+value per distinct row for each search. A NaN value breaks the
+contract: the batch evaluators reject it and name the row.
 """
 
 from __future__ import annotations
@@ -105,6 +110,11 @@ class AllocationProblem:
         if out.shape != (mat.shape[0],):
             raise ContractViolation(
                 f"batch {what} returned shape {out.shape} for {mat.shape[0]} rows"
+            )
+        if np.isnan(out).any():
+            i = int(np.flatnonzero(np.isnan(out))[0])
+            raise ContractViolation(
+                f"batch {what} returned NaN for row {i}, allocation {mat[i].tolist()}"
             )
         return out
 

@@ -19,6 +19,19 @@ through the problem's batch interface on (rows, N) integer matrices,
 and best-reduction happens in particle-index order so results do not
 depend on evaluation scheduling. Runs are deterministic for a given
 seed.
+
+A search (all its restarts) runs on a copy of the problem whose
+objective is one _Objective, so every objective evaluation goes through
+it: the swarm's costs, the penalized fitness and the repair's step-down
+candidates. It counts the rows sent to the problem
+(RunResult.objective_rows). When the allowed lattice is no larger than
+the rows one restart evaluates, len(allowed) ** N <= n_pop * (i_iter + 1),
+rows must repeat, so it also memoizes: each row is keyed by its
+mixed-radix index into the allowed set, and only rows whose key it has
+not seen reach the problem, one per distinct key. The objective is pure
+by contract, so this changes no value beyond pinning one per row for
+the whole search (a batch objective may otherwise differ in the last
+bits between batches). Larger spaces bypass the memo.
 """
 
 from __future__ import annotations
@@ -102,7 +115,10 @@ class RunResult:
     (trace[0] follows the initial evaluation), so it has i_iter + 1
     entries and is nonincreasing. When the search ran with restarts,
     seed records which restart produced the winner and elapsed the
-    total wall time over all restarts.
+    total wall time over all restarts. objective_rows counts the rows
+    sent to the problem's objective over all restarts; it is
+    deterministic, and below the rows the engine asked for when the
+    search memoized.
     """
 
     best: np.ndarray
@@ -110,6 +126,7 @@ class RunResult:
     trace: np.ndarray
     seed: int
     elapsed: float
+    objective_rows: int
 
 
 def schedule_hyperparams(config: SwarmConfig, it: int) -> tuple[float, float, float]:
@@ -290,13 +307,50 @@ def init_swarm(
     return pos, vel, g_guess
 
 
+def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
+    """Whether the allowed lattice is no larger than the rows one restart
+    evaluates, so that rows must repeat and a memo pays."""
+    return len(problem.allowed_values) ** problem.dimension <= config.n_pop * (config.i_iter + 1)
+
+
+class _Objective:
+    """F for one search: counts the rows sent to the problem and, when
+    _memo_engages, evaluates each distinct row once (see the module
+    docstring). The table is dense over the lattice, so it holds at most
+    n_pop * (i_iter + 1) entries. It is the objective_batch of the
+    engine's copy of the problem, whose evaluate_objective_batch checks
+    what it returns; the rows the memo evaluates are checked before they
+    are stored."""
+
+    def __init__(self, problem: AllocationProblem, config: SwarmConfig):
+        self.problem = problem
+        self.rows = 0
+        self.table: Optional[np.ndarray] = None
+        if _memo_engages(problem, config):
+            base = len(problem.allowed_values)
+            self.allowed = _allowed_array(problem)
+            self.radix = base ** np.arange(problem.dimension - 1, -1, -1, dtype=np.int64)
+            self.table = np.zeros(base**problem.dimension)
+            self.known = np.zeros(self.table.size, dtype=bool)
+
+    def __call__(self, mat: np.ndarray) -> np.ndarray:
+        if self.table is None:
+            self.rows += mat.shape[0]
+            return self.problem.objective_batch(mat)
+        keys = np.searchsorted(self.allowed, mat) @ self.radix
+        unknown = np.flatnonzero(~self.known[keys])
+        if unknown.size:
+            new, first = np.unique(keys[unknown], return_index=True)
+            self.table[new] = self.problem.evaluate_objective_batch(mat[unknown[first]])
+            self.known[new] = True
+            self.rows += new.size
+        return self.table[keys]
+
+
 def _run_single(
-    problem: AllocationProblem,
-    config: SwarmConfig,
-    seed: int,
-    repair: bool,
-) -> RunResult:
-    t0 = time.perf_counter()
+    problem: AllocationProblem, config: SwarmConfig, seed: int, repair: bool
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(best, best cost, trace) of one restart."""
     rng = np.random.default_rng([_SEED_DOMAIN, int(seed)])
     allowed = _allowed_array(problem)
     costs = (
@@ -343,24 +397,29 @@ def _run_single(
             g_cost = float(p_cost[i])
         trace[it] = g_cost
 
-    return RunResult(
-        best=g_best,
-        best_cost=g_cost,
-        trace=trace,
-        seed=int(seed),
-        elapsed=time.perf_counter() - t0,
-    )
+    return g_best, g_cost, trace
 
 
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
     t0 = time.perf_counter()
-    best: Optional[RunResult] = None
+    objective = _Objective(problem, config)
+    searched = replace(problem, objective_batch=objective)
+    best: Optional[tuple] = None
     for r in range(config.restarts):
-        result = _run_single(problem, config, config.seed + r, repair)
-        if best is None or result.best_cost < best.best_cost:
-            best = result
+        seed = config.seed + r
+        result = _run_single(searched, config, seed, repair)
+        if best is None or result[1] < best[1]:
+            best = (*result, seed)
     assert best is not None
-    return replace(best, elapsed=time.perf_counter() - t0)
+    g_best, g_cost, trace, seed = best
+    return RunResult(
+        best=g_best,
+        best_cost=g_cost,
+        trace=trace,
+        seed=seed,
+        elapsed=time.perf_counter() - t0,
+        objective_rows=objective.rows,
+    )
 
 
 def run_ppso(problem: AllocationProblem, config: SwarmConfig = SwarmConfig()) -> RunResult:

@@ -38,3 +38,18 @@ def weighted_msqe_problem(
         consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
         name="msqe-toy",
     )
+
+
+def assert_batch_composition_agrees(problem: AllocationProblem, n_rows=300, seed=0):
+    """A row's objective value depends on its batch only to rounding:
+    n_rows random allocations evaluated in batches of 1, 7 and 64 agree
+    with one batch of all of them to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    allowed = np.asarray(problem.allowed_values)
+    mat = allowed[rng.integers(0, allowed.size, size=(n_rows, problem.dimension))]
+    whole = problem.evaluate_objective_batch(mat)
+    for size in (1, 7, 64):
+        parts = np.concatenate(
+            [problem.evaluate_objective_batch(mat[k : k + size]) for k in range(0, n_rows, size)]
+        )
+        np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0.0)

@@ -24,7 +24,7 @@ from bitalloc.fir import (
 )
 from bitalloc.problem import ContractViolation, InfeasibleBudgetError
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, assert_batch_composition_agrees
 
 H7 = load_coefficients(FIXTURE_DIR / "toy7.txt")
 A35 = load_coefficients(FIXTURE_DIR / "a35.txt")
@@ -258,6 +258,11 @@ class TestFirProblem:
             p.evaluate_objective_batch(mat),
             [p.evaluate_objective(row) for row in mat],
         )
+
+    @pytest.mark.parametrize("kind, budget_bits", [("fixed", 8), ("float", 4)])
+    def test_values_agree_across_batch_compositions(self, kind, budget_bits):
+        p = fir_problem(benchmark_spec("a", 35), A35, kind, budget_bits=budget_bits)
+        assert_batch_composition_agrees(p)
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ContractViolation):

@@ -1,5 +1,6 @@
 """Allocation-problem contract, penalty wrapper and exhaustive oracle."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,19 @@ class TestAllocationProblem:
         # The uniform-start check at construction already evaluates C.
         with pytest.raises(ContractViolation, match="batch consumption returned shape"):
             replace(p, consumption_batch=lambda mat: np.ones((mat.shape[0], 2)))
+
+    def test_nan_objective_rejected_with_its_row(self):
+        p = linear_problem(2, (1, 2), 4.0, lambda b: math.nan if b[1] == 2 else 0.0)
+        message = r"objective returned NaN for row 1, allocation \[1, 2\]"
+        with pytest.raises(ContractViolation, match=message):
+            p.evaluate_objective_batch(np.array([[1, 1], [1, 2], [2, 2]]))
+
+    def test_nan_consumption_rejected_with_its_row(self):
+        p = linear_problem(2, (1, 2), 4.0, lambda b: 0.0)
+        bad = replace(p, consumption_batch=lambda mat: np.where(mat[:, 0] == 2, math.nan, 1.0))
+        message = r"consumption returned NaN for row 0, allocation \[2, 1\]"
+        with pytest.raises(ContractViolation, match=message):
+            bad.evaluate_consumption_batch(np.array([[2, 1], [1, 1]]))
 
     def test_feasibility_boundary_inclusive(self):
         p = linear_problem(2, (1, 2, 3), 4.0, lambda b: 0.0)
@@ -184,6 +198,15 @@ class TestBruteForceOptimum:
         # the set skips the uniform-start feasibility gate.
         p = linear_problem(2, (2, 3), 3.0, lambda b: 0.0, budget_bits=1)
         with pytest.raises(InfeasibleBudgetError):
+            brute_force_optimum(p)
+
+    def test_nan_objective_is_a_contract_violation_not_infeasibility(self):
+        # The NaN's row must not hide the feasible minimum of its chunk.
+        p = linear_problem(
+            3, (1, 2, 3, 4), 9.0, lambda b: math.nan if (b == 1).all() else -float(b.sum()),
+            budget_bits=3,
+        )
+        with pytest.raises(ContractViolation, match=r"allocation \[1, 1, 1\]"):
             brute_force_optimum(p)
 
     def test_oracle_seeds_engine_reference(self):

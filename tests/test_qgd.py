@@ -23,6 +23,8 @@ from bitalloc.qgd import (
 )
 from bitalloc.swarm import SwarmConfig
 
+from conftest import assert_batch_composition_agrees
+
 
 def tiny_least_squares(**overrides):
     kwargs = dict(n_rows=40, n_cols=5, eta=0.01, t_iter=5, budget_bits=4, seed=1)
@@ -193,6 +195,10 @@ class TestQgdProblem:
             [p.evaluate_objective(row) for row in mat],
             rtol=1e-12,
         )
+
+    def test_values_agree_across_batch_compositions(self):
+        task = gaussian_least_squares(n_rows=200, n_cols=20, eta=0.001, budget_bits=4, seed=0)
+        assert_batch_composition_agrees(qgd_problem(task, np.zeros(task.dimension)))
 
 
 class TestTrain:

@@ -23,6 +23,8 @@ from bitalloc.receiver import (
     unquantized_sum_rate,
 )
 
+from conftest import assert_batch_composition_agrees
+
 
 class TestDistortionModel:
     def test_tabulated_values_exact(self):
@@ -213,6 +215,10 @@ class TestErgodicProblem:
             [p.evaluate_objective(row) for row in mat],
             atol=1e-12,
         )
+
+    def test_values_agree_across_batch_compositions(self):
+        cfg = SystemConfig(m_antennas=16, k_users=4, budget_bits=2, mc_channels=20, seed=5)
+        assert_batch_composition_agrees(receiver_problem(cfg))
 
     def test_rate_never_drops_when_any_antenna_gains_a_bit(self):
         p = receiver_problem(self.CFG)

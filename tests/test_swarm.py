@@ -1,11 +1,17 @@
 """Swarm engine: schedules, stepping, greedy repair and full runs."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bitalloc import swarm
+from bitalloc.fir import benchmark_spec, fir_problem, load_coefficients
 from bitalloc.problem import (
+    AllocationProblem,
     ContractViolation,
     InfeasibleBudgetError,
     brute_force_optimum,
@@ -25,7 +31,7 @@ from bitalloc.swarm import (
     step_swarm,
 )
 
-from conftest import weighted_msqe_problem
+from conftest import FIXTURE_DIR, weighted_msqe_problem
 
 
 class TestSwarmConfig:
@@ -355,6 +361,36 @@ class TestRuns:
         np.testing.assert_array_equal(combined.best, winner.best)
         assert base.seed == 5
 
+    def test_nan_at_uniform_start_rejected(self):
+        # Otherwise no personal best ever improves on NaN and the result
+        # is init_swarm's random guess at infinite cost.
+        p = weighted_msqe_problem([1.0, 1.0, 1.0], budget=9.0)
+        nan_at_start = AllocationProblem(
+            dimension=3,
+            allowed_values=p.allowed_values,
+            budget_bits=3,
+            budget=9.0,
+            objective_batch=lambda mat: np.where(
+                (mat == 3).all(axis=1), math.nan, p.evaluate_objective_batch(mat)
+            ),
+            consumption_batch=p.consumption_batch,
+        )
+        with pytest.raises(ContractViolation, match=r"NaN for row 0, allocation \[3, 3, 3\]"):
+            run_ppso(nan_at_start, self.CFG)
+
+    def test_objective_rows_drop_when_the_memo_engages(self):
+        # 7 ** 3 = 343 allocations, far fewer than the 40 * 41 rows of
+        # one restart, so each is evaluated at most once over all three.
+        for runner in (run_ppso, run_gcpso):
+            result = runner(self.toy(), self.CFG)
+            assert 0 < result.objective_rows <= 7**3
+
+    def test_objective_rows_count_every_row_without_the_memo(self):
+        coeffs = load_coefficients(FIXTURE_DIR / "a35.txt")
+        p = fir_problem(benchmark_spec("a", 35), coeffs, "fixed", 8)
+        result = run_ppso(p, SwarmConfig(n_pop=100, restarts=1, seed=0))
+        assert result.objective_rows == 100 * 101
+
     def test_per_particle_draw_mode_runs(self):
         p = self.toy()
         cfg = SwarmConfig(
@@ -363,3 +399,94 @@ class TestRuns:
         result = run_gcpso(p, cfg)
         assert p.is_feasible(result.best)
         assert result.best_cost <= result.trace[0]
+
+
+def row_loop_problem(weights, allowed, budget_bits, slack, calls=None):
+    """A nonseparable toy whose objective is a per-row Python loop, so a
+    row's value cannot depend on its batch; calls, if given, collects
+    the number of rows of every objective call."""
+    weights = [float(w) for w in weights]
+
+    def objective(row):
+        terms = [w * 2.0 ** (-2 * int(b)) for w, b in zip(weights, row)]
+        return sum(terms) + 0.25 * terms[0] * terms[-1] ** 0.5
+
+    def objective_batch(mat):
+        if calls is not None:
+            calls.append(len(mat))
+        return np.array([objective(row) for row in mat])
+
+    return AllocationProblem(
+        dimension=len(weights),
+        allowed_values=allowed,
+        budget_bits=budget_bits,
+        budget=float(len(weights) * budget_bits + slack),
+        objective_batch=objective_batch,
+        consumption_batch=lambda mat: np.asarray(mat, dtype=float).sum(axis=1),
+    )
+
+
+@st.composite
+def memo_cases(draw):
+    """A row-loop toy on a contiguous or gapped set and a swarm whose
+    single restart evaluates at least as many rows as the set has
+    allocations, so the memo engages."""
+    allowed = draw(st.sampled_from([(1, 2, 3, 4), (1, 2, 4, 7), tuple(range(0, 6))]))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+    p = row_loop_problem(
+        weights, allowed, draw(st.sampled_from(allowed[1:-1])), draw(st.integers(0, 2))
+    )
+    i_iter = draw(st.integers(3, 8))
+    n_pop = -(-len(allowed) ** n // (i_iter + 1)) + draw(st.integers(0, 4))
+    cfg = SwarmConfig(
+        n_pop=n_pop, i_iter=i_iter, restarts=draw(st.integers(1, 2)), seed=draw(st.integers(0, 99))
+    )
+    return p, cfg
+
+
+def _without_memo():
+    return mock.patch.object(swarm, "_memo_engages", lambda problem, config: False)
+
+
+class TestObjectiveMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(memo_cases())
+    def test_answers_are_bit_identical_with_and_without_the_memo(self, case):
+        p, cfg = case
+        assert swarm._memo_engages(p, cfg)
+        for runner in (run_ppso, run_gcpso):
+            memo = runner(p, cfg)
+            with _without_memo():
+                plain = runner(p, cfg)
+            assert memo.best.tobytes() == plain.best.tobytes()
+            assert memo.best_cost == plain.best_cost
+            assert memo.trace.tobytes() == plain.trace.tobytes()
+            assert memo.seed == plain.seed
+            assert memo.objective_rows <= len(p.allowed_values) ** p.dimension
+            assert memo.objective_rows <= plain.objective_rows
+
+    @pytest.mark.parametrize("runner", [run_ppso, run_gcpso])
+    def test_engage_condition_boundary(self, runner):
+        # 3 ** 4 = 81 allocations: n_pop * (i_iter + 1) = 81 engages the
+        # memo, 80 bypasses it and evaluates exactly the rows it did
+        # without one.
+        at = SwarmConfig(n_pop=9, i_iter=8, restarts=2, seed=3)
+        above = SwarmConfig(n_pop=8, i_iter=9, restarts=2, seed=3)
+        calls, plain_calls = [], []
+        p = row_loop_problem([2.0, 1.0, 0.5, 0.25], (1, 2, 3), 2, 1, calls)
+        plain_p = row_loop_problem([2.0, 1.0, 0.5, 0.25], (1, 2, 3), 2, 1, plain_calls)
+        assert swarm._memo_engages(p, at) and not swarm._memo_engages(p, above)
+
+        bypassed = runner(p, above)
+        with _without_memo():
+            plain = runner(plain_p, above)
+        assert calls == plain_calls
+        assert bypassed.objective_rows == plain.objective_rows == sum(plain_calls)
+        if runner is run_ppso:
+            assert plain.objective_rows == 2 * 8 * 10
+        assert bypassed.trace.tobytes() == plain.trace.tobytes()
+
+        calls.clear()
+        memo = runner(p, at)
+        assert memo.objective_rows == sum(calls) <= 3**4
