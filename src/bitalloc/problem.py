@@ -19,6 +19,19 @@ evaluated in (BLAS blocking, ``einsum`` path choice), so values agree
 across batch compositions to rounding only; the swarm engine pins one
 value per distinct row for each search. A NaN value breaks the
 contract: the batch evaluators reject it and name the row.
+
+A problem may also supply objective_step_down(mat, lower), an (r, n)
+matrix whose entry [i, j] is F(row i of mat with coordinate j set to
+lower[i, j]). The greedy repair and the sensitivities then ask it for
+every one-coordinate step down at once instead of evaluating r * n
+candidate rows (a swarm search whose objective memo engages keeps
+looking the candidates up instead). Its values must agree with objective_batch on those
+rows to rounding, and equal F(row i) exactly where a coordinate's
+change leaves F's inputs unchanged, so exact ties stay ties. The hook
+belongs to its F: a copy made with dataclasses.replace that swaps
+objective_batch for a different F must drop it (objective_step_down=
+None); a copy whose new objective_batch wraps the same F (a counter, a
+memo, a tracer) keeps it.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 BatchFunction = Callable[[np.ndarray], np.ndarray]
+StepDownFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -60,6 +74,9 @@ class AllocationProblem:
         integer matrix, returning one value per row. They are the only
         callables; evaluate_objective / evaluate_consumption pass one
         vector through them as a one-row matrix.
+    objective_step_down: optional F of every one-coordinate change of
+        each row at once (see the module docstring); None evaluates the
+        candidate rows through objective_batch.
     """
 
     dimension: int
@@ -69,6 +86,7 @@ class AllocationProblem:
     objective_batch: BatchFunction = field(repr=False)
     consumption_batch: BatchFunction = field(repr=False)
     name: str = ""
+    objective_step_down: Optional[StepDownFunction] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -121,6 +139,23 @@ class AllocationProblem:
     def evaluate_objective_batch(self, mat) -> np.ndarray:
         return self._evaluate_batch(self.objective_batch, mat, "objective")
 
+    def evaluate_step_down_batch(self, mat, lower) -> np.ndarray:
+        """objective_step_down(mat, lower), checked like the batch evaluators."""
+        mat = self._check_matrix(mat)
+        out = np.asarray(self.objective_step_down(mat, lower), dtype=float)
+        if out.shape != mat.shape:
+            raise ContractViolation(
+                f"objective_step_down returned shape {out.shape} for {mat.shape[0]} rows, "
+                f"expected {mat.shape}"
+            )
+        if np.isnan(out).any():
+            i, j = (int(k) for k in np.argwhere(np.isnan(out))[0])
+            raise ContractViolation(
+                f"objective_step_down returned NaN for row {i}, coordinate {j}: "
+                f"allocation {mat[i].tolist()} with b_{j} = {lower[i, j]}"
+            )
+        return out
+
     def evaluate_consumption_batch(self, mat) -> np.ndarray:
         return self._evaluate_batch(self.consumption_batch, mat, "consumption")
 
@@ -167,9 +202,11 @@ def brute_force_optimum(
     """Exhaustively minimize F over all feasible allocations.
 
     Candidates are enumerated in lexicographic order of the allowed
-    values, and only strict improvements replace the incumbent, so ties
-    resolve to the lexicographically smallest vector. Single threaded by
-    contract (determinism over speed).
+    values. The first feasible chunk's minimum is the first incumbent,
+    even at F = +inf, and after it only strict improvements replace the
+    incumbent, so ties resolve to the lexicographically smallest
+    feasible vector. Single threaded by contract (determinism over
+    speed).
     """
     size = len(problem.allowed_values) ** problem.dimension
     if size > cap:
@@ -186,7 +223,7 @@ def brute_force_optimum(
         rows = chunk[feasible]
         vals = problem.evaluate_objective_batch(rows)
         i = int(np.argmin(vals))  # first minimum = lexicographically smallest
-        if vals[i] < best_val:
+        if best_vec is None or vals[i] < best_val:
             best_val = float(vals[i])
             best_vec = rows[i].copy()
     if best_vec is None:

@@ -10,9 +10,10 @@ Two variants share one synchronous engine:
   least.
 
 All particles start from the uniform allocation at the budget average,
-which the problem contract guarantees to be feasible, so the very first
-evaluation already provides a feasible incumbent and the reported best
-can never be worse than the uniform baseline.
+which the problem contract guarantees to be feasible. The very first
+evaluated batch always provides the incumbent, even when every value in
+it is +inf, so the reported best can never be worse than the uniform
+baseline and the repair swarm's best is always feasible.
 
 Everything is vectorized over the population: objectives are evaluated
 through the problem's batch interface on (rows, N) integer matrices,
@@ -32,6 +33,16 @@ not seen reach the problem, one per distinct key. The objective is pure
 by contract, so this changes no value beyond pinning one per row for
 the whole search (a batch objective may otherwise differ in the last
 bits between batches). Larger spaces bypass the memo.
+
+When the problem supplies objective_step_down and the memo does not
+engage, the repair's step-down values come from that hook, and
+RunResult.step_down_rows counts the candidates it valued. When the
+memo engages, the candidates go through it like every other row:
+on a lattice that small they are mostly known already, and a table
+lookup costs less than the hook. Hook values are not memoized; they
+only rank candidates within one row, and every cost the swarm compares
+or reports (the particle costs, best_cost, the trace) comes from the
+full objective.
 """
 
 from __future__ import annotations
@@ -118,7 +129,10 @@ class RunResult:
     total wall time over all restarts. objective_rows counts the rows
     sent to the problem's objective over all restarts; it is
     deterministic, and below the rows the engine asked for when the
-    search memoized.
+    search memoized. step_down_rows counts the candidates valued by the
+    problem's objective_step_down hook, r * n per call for r rows of n
+    coordinates (0 without the hook), so objective_rows +
+    step_down_rows is all the valuation work of the search.
     """
 
     best: np.ndarray
@@ -127,6 +141,7 @@ class RunResult:
     seed: int
     elapsed: float
     objective_rows: int
+    step_down_rows: int
 
 
 def schedule_hyperparams(config: SwarmConfig, it: int) -> tuple[float, float, float]:
@@ -170,15 +185,20 @@ def _step_down_values(
     problem: AllocationProblem, allowed: np.ndarray, mat: np.ndarray
 ) -> np.ndarray:
     """(r, n) values F(row i of mat with coordinate j stepped down to
-    the next smaller allowed value), +inf where none lies below. The
-    r * n candidates go to the objective as one batch; floor coordinates
-    are evaluated unchanged, then masked."""
+    the next smaller allowed value), +inf where none lies below. They
+    come from the problem's objective_step_down hook when it has one;
+    otherwise the r * n candidates go to the objective as one batch.
+    Either way floor coordinates are valued unchanged, then masked."""
     r, n = mat.shape
     idx = np.searchsorted(allowed, mat)
-    diag = np.arange(n)
-    candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
-    candidates[:, diag, diag] = allowed[np.maximum(idx - 1, 0)]
-    values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
+    lower = allowed[np.maximum(idx - 1, 0)]
+    if problem.objective_step_down is not None:
+        values = problem.evaluate_step_down_batch(mat, lower)
+    else:
+        diag = np.arange(n)
+        candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
+        candidates[:, diag, diag] = lower
+        values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
     values[idx == 0] = np.inf
     return values
 
@@ -288,8 +308,8 @@ def init_swarm(
 
     Every particle starts at the uniform budget-average allocation;
     velocities are uniform on [v_min, v_max]; the pre-evaluation global
-    best is a random allocation carrying infinite cost, so the first
-    evaluated batch always replaces it.
+    best is a random allocation, which the engine replaces with the
+    best of the first evaluated batch whatever its cost.
     """
     allowed = _allowed_array(problem)
     if problem.budget_bits not in problem.allowed_values:
@@ -320,11 +340,13 @@ class _Objective:
     n_pop * (i_iter + 1) entries. It is the objective_batch of the
     engine's copy of the problem, whose evaluate_objective_batch checks
     what it returns; the rows the memo evaluates are checked before they
-    are stored."""
+    are stored. step_down counts the candidates of the problem's
+    step-down hook, which the engine uses only when the memo is off."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig):
         self.problem = problem
         self.rows = 0
+        self.step_down_rows = 0
         self.table: Optional[np.ndarray] = None
         if _memo_engages(problem, config):
             base = len(problem.allowed_values)
@@ -346,6 +368,10 @@ class _Objective:
             self.rows += new.size
         return self.table[keys]
 
+    def step_down(self, mat: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        self.step_down_rows += mat.size
+        return self.problem.objective_step_down(mat, lower)
+
 
 def _run_single(
     problem: AllocationProblem, config: SwarmConfig, seed: int, repair: bool
@@ -359,8 +385,9 @@ def _run_single(
         else partial(penalized_fitness_batch, problem, penalty_weight=config.penalty_weight)
     )
 
-    pos, vel, g_best = init_swarm(problem, config, rng)
-    g_cost = np.inf
+    # The guess is drawn only to keep the generator's sequence; the
+    # first batch replaces it even when all its costs are +inf.
+    pos, vel, _ = init_swarm(problem, config, rng)
     if repair:
         pos = greedy_repair_batch(problem, pos)
 
@@ -368,9 +395,8 @@ def _run_single(
     p_best = pos.copy()
     p_cost = cost.copy()
     i = int(np.argmin(p_cost))
-    if p_cost[i] < g_cost:
-        g_best = p_best[i].copy()
-        g_cost = float(p_cost[i])
+    g_best = p_best[i].copy()
+    g_cost = float(p_cost[i])
 
     trace = np.empty(config.i_iter + 1, dtype=float)
     trace[0] = g_cost
@@ -403,7 +429,12 @@ def _run_single(
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
     t0 = time.perf_counter()
     objective = _Objective(problem, config)
-    searched = replace(problem, objective_batch=objective)
+    use_hook = problem.objective_step_down is not None and objective.table is None
+    searched = replace(
+        problem,
+        objective_batch=objective,
+        objective_step_down=objective.step_down if use_hook else None,
+    )
     best: Optional[tuple] = None
     for r in range(config.restarts):
         seed = config.seed + r
@@ -419,6 +450,7 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
         seed=seed,
         elapsed=time.perf_counter() - t0,
         objective_rows=objective.rows,
+        step_down_rows=objective.step_down_rows,
     )
 
 

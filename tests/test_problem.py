@@ -98,6 +98,19 @@ class TestAllocationProblem:
         with pytest.raises(ContractViolation, match=message):
             bad.evaluate_consumption_batch(np.array([[2, 1], [1, 1]]))
 
+    def test_step_down_hook_checked_like_the_batch_evaluators(self):
+        def hook(mat, lower):
+            return np.where((mat == 2) & (lower == 1), math.nan, 0.0)
+
+        p = replace(linear_problem(2, (1, 2), 4.0, lambda b: 0.0), objective_step_down=hook)
+        mat = np.array([[1, 1], [1, 2]])
+        lower = np.array([[1, 1], [1, 1]])
+        with pytest.raises(ContractViolation, match=r"NaN for row 1, coordinate 1"):
+            p.evaluate_step_down_batch(mat, lower)
+        wrong = replace(p, objective_step_down=lambda mat, lower: np.zeros(mat.shape[0]))
+        with pytest.raises(ContractViolation, match=r"objective_step_down returned shape \(2,\)"):
+            wrong.evaluate_step_down_batch(mat, lower)
+
     def test_feasibility_boundary_inclusive(self):
         p = linear_problem(2, (1, 2, 3), 4.0, lambda b: 0.0)
         assert p.is_feasible([2, 2])
@@ -199,6 +212,14 @@ class TestBruteForceOptimum:
         p = linear_problem(2, (2, 3), 3.0, lambda b: 0.0, budget_bits=1)
         with pytest.raises(InfeasibleBudgetError):
             brute_force_optimum(p)
+
+    def test_infinite_objective_still_yields_the_first_feasible_vector(self):
+        # Only strict improvements used to replace the inf incumbent, so
+        # this feasible problem was reported infeasible.
+        p = linear_problem(2, (1, 2, 3), 4.0, lambda b: math.inf, budget_bits=2)
+        best, value = brute_force_optimum(p)
+        np.testing.assert_array_equal(best, [1, 1])
+        assert value == math.inf
 
     def test_nan_objective_is_a_contract_violation_not_infeasibility(self):
         # The NaN's row must not hide the feasible minimum of its chunk.

@@ -2,10 +2,13 @@
 
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitalloc.problem import ContractViolation
 from bitalloc.qgd import (
@@ -21,7 +24,7 @@ from bitalloc.qgd import (
     synthetic_classification,
     train,
 )
-from bitalloc.swarm import SwarmConfig
+from bitalloc.swarm import SwarmConfig, greedy_repair, run_gcpso, run_ppso, sensitivity_vector
 
 from conftest import assert_batch_composition_agrees
 
@@ -199,6 +202,121 @@ class TestQgdProblem:
     def test_values_agree_across_batch_compositions(self):
         task = gaussian_least_squares(n_rows=200, n_cols=20, eta=0.001, budget_bits=4, seed=0)
         assert_batch_composition_agrees(qgd_problem(task, np.zeros(task.dimension)))
+
+
+@st.composite
+def step_down_cases(draw):
+    """A random small least-squares task, a random point z, and a batch
+    of allocations with every coordinate's one-step-down target; at
+    least one coordinate per row sits on the floor."""
+    n = draw(st.integers(2, 6))
+    m = n + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    task = QgdTask(
+        kind="least_squares",
+        features=rng.standard_normal((m, n)),
+        targets=rng.standard_normal(m),
+        eta=draw(st.sampled_from([0.001, 0.01, 0.05])),
+        t_iter=1,
+        budget_bits=draw(st.integers(1, 3)),
+    )
+    z = rng.standard_normal(n)
+    allowed = np.asarray(task.allowed_values)
+    mat = allowed[rng.integers(0, allowed.size, size=(draw(st.integers(1, 80)), n))]
+    mat[np.arange(mat.shape[0]), rng.integers(0, n, size=mat.shape[0])] = allowed[0]
+    lower = allowed[np.maximum(np.searchsorted(allowed, mat) - 1, 0)]
+    return qgd_problem(task, z), gradient(task, z), mat, lower
+
+
+class TestLeastSquaresStepDown:
+    """The closed-form objective_step_down hook of least-squares qgd."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_down_cases())
+    def test_hook_matches_full_evaluation_of_candidate_rows(self, case):
+        p, _, mat, lower = case
+        r, n = mat.shape
+        candidates = np.repeat(mat[:, None, :], n, axis=1)
+        candidates[:, np.arange(n), np.arange(n)] = lower
+        full = p.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
+        np.testing.assert_allclose(p.evaluate_step_down_batch(mat, lower), full, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_down_cases())
+    def test_unchanged_step_gives_exactly_the_row_value(self, case):
+        # Floor coordinates (lower == b) and coordinates whose quantized
+        # gradient entry is the same one bit lower value exactly F(b),
+        # so exact ties among them still go to the lowest index.
+        p, g, mat, lower = case
+        same = quantize_gradient(g, mat) == quantize_gradient(g, lower)
+        assert same.any()
+        values = p.evaluate_step_down_batch(mat, lower)
+        row_values = np.broadcast_to(p.evaluate_objective_batch(mat)[:, None], mat.shape)
+        assert (values[same] == row_values[same]).all()
+        b = mat[0]
+        zero = same[0] & (b > p.allowed_values[0])
+        assert (sensitivity_vector(p, b)[zero] == 0.0).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(step_down_cases())
+    def test_values_agree_across_batch_compositions(self, case):
+        p, _, mat, lower = case
+        whole = p.evaluate_step_down_batch(mat, lower)
+        for size in (1, 7, 64):
+            parts = np.concatenate(
+                [
+                    p.evaluate_step_down_batch(mat[k : k + size], lower[k : k + size])
+                    for k in range(0, mat.shape[0], size)
+                ]
+            )
+            np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0.0)
+
+    def test_bad_hook_output_reported_from_the_repair(self):
+        task = tiny_least_squares()
+        p = qgd_problem(task, np.zeros(5))
+
+        def nan_hook(mat, lower):
+            out = p.objective_step_down(mat, lower)
+            out[0, 2] = math.nan
+            return out
+
+        # One bit over; rescaling rounds it back, so a greedy pass runs.
+        over = np.array([5, 4, 4, 4, 4])
+        with pytest.raises(ContractViolation, match="NaN for row 0, coordinate 2"):
+            greedy_repair(replace(p, objective_step_down=nan_hook), over)
+        flat = replace(p, objective_step_down=lambda mat, lower: np.zeros(mat.shape[0]))
+        with pytest.raises(ContractViolation, match="objective_step_down returned shape"):
+            greedy_repair(flat, over)
+
+    def test_only_least_squares_has_the_hook(self):
+        assert qgd_problem(tiny_least_squares(), np.zeros(5)).objective_step_down is not None
+        logistic = synthetic_classification(40, 4, t_iter=1, seed=5)
+        assert qgd_problem(logistic, np.zeros(4)).objective_step_down is None
+
+    def test_step_down_rows_count_the_hook_candidates(self):
+        p = qgd_problem(tiny_least_squares(), np.zeros(5))
+        cfg = SwarmConfig(n_pop=20, i_iter=10, restarts=1, seed=0)
+        hooked = run_gcpso(p, cfg)
+        # 24 over-budget rows of 5 coordinates over all repair passes
+        assert hooked.step_down_rows == 24 * 5
+        assert run_ppso(p, cfg).step_down_rows == 0
+        # Without the hook the same candidates are objective rows.
+        plain = run_gcpso(replace(p, objective_step_down=None), cfg)
+        assert plain.step_down_rows == 0
+        assert plain.objective_rows == hooked.objective_rows + hooked.step_down_rows
+        np.testing.assert_array_equal(plain.best, hooked.best)
+
+    def test_memoized_search_serves_step_downs_from_its_table(self):
+        # 3 ** 3 = 27 allocations: the memo engages and the hook stays unused.
+        task = tiny_least_squares(n_cols=3, budget_bits=1)
+        p = qgd_problem(task, np.zeros(3))
+        cfg = SwarmConfig(n_pop=10, i_iter=5, restarts=1, seed=0)
+        memo = run_gcpso(p, cfg)
+        plain = run_gcpso(replace(p, objective_step_down=None), cfg)
+        assert memo.step_down_rows == 0
+        assert 0 < memo.objective_rows == plain.objective_rows <= 3**3
+        assert memo.best.tobytes() == plain.best.tobytes()
+        assert memo.trace.tobytes() == plain.trace.tobytes()
 
 
 class TestTrain:

@@ -1,6 +1,7 @@
 """Swarm engine: schedules, stepping, greedy repair and full runs."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,19 @@ class TestRuns:
         )
         with pytest.raises(ContractViolation, match=r"NaN for row 0, allocation \[3, 3, 3\]"):
             run_ppso(nan_at_start, self.CFG)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_all_infinite_first_batch_still_replaces_the_guess(self, seed):
+        # Only strict improvements used to replace init_swarm's random
+        # guess, so both engines returned it: [3, 3] at seed 1, which is
+        # over budget, and [2, 1] at seed 5.
+        p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2, 3), budget=4.0, budget_bits=2)
+        infinite = replace(p, objective_batch=lambda mat: np.full(mat.shape[0], math.inf))
+        for runner in (run_ppso, run_gcpso):
+            result = runner(infinite, SwarmConfig(seed=seed, restarts=2))
+            np.testing.assert_array_equal(result.best, [2, 2])
+            assert result.best_cost == math.inf
+            assert result.seed == seed
 
     def test_objective_rows_drop_when_the_memo_engages(self):
         # 7 ** 3 = 343 allocations, far fewer than the 40 * 41 rows of
