@@ -25,11 +25,7 @@ from .problem import (
     penalized_fitness_batch,
 )
 from .quantizers import (
-    FixedQuantSpec,
-    FloatQuantSpec,
-    quantize_fixed,
     quantize_fixed_bits,
-    quantize_float,
     quantize_float_bits,
     round_half_away,
 )
@@ -52,8 +48,6 @@ __all__ = [
     "AllocationProblem",
     "ContractViolation",
     "ConvergenceReport",
-    "FixedQuantSpec",
-    "FloatQuantSpec",
     "InfeasibleBudgetError",
     "RunResult",
     "SearchSpaceTooLarge",
@@ -67,9 +61,7 @@ __all__ = [
     "lyapunov_solution",
     "penalized_fitness",
     "penalized_fitness_batch",
-    "quantize_fixed",
     "quantize_fixed_bits",
-    "quantize_float",
     "quantize_float_bits",
     "round_half_away",
     "run_gcpso",

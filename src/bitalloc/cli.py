@@ -128,6 +128,9 @@ def _swarm_config(parser: configparser.ConfigParser, seed: int) -> Optional[Swar
     if not parser.has_section("swarm"):
         return None
     overrides = _keys_for(_Section(parser, "swarm"), SwarmConfig, ("seed",))
+    for key in parser.options("swarm"):
+        if key not in overrides:
+            raise _fail(f"[swarm] {key}", f"unknown key; valid: {', '.join(overrides)}")
     try:
         return SwarmConfig(seed=seed, **overrides)
     except ContractViolation as exc:
@@ -309,9 +312,16 @@ def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> l
     cap = ex.exp.integer("oracle_cap", DEFAULT_ORACLE_CAP)
     swarm_cfg = swarm_cfg or SwarmConfig(seed=ex.seed)
     rows, traces, summary = [], {}, []
+
+    def failed(case: _Case, strategy: str, message) -> None:
+        at = "".join(f" at {name} = {value}" for name, value in case.labels.items())
+        print(f"strategy {strategy}{at}: {message}", file=sys.stderr)
+        rows.append([*map(_fmt, case.labels.values()), strategy, "nan", "nan", ""])
+
     for case in ex.cases():
         problem = case.problem
         for strategy in strategies:
+            trace = None
             try:
                 if strategy == "naive":
                     bits = np.full(problem.dimension, problem.budget_bits, dtype=np.int64)
@@ -321,17 +331,21 @@ def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> l
                     bits, _ = brute_force_optimum(problem, cap=cap)
                 else:
                     result = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, swarm_cfg)
-                    bits = result.best
-                    traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
-                        [it, _fmt(cost)] for it, cost in enumerate(result.trace)
-                    ]
+                    bits, trace = result.best, result.trace
             except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
-                at = "".join(f" at {name} = {value}" for name, value in case.labels.items())
-                print(f"strategy {strategy}{at}: {exc}", file=sys.stderr)
-                rows.append([*map(_fmt, case.labels.values()), strategy, "nan", "nan", ""])
+                failed(case, strategy, exc)
                 continue
-            value = ex.app.sign * problem.evaluate_objective(bits)
             cons = problem.evaluate_consumption(bits)
+            if cons > problem.budget:
+                # A penalized search can end over budget when the penalty is too weak.
+                failed(case, strategy, f"allocation {_bits_str(bits)} consumes {_fmt(cons)}, "
+                       f"over the budget of {_fmt(problem.budget)}")
+                continue
+            if trace is not None:
+                traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
+                    [it, _fmt(cost)] for it, cost in enumerate(trace)
+                ]
+            value = ex.app.sign * problem.evaluate_objective(bits)
             _add_result(rows, summary, case.labels, strategy, ex.app.value, value, cons, bits)
     header = [*case.labels, "strategy", ex.app.value, "consumption", "bits"]
     _write_csv(out_dir / "results.csv", ex.seed, header, rows)

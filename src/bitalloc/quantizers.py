@@ -1,16 +1,24 @@
 """Round-to-nearest fixed-point and floating-point quantizers.
 
-Both quantizers are pure elementwise functions and accept scalars or
-arrays. The fixed-point grid is {k * 2**-b} clamped to [-1, 1 - 2**-b].
-The floating-point value set is sign * k * 2**(E - m + 1) with integer
-significand 0 <= k <= 2**m - 1 and exponent E in [e_min, e_max]; there
-are no reserved infinity/NaN codes, overflow saturates to the largest
-finite value and inputs below the bottom exponent flush to zero.
+Both quantizers are pure elementwise functions of an array (or scalar)
+and a broadcastable per-element bit count, and return numpy values of
+the broadcast shape.
+
+Fixed point with b fractional bits (wordlength b + 1 counting the
+sign): the grid is {k * 2**-b} clamped to [-1, 1 - 2**-b], and ties
+round away from zero.
+
+Floating point with e exponent bits and m significand bits, where m
+counts the whole significand (there is no hidden bit): the value set is
+sign * k * 2**(E - m + 1) with integer significand 0 <= k <= 2**m - 1
+and exponent E in [e_min, e_max] = [-(2**(e-1) - 1), 2**(e-1)]. Ties
+round to even significand. There are no reserved infinity/NaN codes:
+overflow saturates to the largest finite value
+(2**m - 1) * 2**(e_max - m + 1) and is flagged, and inputs below the
+smallest positive output 2**e_min flush to zero.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,69 +27,6 @@ def round_half_away(x):
     """Round to nearest integer, ties away from zero (as floats)."""
     x = np.asarray(x, dtype=float)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-@dataclass(frozen=True)
-class FixedQuantSpec:
-    """Fractional-bit count b of a signed fixed-point format.
-
-    The total wordlength is b + 1 counting the sign.
-    """
-
-    frac_bits: int
-
-    def __post_init__(self):
-        if self.frac_bits < 0:
-            raise ValueError(f"frac_bits must be >= 0, got {self.frac_bits}")
-
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.frac_bits
-
-    @property
-    def max_value(self) -> float:
-        return 1.0 - self.step
-
-
-@dataclass(frozen=True)
-class FloatQuantSpec:
-    """Binary floating-point format: e exponent bits, m significand bits.
-
-    m counts the whole significand (there is no hidden bit). The
-    exponent bias is 2**(e-1) - 1 and no codes are reserved, so the
-    exponent range is -(2**(e-1) - 1) .. 2**(e-1).
-    """
-
-    exp_bits: int
-    mantissa_bits: int
-
-    def __post_init__(self):
-        if self.exp_bits < 1:
-            raise ValueError(f"exp_bits must be >= 1, got {self.exp_bits}")
-        if self.mantissa_bits < 1:
-            raise ValueError(f"mantissa_bits must be >= 1, got {self.mantissa_bits}")
-
-    @property
-    def bias(self) -> int:
-        return 2 ** (self.exp_bits - 1) - 1
-
-    @property
-    def e_min(self) -> int:
-        return -self.bias
-
-    @property
-    def e_max(self) -> int:
-        return 2 ** (self.exp_bits - 1)
-
-    @property
-    def max_finite(self) -> float:
-        m = self.mantissa_bits
-        return float((2 ** m - 1) * 2.0 ** (self.e_max - m + 1))
-
-    @property
-    def min_positive(self) -> float:
-        """Smallest positive output (inputs below it flush to zero)."""
-        return 2.0 ** self.e_min
 
 
 def quantize_fixed_bits(x, frac_bits):
@@ -94,17 +39,6 @@ def quantize_fixed_bits(x, frac_bits):
     scale = np.exp2(np.asarray(frac_bits, dtype=float))
     q = round_half_away(x * scale) / scale
     return np.clip(q, -1.0, 1.0 - 1.0 / scale)
-
-
-def quantize_fixed(x, spec: FixedQuantSpec):
-    """Quantize x on the fixed-point grid of `spec`.
-
-    Scalar in, scalar out; arrays pass through elementwise.
-    """
-    q = quantize_fixed_bits(x, spec.frac_bits)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(q)
-    return q
 
 
 def quantize_float_bits(x, exp_bits, mantissa_bits):
@@ -135,16 +69,3 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     q = np.where(e < e_min, 0.0, q)  # flush to zero below the bottom exponent
     q = np.where(ax == 0.0, 0.0, q)
     return q, np.asarray(over & (ax > 0.0))
-
-
-def quantize_float(x, spec: FloatQuantSpec, *, track_overflow: bool = False):
-    """Nearest representable value of x under `spec` (ties to even).
-
-    With track_overflow=True also returns whether any input saturated.
-    """
-    q, over = quantize_float_bits(x, spec.exp_bits, spec.mantissa_bits)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        q = float(q)
-    if track_overflow:
-        return q, bool(np.any(over))
-    return q

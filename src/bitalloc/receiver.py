@@ -239,12 +239,6 @@ def receiver_problem(cfg: SystemConfig) -> AllocationProblem:
     )
 
 
-def ergodic_sum_rate(cfg: SystemConfig, bits) -> float:
-    """Convenience: ergodic sum rate of one allocation under cfg's channel set."""
-    problem = receiver_problem(cfg)
-    return -problem.evaluate_objective(np.asarray(bits, dtype=np.int64))
-
-
 def unquantized_reference(cfg: SystemConfig) -> float:
     """Ergodic unquantized sum rate over the same pinned channel set."""
     return _RateEvaluator(draw_realizations(cfg), cfg.p_u).unquantized_rate()

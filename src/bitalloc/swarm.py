@@ -76,9 +76,9 @@ class SwarmConfig:
     cognitive coefficient ramps from c1_max down to c1_min and the
     social coefficient from c2_min up to c2_max, so early iterations
     explore around personal bests and late iterations contract on the
-    global best. per_dimension_draws selects whether the stochastic
-    acceleration factors are drawn per coordinate (default) or once per
-    particle.
+    global best. The stochastic acceleration factors are drawn per
+    particle and per coordinate. A config's [swarm] section may set
+    every field but seed, which comes from [experiment].
     """
 
     n_pop: int = 550
@@ -94,7 +94,6 @@ class SwarmConfig:
     penalty_weight: float = 1e3
     restarts: int = 10
     seed: int = 0
-    per_dimension_draws: bool = True
 
     def __post_init__(self):
         if self.n_pop < 1 or self.i_iter < 1 or self.restarts < 1:
@@ -401,11 +400,7 @@ def _run_single(
     trace = np.empty(config.i_iter + 1, dtype=float)
     trace[0] = g_cost
 
-    draw_shape = (
-        (config.n_pop, problem.dimension)
-        if config.per_dimension_draws
-        else (config.n_pop, 1)
-    )
+    draw_shape = (config.n_pop, problem.dimension)
     for it in range(1, config.i_iter + 1):
         w, c1, c2 = schedule_hyperparams(config, it)
         r1 = rng.random(draw_shape)

@@ -175,6 +175,31 @@ budget_bits = 3
         errors = [float(r["error"]) for r in rows]
         assert errors[-1] < errors[0]
 
+    def test_logistic_task_runs(self, tmp_path):
+        text = """\
+[experiment]
+application = qgd
+strategies = naive, ppso, gcpso
+seed = 0
+output_dir = out
+
+[qgd]
+task = logistic
+n_samples = 200
+n_features = 20
+eta = 0.5
+t_iter = 2
+budget_bits = 4
+"""
+        config = write_config(tmp_path, text)
+        assert cli.main(["run", str(config)]) == 0
+        for strategy in ("naive", "ppso", "gcpso"):
+            lines = (tmp_path / "out" / f"trace_{strategy}.csv").read_text().splitlines()
+            assert lines[:2] == ["# seed=0", "iteration,loss,bits_used"]
+            assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2"]
+        _, rows = read_results(tmp_path / "out")
+        assert [r["strategy"] for r in rows] == ["naive", "ppso", "gcpso"]
+
     def test_results_hold_final_metric(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         assert cli.main(["run", str(config)]) == 0
@@ -252,6 +277,13 @@ benchmark = a
         )
         self.run_expecting_config_error(tmp_path, text, "[swarm]", capsys)
 
+    @pytest.mark.parametrize("line", ["n_popp = 5", "restart = 99", "seed = 3"])
+    def test_unknown_swarm_key_named(self, tmp_path, capsys, line):
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS) + line + "\n"
+        key = line.split()[0]
+        err = self.run_expecting_config_error(tmp_path, text, f"[swarm] {key}", capsys)
+        assert "unknown key" in err
+
     def test_config_file_must_exist(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
         assert "file not found" in capsys.readouterr().err
@@ -275,6 +307,39 @@ class TestCheckConvergence:
     def test_invalid_parameters_exit_2(self, capsys):
         assert cli.main(["check-convergence", "--w", "0.6", "--c1", "0", "--c2", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_over_budget_penalized_answer_is_a_failed_row(tmp_path, capsys):
+    # A penalty this weak lets the penalized search settle over budget.
+    text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+        "n_pop = 60\ni_iter = 40\nrestarts = 3",
+        "n_pop = 20\ni_iter = 10\nrestarts = 1\npenalty_weight = 1e-9",
+    )
+    config = write_config(tmp_path, text)
+    assert cli.main(["run", str(config)]) == 0
+    assert "strategy ppso: allocation 4 1 5 2 consumes 22.0, over the budget of 21.0" in (
+        capsys.readouterr().err
+    )
+    _, rows = read_results(tmp_path / "out")
+    by_strategy = {r["strategy"]: r for r in rows}
+    assert by_strategy["ppso"] == {
+        "strategy": "ppso", "minimax_error": "nan", "consumption": "nan", "bits": ""
+    }
+    assert float(by_strategy["gcpso"]["consumption"]) <= 21.0
+    assert not (tmp_path / "out" / "trace_ppso.csv").exists()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "ppso" not in [entry["strategy"] for entry in summary["results"]]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_builds(config):
+    ex = cli._Experiment(config)
+    strategies = cli._split_list(ex.exp.raw("strategies"))
+    assert strategies and set(strategies) <= set(ex.app.strategies)
+    cli._swarm_config(ex.exp.parser, ex.seed)
+    problem = next(ex.cases()).problem
+    assert problem.dimension > 0
+    assert problem.is_feasible(np.full(problem.dimension, problem.budget_bits))
 
 
 class TestOracleCommand:

@@ -1,19 +1,17 @@
 """Fixed- and floating-point quantizer behavior and error models."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalloc.quantizers import (
-    FixedQuantSpec,
-    FloatQuantSpec,
-    quantize_fixed,
-    quantize_fixed_bits,
-    quantize_float,
-    quantize_float_bits,
-    round_half_away,
-)
+from bitalloc.quantizers import quantize_fixed_bits, quantize_float_bits, round_half_away
+
+
+def quantize_float_in_range(x, exp_bits, mantissa_bits):
+    """The quantized value alone, checked to be in range."""
+    q, over = quantize_float_bits(x, exp_bits, mantissa_bits)
+    assert not over.any()
+    return q
 
 
 class TestRoundHalfAway:
@@ -31,30 +29,29 @@ class TestRoundHalfAway:
 
 
 class TestFixedSpec:
-    def test_grid_properties(self):
-        spec = FixedQuantSpec(frac_bits=3)
-        assert spec.step == 0.125
-        assert spec.max_value == 0.875
+    """The grid of a format with b fractional bits, as literal values."""
 
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            FixedQuantSpec(frac_bits=-1)
+    def test_grid_properties(self):
+        # b = 3: step 1/8, largest value 1 - 1/8.
+        assert quantize_fixed_bits(0.125, 3) == 0.125
+        assert quantize_fixed_bits(0.2, 3) == 0.25
+        assert quantize_fixed_bits(0.9, 3) == 0.875
 
 
 class TestQuantizeFixed:
     def test_zero_is_fixed_point(self):
         for b in (0, 1, 5, 12):
-            assert quantize_fixed(0.0, FixedQuantSpec(b)) == 0.0
+            assert quantize_fixed_bits(0.0, b) == 0.0
 
     def test_hand_rounding(self):
         # 0.3 * 8 = 2.4 rounds down to 2, so the output is 2/8.
-        assert quantize_fixed(0.3, FixedQuantSpec(3)) == 0.25
+        assert quantize_fixed_bits(0.3, 3) == 0.25
 
     def test_saturation_at_both_ends(self):
-        spec = FixedQuantSpec(4)
-        assert quantize_fixed(1.0, spec) == spec.max_value
-        assert quantize_fixed(7.5, spec) == spec.max_value
-        assert quantize_fixed(-3.0, spec) == -1.0
+        # b = 4: the largest value is 1 - 1/16.
+        assert quantize_fixed_bits(1.0, 4) == 0.9375
+        assert quantize_fixed_bits(7.5, 4) == 0.9375
+        assert quantize_fixed_bits(-3.0, 4) == -1.0
 
     def test_error_bound_in_range(self):
         rng = np.random.default_rng(5)
@@ -75,9 +72,8 @@ class TestQuantizeFixed:
         b=st.integers(0, 20),
     )
     def test_idempotent(self, x, b):
-        spec = FixedQuantSpec(b)
-        once = quantize_fixed(x, spec)
-        assert quantize_fixed(once, spec) == once
+        once = quantize_fixed_bits(x, b)
+        assert quantize_fixed_bits(once, b) == once
 
     @given(
         x=st.floats(-2.0, 2.0),
@@ -87,8 +83,7 @@ class TestQuantizeFixed:
     def test_monotone(self, x, y, b):
         if x > y:
             x, y = y, x
-        spec = FixedQuantSpec(b)
-        assert quantize_fixed(x, spec) <= quantize_fixed(y, spec)
+        assert quantize_fixed_bits(x, b) <= quantize_fixed_bits(y, b)
 
     @given(
         x=st.floats(0.0, 1.0),
@@ -99,62 +94,58 @@ class TestQuantizeFixed:
         # to the missing +1 grid point.
         if x >= 1.0 - 2.0 ** -(b + 1):
             x = 0.5 * (1.0 - 2.0**-b)
-        spec = FixedQuantSpec(b)
-        assert quantize_fixed(-x, spec) == -quantize_fixed(x, spec)
+        assert quantize_fixed_bits(-x, b) == -quantize_fixed_bits(x, b)
 
 
 class TestFloatSpec:
+    """The range of a format with e exponent and m significand bits, as literal values."""
+
     def test_exponent_range(self):
-        spec = FloatQuantSpec(exp_bits=5, mantissa_bits=4)
-        assert spec.bias == 15
-        assert spec.e_min == -15
-        assert spec.e_max == 16
-        assert spec.min_positive == 2.0**-15
+        # e = 5: bias 15, exponents -15 .. 16. The smallest positive
+        # value is 2^-15; the largest with m = 4 is 15 * 2^(16-4+1).
+        assert quantize_float_in_range(2.0**-15, 5, 4) == 2.0**-15
+        assert quantize_float_in_range(0.9 * 2.0**-15, 5, 4) == 0.0
+        assert quantize_float_in_range(15 * 2.0**13, 5, 4) == 15 * 2.0**13
+        q, over = quantize_float_bits(16 * 2.0**13, 5, 4)
+        assert q == 15 * 2.0**13 and over
 
     def test_max_finite(self):
-        spec = FloatQuantSpec(exp_bits=3, mantissa_bits=3)
-        # largest significand 7 at the top exponent 4: 7 * 2^(4-3+1)
-        assert spec.max_finite == 28.0
-
-    def test_invalid_fields_rejected(self):
-        with pytest.raises(ValueError):
-            FloatQuantSpec(exp_bits=0, mantissa_bits=3)
-        with pytest.raises(ValueError):
-            FloatQuantSpec(exp_bits=3, mantissa_bits=0)
+        # e = m = 3: largest significand 7 at the top exponent 4: 7 * 2^(4-3+1)
+        q, over = quantize_float_bits(np.array([28.0, 31.0, -1e6]), 3, 3)
+        np.testing.assert_array_equal(q, [28.0, 28.0, -28.0])
+        np.testing.assert_array_equal(over, [False, True, True])
 
 
 class TestQuantizeFloat:
     def test_representable_values_unchanged(self):
-        spec = FloatQuantSpec(exp_bits=5, mantissa_bits=1)
         for x in (0.5, 1.0, -2.0, 0.0):
-            assert quantize_float(x, spec) == x
+            assert quantize_float_in_range(x, 5, 1) == x
 
     def test_hand_rounding_total_significand(self):
         # 0.3 sits between 19/64 and 20/64 on the 5-significand-bit
         # grid of the binade [1/4, 1/2); 19.2 rounds to 19.
-        assert quantize_float(0.3, FloatQuantSpec(5, 5)) == 0.296875
+        assert quantize_float_in_range(0.3, 5, 5) == 0.296875
         # With 4 significand bits the grid is k/32: 9.6 rounds to 10.
-        assert quantize_float(0.3, FloatQuantSpec(5, 4)) == 0.3125
+        assert quantize_float_in_range(0.3, 5, 4) == 0.3125
 
     def test_ties_round_to_even_significand(self):
-        spec = FloatQuantSpec(exp_bits=5, mantissa_bits=3)
-        # Grid in [1, 2) is {1.0, 1.25, 1.5, 1.75} (k = 4..7).
-        assert quantize_float(1.125, spec) == 1.0  # k 4.5 -> 4
-        assert quantize_float(1.375, spec) == 1.5  # k 5.5 -> 6
+        # e = 5, m = 3: the grid in [1, 2) is {1.0, 1.25, 1.5, 1.75} (k = 4..7).
+        assert quantize_float_in_range(1.125, 5, 3) == 1.0  # k 4.5 -> 4
+        assert quantize_float_in_range(1.375, 5, 3) == 1.5  # k 5.5 -> 6
 
     def test_overflow_saturates_and_flags(self):
-        spec = FloatQuantSpec(exp_bits=3, mantissa_bits=3)
-        value, overflowed = quantize_float(1000.0, spec, track_overflow=True)
-        assert value == spec.max_finite
+        # e = m = 3: the largest finite value is 28.
+        value, overflowed = quantize_float_bits(1000.0, 3, 3)
+        assert value == 28.0
         assert overflowed
-        value, overflowed = quantize_float(1.0, spec, track_overflow=True)
+        value, overflowed = quantize_float_bits(1.0, 3, 3)
         assert value == 1.0
         assert not overflowed
 
     def test_underflow_flushes_to_zero(self):
-        spec = FloatQuantSpec(exp_bits=3, mantissa_bits=4)
-        assert quantize_float(spec.min_positive, spec) == spec.min_positive
-        assert quantize_float(0.26 * spec.min_positive, spec) == 0.0
+        # e = 3: the smallest positive value is 2^-3.
+        assert quantize_float_in_range(0.125, 3, 4) == 0.125
+        assert quantize_float_in_range(0.26 * 0.125, 3, 4) == 0.0
 
     def test_relative_error_bound(self):
         rng = np.random.default_rng(11)
@@ -169,9 +160,8 @@ class TestQuantizeFloat:
         m=st.integers(1, 12),
     )
     def test_idempotent(self, x, m):
-        spec = FloatQuantSpec(exp_bits=6, mantissa_bits=m)
-        once = quantize_float(x, spec)
-        assert quantize_float(once, spec) == once
+        once = quantize_float_in_range(x, 6, m)
+        assert quantize_float_in_range(once, 6, m) == once
 
     @given(
         x=st.floats(-50.0, 50.0),
@@ -181,8 +171,7 @@ class TestQuantizeFloat:
     def test_monotone(self, x, y, m):
         if x > y:
             x, y = y, x
-        spec = FloatQuantSpec(exp_bits=6, mantissa_bits=m)
-        assert quantize_float(x, spec) <= quantize_float(y, spec)
+        assert quantize_float_in_range(x, 6, m) <= quantize_float_in_range(y, 6, m)
 
     @given(
         x=st.floats(2.0**-8, 2.0**8),
@@ -190,8 +179,7 @@ class TestQuantizeFloat:
     )
     @settings(max_examples=200)
     def test_doubling_commutes_in_normal_range(self, x, m):
-        spec = FloatQuantSpec(exp_bits=6, mantissa_bits=m)
-        assert quantize_float(2.0 * x, spec) == 2.0 * quantize_float(x, spec)
+        assert quantize_float_in_range(2.0 * x, 6, m) == 2.0 * quantize_float_in_range(x, 6, m)
 
 
 class TestErrorModels:

@@ -14,7 +14,6 @@ from bitalloc.receiver import (
     alpha_of_bits,
     beta_of_bits,
     draw_realizations,
-    ergodic_sum_rate,
     generate_channel,
     large_scale_gains,
     receiver_problem,
@@ -230,15 +229,9 @@ class TestErgodicProblem:
             bumped[j] += 1
             assert p.evaluate_objective(bumped) <= p.evaluate_objective(b) + 1e-12
 
-    def test_convenience_wrapper_matches_problem(self):
-        p = receiver_problem(self.CFG)
-        bits = np.array([1, 2, 1, 0])
-        assert ergodic_sum_rate(self.CFG, bits) == pytest.approx(
-            -p.evaluate_objective(bits)
-        )
-
     def test_unquantized_reference_dominates(self):
         reference = unquantized_reference(self.CFG)
-        uniform = ergodic_sum_rate(self.CFG, np.full(4, 1))
-        maxed = ergodic_sum_rate(self.CFG, np.full(4, 3))
+        p = receiver_problem(self.CFG)
+        uniform = -p.evaluate_objective(np.full(4, 1))
+        maxed = -p.evaluate_objective(np.full(4, 3))
         assert uniform < maxed < reference

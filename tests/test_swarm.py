@@ -405,15 +405,6 @@ class TestRuns:
         result = run_ppso(p, SwarmConfig(n_pop=100, restarts=1, seed=0))
         assert result.objective_rows == 100 * 101
 
-    def test_per_particle_draw_mode_runs(self):
-        p = self.toy()
-        cfg = SwarmConfig(
-            n_pop=20, i_iter=20, restarts=1, seed=0, per_dimension_draws=False
-        )
-        result = run_gcpso(p, cfg)
-        assert p.is_feasible(result.best)
-        assert result.best_cost <= result.trace[0]
-
 
 def row_loop_problem(weights, allowed, budget_bits, slack, calls=None):
     """A nonseparable toy whose objective is a per-row Python loop, so a
@@ -457,6 +448,48 @@ def memo_cases(draw):
         n_pop=n_pop, i_iter=i_iter, restarts=draw(st.integers(1, 2)), seed=draw(st.integers(0, 99))
     )
     return p, cfg
+
+
+@st.composite
+def engine_cases(draw):
+    """A row-loop toy with 2 to 4 coordinates on a contiguous or gapped
+    set and a small swarm whose penalty may be too weak to keep the
+    penalized answer feasible."""
+    allowed = draw(st.sampled_from([(1, 2, 3, 4), (1, 2, 4, 7), tuple(range(0, 6))]))
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+    p = row_loop_problem(
+        weights, allowed, draw(st.sampled_from(allowed[1:-1])), draw(st.integers(0, 2))
+    )
+    cfg = SwarmConfig(
+        n_pop=draw(st.integers(2, 12)),
+        i_iter=draw(st.integers(1, 8)),
+        restarts=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 99)),
+        penalty_weight=draw(st.sampled_from([1e-3, 1e3])),
+    )
+    return p, cfg
+
+
+class TestEnginePostConditions:
+    @settings(max_examples=25, deadline=None)
+    @given(engine_cases())
+    def test_answers_hold_the_result_contract(self, case):
+        p, cfg = case
+        optimum = brute_force_optimum(p)[1]
+        for runner in (run_ppso, run_gcpso):
+            result = runner(p, cfg)
+            assert set(result.best.tolist()) <= set(p.allowed_values)
+            feasible = p.is_feasible(result.best)
+            if runner is run_gcpso:
+                assert feasible
+            assert np.all(np.diff(result.trace) <= 0)
+            assert result.trace[-1] == result.best_cost
+            if feasible:
+                assert result.best_cost == p.evaluate_objective(result.best)
+                assert optimum <= result.best_cost
+            else:
+                assert result.best_cost == penalized_fitness(p, result.best, cfg.penalty_weight)
 
 
 def _without_memo():
