@@ -4,9 +4,12 @@ Experiments are described by a small INI-style config file with an
 [experiment] section naming the application and the strategies to run,
 an optional [swarm] section overriding engine hyperparameters, and one
 application section ([fir], [receiver] or [qgd]) with the problem
-parameters. All randomness flows from the single seed in [experiment];
-each module derives its own substream, so reruns of the same config
-produce byte-identical result files.
+parameters. [swarm] and the application section take the parameters of
+the library code they feed, with that code's defaults. A key a section
+does not take, [experiment] included, or any other section is a config
+error. All randomness flows from the single seed in [experiment]; each
+module derives its own substream, so reruns of the same config produce
+byte-identical result files.
 
 Subcommands:
   run <config>               execute the experiment, write CSV results
@@ -19,9 +22,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -39,7 +43,9 @@ from .problem import (
 )
 from .swarm import SwarmConfig, run_gcpso, run_ppso
 
-_STRATEGIES = ("naive", "lc", "ppso", "gcpso", "oracle")
+_EXPERIMENT_KEYS = (
+    "application", "strategies", "seed", "output_dir", "json_summary", "oracle_cap"
+)
 
 
 class ConfigError(Exception):
@@ -54,11 +60,24 @@ def _split_list(raw: str) -> list[str]:
     return raw.replace(",", " ").split()
 
 
-def _floats(section: str, key: str, raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in _split_list(raw)]
-    except ValueError:
-        raise _fail(f"[{section}] {key}", f"expected numbers, got {raw!r}") from None
+# How a value is parsed, by the type of its default.
+_PARSERS = {
+    bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "text"),
+    list: (lambda raw: [float(tok) for tok in _split_list(raw)], "numbers"),
+}
+
+
+def _defaults(target, exclude: tuple[str, ...] = ()) -> dict:
+    """The parameters of a function or dataclass that have defaults, less
+    exclude, each mapped to its default."""
+    return {
+        p.name: p.default
+        for p in inspect.signature(target).parameters.values()
+        if p.default is not p.empty and p.name not in exclude
+    }
 
 
 class _Section:
@@ -71,33 +90,35 @@ class _Section:
     def has(self, key: str) -> bool:
         return self.parser.has_option(self.name, key)
 
-    def raw(self, key: str, default: str | None = None) -> str:
+    def raw(self, key: str) -> str:
         if not self.has(key):
-            if default is None:
-                raise _fail(f"[{self.name}] {key}", "required key is missing")
-            return default
+            raise _fail(f"[{self.name}] {key}", "required key is missing")
         return self.parser.get(self.name, key).strip()
 
-    def _parsed(self, key: str, default, parse: Callable, what: str):
-        raw = self.raw(key, None if default is None else repr(default))
+    def get(self, key: str, default):
+        """The key's value parsed by the type of default, or default when unset."""
+        if not self.has(key):
+            return default
+        parse, what = _PARSERS[type(default)]
+        raw = self.raw(key)
         try:
             return parse(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise _fail(f"[{self.name}] {key}", f"expected {what}, got {raw!r}") from None
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        return self._parsed(key, default, int, "an integer")
+    def keys_for(self, target) -> dict:
+        """The values this section sets for target's defaulted parameters,
+        each parsed by the type of its default; unset ones keep target's
+        default. _Experiment has already rejected every other key."""
+        return {k: self.get(k, d) for k, d in _defaults(target).items() if self.has(k)}
 
-    def number(self, key: str, default: float | None = None) -> float:
-        return self._parsed(key, default, float, "a number")
-
-    def flag(self, key: str, default: bool) -> bool:
-        raw = self.raw(key, str(default)).lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise _fail(f"[{self.name}] {key}", f"expected a boolean, got {raw!r}")
+    def build(self, target, *args, **kwargs):
+        """target(*args, **kwargs) plus the keys this section sets for it;
+        a ContractViolation becomes a ConfigError naming the section."""
+        try:
+            return target(*args, **kwargs, **self.keys_for(target))
+        except ContractViolation as exc:
+            raise _fail(f"[{self.name}]", str(exc)) from None
 
 
 def _load_parser(path: Path) -> configparser.ConfigParser:
@@ -110,31 +131,6 @@ def _load_parser(path: Path) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise _fail("config", f"parse error: {exc}") from None
     return parser
-
-
-def _keys_for(section: _Section, cls, exclude: tuple[str, ...]) -> dict:
-    """Each field of dataclass cls not in exclude, read with its default's type."""
-    readers = {bool: section.flag, int: section.integer, float: section.number}
-    return {
-        f.name: readers[type(f.default)](f.name, f.default)
-        for f in fields(cls)
-        if f.name not in exclude
-    }
-
-
-def _swarm_config(parser: configparser.ConfigParser, seed: int) -> Optional[SwarmConfig]:
-    """SwarmConfig's defaults overridden by [swarm] and seeded from
-    [experiment]; None when there is no [swarm]."""
-    if not parser.has_section("swarm"):
-        return None
-    overrides = _keys_for(_Section(parser, "swarm"), SwarmConfig, ("seed",))
-    for key in parser.options("swarm"):
-        if key not in overrides:
-            raise _fail(f"[swarm] {key}", f"unknown key; valid: {', '.join(overrides)}")
-    try:
-        return SwarmConfig(seed=seed, **overrides)
-    except ContractViolation as exc:
-        raise _fail("[swarm]", str(exc)) from None
 
 
 def _write_csv(path: Path, seed: int, header: list[str], rows: list[list]) -> None:
@@ -185,34 +181,33 @@ def _fir_spec_from(section: _Section, n_taps: int) -> fir.FilterSpec:
         if not hi:
             raise _fail("[fir] bands", f"expected low:high pairs, got {tok!r}")
         band_edges.append((float(lo), float(hi)))
-    desired = _floats("fir", "desired", section.raw("desired"))
-    weights = _floats("fir", "weights", section.raw("weights"))
+    desired, weights = section.get("desired", []), section.get("weights", [])
     try:
         return fir.FilterSpec.of_pi(band_edges, desired, weights, n_taps)
     except ContractViolation as exc:
         raise _fail("[fir]", str(exc)) from None
 
 
+def _fir_keys(section: _Section) -> tuple[str, ...]:
+    spec_keys = ("coefficients", "benchmark", "bands", "desired", "weights")
+    return (*_defaults(fir.fir_problem), *spec_keys)
+
+
 def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
-    coeff_path = Path(section.raw("coefficients"))
-    if not coeff_path.is_absolute():
-        coeff_path = config_dir / coeff_path
+    coeff_path = config_dir / section.raw("coefficients")  # an absolute path stays as is
     if not coeff_path.exists():
         raise _fail("[fir] coefficients", f"file not found: {coeff_path}")
     coeffs = fir.load_coefficients(coeff_path)
     spec = _fir_spec_from(section, coeffs.n_taps)
-    kind = section.raw("kind", "fixed")
-    if kind not in ("fixed", "float"):
-        raise _fail("[fir] kind", f"expected 'fixed' or 'float', got {kind!r}")
-    budget_bits = section.integer("budget_bits", 8)
-    exp_bits = section.integer("exp_bits", fir.DEFAULT_EXP_BITS)
-    points_per_tap = section.integer("points_per_tap", fir.DEFAULT_POINTS_PER_TAP)
-    problem = fir.fir_problem(
-        spec, coeffs, kind, budget_bits, exp_bits=exp_bits, points_per_tap=points_per_tap
-    )
+    keys = {**_defaults(fir.fir_problem), **section.keys_for(fir.fir_problem)}
+    try:
+        problem = fir.fir_problem(spec, coeffs, **keys)
+    except ContractViolation as exc:
+        raise _fail("[fir]", str(exc)) from None
 
     def lc() -> np.ndarray:
-        if kind == "fixed":
+        budget_bits = keys["budget_bits"]
+        if keys["kind"] == "fixed":
             return fir.lc_fixed_alloc(coeffs.n_taps, budget_bits)
         relaxed = fir.lc_float_alloc(coeffs, budget_bits, strict=False)
         return fir.lc_float_map(relaxed, coeffs, budget_bits)
@@ -220,60 +215,45 @@ def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case
     yield _Case(problem, lc=lc)
 
 
+def _receiver_keys(section: _Section) -> tuple[str, ...]:
+    return (*_defaults(receiver.SystemConfig, ("p_u", "seed")), "p_u_db")
+
+
 def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
     """One problem per transmit power in p_u_db, built when the sweep reaches it."""
-    keys = _keys_for(section, receiver.SystemConfig, ("p_u", "seed"))
-    p_u_db_list = _floats("receiver", "p_u_db", section.raw("p_u_db", "0"))
+    p_u_db_list = section.get("p_u_db", [0.0])
     if not p_u_db_list:
         raise _fail("[receiver] p_u_db", "at least one power is required")
     for p_u_db in p_u_db_list:
-        try:
-            cfg = receiver.SystemConfig(p_u=10.0 ** (p_u_db / 10.0), seed=seed, **keys)
-        except ContractViolation as exc:
-            raise _fail("[receiver]", str(exc)) from None
+        cfg = section.build(receiver.SystemConfig, p_u=10.0 ** (p_u_db / 10.0), seed=seed)
         suffix = f"_pu{p_u_db:g}dB".replace("-", "m").replace(".", "p")
         yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
 
+def _qgd_builder(section: _Section) -> Callable[..., qgd.QgdTask]:
+    """The task constructor that task selects: least_squares, logistic or a dataset path."""
+    return {
+        "least_squares": qgd.gaussian_least_squares,
+        "logistic": qgd.synthetic_classification,
+    }.get(section.get("task", "least_squares"), qgd.load_sparse_dataset)
+
+
+def _qgd_keys(section: _Section) -> tuple[str, ...]:
+    return ("task", *_defaults(_qgd_builder(section), ("seed",)))
+
+
 def _qgd_task(section: _Section, seed: int, config_dir: Path) -> qgd.QgdTask:
-    kind = section.raw("task", "least_squares")
-    eta = section.number("eta", 0.001)
-    t_iter = section.integer("t_iter", 200)
-    budget_bits = section.integer("budget_bits", 4)
-    try:
-        if kind == "least_squares":
-            return qgd.gaussian_least_squares(
-                n_rows=section.integer("n_rows", 200),
-                n_cols=section.integer("n_cols", 20),
-                eta=eta,
-                t_iter=t_iter,
-                budget_bits=budget_bits,
-                seed=seed,
-                noise_std=section.number("noise_std", 0.0),
-            )
-        if kind == "logistic":
-            return qgd.synthetic_classification(
-                n_samples=section.integer("n_samples", 400),
-                n_features=section.integer("n_features", 30),
-                eta=eta,
-                t_iter=t_iter,
-                budget_bits=budget_bits,
-                seed=seed,
-                separation=section.number("separation", 2.0),
-            )
-        path = Path(kind)
-        if not path.is_absolute():
-            path = config_dir / path
+    build = _qgd_builder(section)
+    dataset = []
+    if build is qgd.load_sparse_dataset:
+        path = config_dir / section.raw("task")
         if not path.exists():
             raise _fail(
                 "[qgd] task",
                 f"expected 'least_squares', 'logistic' or a dataset path; {path} not found",
             )
-        return qgd.load_sparse_dataset(
-            path, eta=eta, t_iter=t_iter, budget_bits=budget_bits, seed=seed
-        )
-    except ContractViolation as exc:
-        raise _fail("[qgd]", str(exc)) from None
+        dataset = [path]
+    return section.build(build, *dataset, seed=seed)
 
 
 def _qgd_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
@@ -286,7 +266,8 @@ def _qgd_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case
 
 
 class _Experiment:
-    """A config checked as far as run and oracle share: [experiment] and the application."""
+    """A config checked as far as run and oracle share: every section and
+    key, [experiment], [swarm], and the application's section."""
 
     def __init__(self, config_path: Path):
         parser = _load_parser(config_path)
@@ -300,17 +281,31 @@ class _Experiment:
             raise _fail(f"[{application}]", "section is missing")
         self.app = _APPLICATIONS[application]
         self.section = _Section(parser, application)
-        self.seed = self.exp.integer("seed", 0)
+        valid = {
+            "experiment": _EXPERIMENT_KEYS,
+            "swarm": _defaults(SwarmConfig, ("seed",)),
+            application: self.app.keys(self.section),
+        }
+        for name in parser.sections():
+            if name not in valid:
+                raise _fail(f"[{name}]", f"unknown section; valid: {', '.join(valid)}")
+            for key in parser.options(name):
+                if key not in valid[name]:
+                    raise _fail(f"[{name}] {key}", f"unknown key; valid: {', '.join(valid[name])}")
+        self.seed = self.exp.get("seed", 0)
+        self.cap = self.exp.get("oracle_cap", DEFAULT_ORACLE_CAP)
+        self.swarm = None  # without [swarm] each application picks its engine config
+        if parser.has_section("swarm"):
+            self.swarm = _Section(parser, "swarm").build(SwarmConfig, seed=self.seed)
         self.config_dir = config_path.resolve().parent
 
     def cases(self) -> Iterator[_Case]:
         return self.app.cases(self.section, self.seed, self.config_dir)
 
 
-def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> list:
+def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
     """Solve every case with every strategy and score each allocation."""
-    cap = ex.exp.integer("oracle_cap", DEFAULT_ORACLE_CAP)
-    swarm_cfg = swarm_cfg or SwarmConfig(seed=ex.seed)
+    swarm_cfg = ex.swarm or SwarmConfig(seed=ex.seed)
     rows, traces, summary = [], {}, []
 
     def failed(case: _Case, strategy: str, message) -> None:
@@ -328,7 +323,7 @@ def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> l
                 elif strategy == "lc":
                     bits = case.lc()
                 elif strategy == "oracle":
-                    bits, _ = brute_force_optimum(problem, cap=cap)
+                    bits, _ = brute_force_optimum(problem, cap=ex.cap)
                 else:
                     result = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, swarm_cfg)
                     bits, trace = result.best, result.trace
@@ -354,14 +349,14 @@ def _run_allocations(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> l
     return summary
 
 
-def _run_qgd(ex: _Experiment, strategies, swarm_cfg, out_dir: Path) -> list:
+def _run_qgd(ex: _Experiment, strategies, out_dir: Path) -> list:
     """Train once per strategy; without [swarm] the engines use qgd's per-step default."""
     task = _qgd_task(ex.section, ex.seed, ex.config_dir)
     metric_name = "error" if task.z_star is not None else "loss"
     rows, summary = [], []
     for strategy in strategies:
         qgd_strategy = "uniform" if strategy == "naive" else strategy
-        result = qgd.train(task, qgd_strategy, swarm_config=swarm_cfg)
+        result = qgd.train(task, qgd_strategy, swarm_config=ex.swarm)
         trace_rows = [
             [t, _fmt(value), int(result.allocations[t - 1].sum()) if t else 0]
             for t, value in enumerate(result.metric_trace)
@@ -380,22 +375,23 @@ class _Application(NamedTuple):
     """How one application builds its problems and runs its strategies."""
 
     cases: Callable[[_Section, int, Path], Iterator[_Case]]  # the oracle solves the first
+    keys: Callable[[_Section], tuple[str, ...]]  # the keys its section may set
     strategies: tuple[str, ...]
-    run: Callable[[_Experiment, list, Optional[SwarmConfig], Path], list]
+    run: Callable[[_Experiment, list, Path], list]
     value: str = ""  # results column of the reported objective
     sign: float = 1.0  # the reported value is sign * objective
 
 
 _APPLICATIONS = {
     "fir": _Application(
-        _fir_cases, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations,
+        _fir_cases, _fir_keys, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations,
         "minimax_error",
     ),
     "receiver": _Application(
-        _receiver_cases, ("naive", "ppso", "gcpso", "oracle"), _run_allocations,
+        _receiver_cases, _receiver_keys, ("naive", "ppso", "gcpso", "oracle"), _run_allocations,
         "sum_rate_bps_hz", -1.0,
     ),
-    "qgd": _Application(_qgd_cases, ("naive", "ppso", "gcpso"), _run_qgd),
+    "qgd": _Application(_qgd_cases, _qgd_keys, ("naive", "ppso", "gcpso"), _run_qgd),
 }
 
 
@@ -403,11 +399,12 @@ def run_experiment(config_path) -> int:
     ex = _Experiment(Path(config_path))
     application = ex.section.name
     strategies = _split_list(ex.exp.raw("strategies"))
+    known = dict.fromkeys(s for app in _APPLICATIONS.values() for s in app.strategies)
     for strategy in strategies:
-        if strategy not in _STRATEGIES:
+        if strategy not in known:
             raise _fail(
                 "[experiment] strategies",
-                f"unknown strategy {strategy!r}; valid: {', '.join(_STRATEGIES)}",
+                f"unknown strategy {strategy!r}; valid: {', '.join(known)}",
             )
         if strategy not in ex.app.strategies:
             raise _fail(
@@ -416,14 +413,11 @@ def run_experiment(config_path) -> int:
             )
     if not strategies:
         raise _fail("[experiment] strategies", "at least one strategy is required")
-    out_dir = Path(ex.exp.raw("output_dir", "results"))
-    if not out_dir.is_absolute():
-        out_dir = ex.config_dir / out_dir
+    out_dir = ex.config_dir / ex.exp.get("output_dir", "results")
     out_dir.mkdir(parents=True, exist_ok=True)
-    swarm_cfg = _swarm_config(ex.exp.parser, ex.seed)
 
-    summary = ex.app.run(ex, strategies, swarm_cfg, out_dir)
-    if ex.exp.flag("json_summary", False):
+    summary = ex.app.run(ex, strategies, out_dir)
+    if ex.exp.get("json_summary", False):
         payload = {"application": application, "seed": ex.seed, "results": summary}
         (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
@@ -431,10 +425,9 @@ def run_experiment(config_path) -> int:
 
 def run_oracle(config_path) -> int:
     ex = _Experiment(Path(config_path))
-    cap = ex.exp.integer("oracle_cap", DEFAULT_ORACLE_CAP)
     problem = next(ex.cases()).problem
     try:
-        bits, value = brute_force_optimum(problem, cap=cap)
+        bits, value = brute_force_optimum(problem, cap=ex.cap)
     except (SearchSpaceTooLarge, InfeasibleBudgetError) as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return 1

@@ -278,12 +278,6 @@ def full_precision_error(
     return float(ev.error_of_half_rows(ev.half[None, :])[0])
 
 
-def mirror_allocation(half_bits) -> np.ndarray:
-    """Expand a half-length allocation to the full symmetric filter."""
-    half_bits = np.asarray(half_bits, dtype=np.int64)
-    return np.concatenate([half_bits, half_bits[-2::-1]])
-
-
 def fir_problem(
     spec: FilterSpec,
     coeffs: CoefficientSet,
@@ -304,6 +298,8 @@ def fir_problem(
         raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
     if budget_bits < 1:
         raise ContractViolation(f"budget_bits must be >= 1, got {budget_bits}")
+    if exp_bits < 1:
+        raise ContractViolation(f"exp_bits must be >= 1, got {exp_bits}")
     ev = _MinimaxEvaluator(spec, coeffs, points_per_tap)
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:
@@ -375,29 +371,6 @@ def _half_msqe_coeffs(h: np.ndarray) -> np.ndarray:
     """Per-unique-coefficient MSQE weight for the floating-point model."""
     half, weights = _half_and_weights(h)
     return (math.pi / 6.0) * half**2 * weights
-
-
-def fixed_msqe_surrogate(half_bits) -> float:
-    """Mean-square response error model for fixed-point allocations."""
-    b = np.asarray(half_bits, dtype=float)
-    terms = (math.pi / 6.0) * np.exp2(-2.0 * b)
-    return float(terms[:-1].sum() + 0.5 * terms[-1])
-
-
-def float_msqe_surrogate(h, half_mantissa) -> float:
-    """Mean-square response error model for floating-point allocations.
-
-    Accepts real-valued mantissa counts, so it doubles as the relaxed
-    objective the log-magnitude allocation minimizes.
-    """
-    if isinstance(h, CoefficientSet):
-        h = h.h
-    h = np.asarray(h, dtype=float)
-    m = np.asarray(half_mantissa, dtype=float)
-    c = _half_msqe_coeffs(h)
-    if m.shape != c.shape:
-        raise ContractViolation(f"mantissa vector has shape {m.shape}, expected {c.shape}")
-    return float((c * np.exp2(-2.0 * m)).sum())
 
 
 def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:

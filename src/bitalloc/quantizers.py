@@ -16,11 +16,16 @@ round to even significand. There are no reserved infinity/NaN codes:
 overflow saturates to the largest finite value
 (2**m - 1) * 2**(e_max - m + 1) and is flagged, and inputs below the
 smallest positive output 2**e_min flush to zero.
+
+Bit counts that name no grid (fractional bits below 0, exponent or
+significand bits below 1) raise ContractViolation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .problem import ContractViolation
 
 
 def round_half_away(x):
@@ -37,6 +42,8 @@ def quantize_fixed_bits(x, frac_bits):
     """
     x = np.asarray(x, dtype=float)
     scale = np.exp2(np.asarray(frac_bits, dtype=float))
+    if (scale < 1.0).any():  # exactly where frac_bits < 0
+        raise ContractViolation(f"fractional bits must be >= 0, got {np.min(frac_bits)}")
     q = round_half_away(x * scale) / scale
     return np.clip(q, -1.0, 1.0 - 1.0 / scale)
 
@@ -49,6 +56,10 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     """
     x = np.asarray(x, dtype=float)
     m = np.asarray(mantissa_bits)
+    if exp_bits < 1:
+        raise ContractViolation(f"exponent bits must be >= 1, got {exp_bits}")
+    if (m < 1).any():
+        raise ContractViolation(f"significand bits must be >= 1, got {m.min()}")
     bias = 2 ** (exp_bits - 1) - 1
     e_min, e_max = -bias, 2 ** (exp_bits - 1)
 

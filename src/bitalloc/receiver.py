@@ -198,11 +198,6 @@ def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
     return float(_RateEvaluator([channel], p_u).ergodic_rates(bits[None, :])[0])
 
 
-def unquantized_sum_rate(channel: ChannelRealization, p_u: float) -> float:
-    """Infinite-resolution reference (alpha = 1, no quantization noise)."""
-    return _RateEvaluator([channel], p_u).unquantized_rate()
-
-
 def draw_realizations(cfg: SystemConfig) -> list[ChannelRealization]:
     """The pinned Monte-Carlo channel set for cfg (seed-deterministic)."""
     rng = np.random.default_rng([_CHANNEL_DOMAIN, cfg.seed])

@@ -78,7 +78,8 @@ class SwarmConfig:
     explore around personal bests and late iterations contract on the
     global best. The stochastic acceleration factors are drawn per
     particle and per coordinate. A config's [swarm] section may set
-    every field but seed, which comes from [experiment].
+    every field but seed, which comes from [experiment]; a field it does
+    not set keeps the default here, and any other key is an error.
     """
 
     n_pop: int = 550
@@ -200,24 +201,6 @@ def _step_down_values(
         values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
     values[idx == 0] = np.inf
     return values
-
-
-def sensitivity(problem: AllocationProblem, b, j: int) -> float:
-    """Objective increase from removing one bit from coordinate j.
-
-    Returns F(b with b_j stepped down to the next smaller allowed
-    value) - F(b), as entry j of sensitivity_vector. The caller is
-    responsible for treating coordinates already at the smallest
-    allowed value as infinitely sensitive; this function rejects them.
-    """
-    b = np.asarray(problem._check_vector(b), dtype=np.int64)
-    if not 0 <= j < problem.dimension:
-        raise ContractViolation(f"coordinate {j} outside 0..{problem.dimension - 1}")
-    if b[j] <= problem.allowed_values[0]:
-        raise ContractViolation(
-            f"coordinate {j} is already at the smallest allowed value {problem.allowed_values[0]}"
-        )
-    return float(sensitivity_vector(problem, b)[j])
 
 
 def sensitivity_vector(problem: AllocationProblem, b) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from bitalloc import cli
 from bitalloc.fir import FilterSpec, fir_problem, load_coefficients, minimax_error
 from bitalloc.problem import brute_force_optimum
+from bitalloc.qgd import synthetic_classification, train
 
 from conftest import FIXTURE_DIR
 
@@ -200,6 +201,28 @@ budget_bits = 4
         _, rows = read_results(tmp_path / "out")
         assert [r["strategy"] for r in rows] == ["naive", "ppso", "gcpso"]
 
+    def test_logistic_defaults_are_the_library_defaults(self, tmp_path):
+        text = """\
+[experiment]
+application = qgd
+strategies = naive
+output_dir = out
+
+[qgd]
+task = logistic
+n_samples = 40
+n_features = 5
+budget_bits = 2
+"""
+        config = write_config(tmp_path, text)
+        assert cli.main(["run", str(config)]) == 0
+        _, rows = read_results(tmp_path / "out", "trace_naive.csv")
+        # No eta or t_iter in [qgd]: synthetic_classification's own defaults apply.
+        task = synthetic_classification(n_samples=40, n_features=5, budget_bits=2)
+        expected = train(task, "uniform").metric_trace
+        assert len(rows) == task.t_iter + 1
+        assert [float(r["loss"]) for r in rows] == expected.tolist()
+
     def test_results_hold_final_metric(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         assert cli.main(["run", str(config)]) == 0
@@ -207,6 +230,24 @@ budget_bits = 4
         assert rows[0]["strategy"] == "naive"
         assert rows[0]["bits"] == "3 3 3 3"
         assert float(rows[0]["consumption"]) == 12.0
+
+
+RECEIVER_CONFIG = """\
+[experiment]
+application = receiver
+strategies = naive
+
+[receiver]
+m_antennas = 4
+k_users = 2
+mc_channels = 2
+"""
+
+BASE_CONFIGS = {
+    "fir": FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS),
+    "receiver": RECEIVER_CONFIG,
+    "qgd": TestRunQgd.CONFIG,
+}
 
 
 class TestRunValidation:
@@ -284,6 +325,38 @@ benchmark = a
         err = self.run_expecting_config_error(tmp_path, text, f"[swarm] {key}", capsys)
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize(
+        "base, section, line",
+        [
+            ("fir", "experiment", "seeed = 3"),
+            ("fir", "fir", "budget_bitz = 5"),
+            ("receiver", "receiver", "m_antenna = 8"),
+            ("qgd", "qgd", "n_row = 30"),
+            ("qgd", "qgd", "n_samples = 30"),  # a logistic key under task = least_squares
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, command, base, section, line):
+        text = BASE_CONFIGS[base].replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = line.split()[0]
+        err = self.run_expecting_config_error(
+            tmp_path, text, f"[{section}] {key}", capsys, command
+        )
+        assert "unknown key; valid:" in err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_unknown_section_named(self, tmp_path, capsys, command):
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS) + "\n[swarms]\nn_pop = 5\n"
+        err = self.run_expecting_config_error(tmp_path, text, "[swarms]", capsys, command)
+        assert "unknown section" in err
+
+    def test_impossible_exponent_width_rejected(self, tmp_path, capsys):
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+            "kind = fixed", "kind = float\nexp_bits = 0"
+        )
+        self.run_expecting_config_error(tmp_path, text, "[fir]: exp_bits must be >= 1", capsys)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_config_file_must_exist(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
         assert "file not found" in capsys.readouterr().err
@@ -333,10 +406,10 @@ def test_over_budget_penalized_answer_is_a_failed_row(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
 def test_shipped_config_builds(config):
-    ex = cli._Experiment(config)
+    ex = cli._Experiment(config)  # checks every section and key
     strategies = cli._split_list(ex.exp.raw("strategies"))
     assert strategies and set(strategies) <= set(ex.app.strategies)
-    cli._swarm_config(ex.exp.parser, ex.seed)
+    assert (ex.swarm is not None) == ex.exp.parser.has_section("swarm")
     problem = next(ex.cases()).problem
     assert problem.dimension > 0
     assert problem.is_feasible(np.full(problem.dimension, problem.budget_bits))

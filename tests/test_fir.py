@@ -11,8 +11,6 @@ from bitalloc.fir import (
     band_grid,
     benchmark_spec,
     fir_problem,
-    fixed_msqe_surrogate,
-    float_msqe_surrogate,
     full_precision_error,
     lc_fixed_alloc,
     lc_float_alloc,
@@ -20,7 +18,6 @@ from bitalloc.fir import (
     load_coefficients,
     magnitude,
     minimax_error,
-    mirror_allocation,
 )
 from bitalloc.problem import ContractViolation, InfeasibleBudgetError
 
@@ -215,16 +212,6 @@ class TestMinimaxError:
             minimax_error(self.SPEC7, H7, np.full(4, 8), "posit")
 
 
-class TestMirrorAllocation:
-    def test_expands_symmetrically(self):
-        np.testing.assert_array_equal(mirror_allocation([1, 2, 3]), [1, 2, 3, 2, 1])
-
-    def test_matches_coefficient_symmetry(self):
-        full = mirror_allocation(np.arange(1, 19))
-        assert full.size == 35
-        np.testing.assert_array_equal(full, full[::-1])
-
-
 class TestFirProblem:
     SPEC7 = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
 
@@ -267,6 +254,10 @@ class TestFirProblem:
     def test_bad_budget_rejected(self):
         with pytest.raises(ContractViolation):
             fir_problem(self.SPEC7, H7, "fixed", budget_bits=0)
+
+    def test_bad_exponent_width_rejected(self):
+        with pytest.raises(ContractViolation, match="exp_bits must be >= 1"):
+            fir_problem(self.SPEC7, H7, "float", budget_bits=3, exp_bits=0)
 
 
 class TestLcFixedAlloc:
@@ -349,38 +340,3 @@ class TestLcFloatMap:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             lc_float_map(np.array([3.0, 2.0]), np.array([0.6, 0.3, 0.6]), 3)
-
-
-class TestMsqeSurrogates:
-    def test_fixed_hand_value(self):
-        value = fixed_msqe_surrogate([2, 3])
-        assert value == pytest.approx((math.pi / 6.0) * (2.0**-4 + 0.5 * 2.0**-6))
-
-    def test_fixed_strictly_improves_with_any_extra_bit(self):
-        base = np.array([2, 3, 4, 3])
-        for j in range(4):
-            more = base.copy()
-            more[j] += 1
-            assert fixed_msqe_surrogate(more) < fixed_msqe_surrogate(base)
-
-    def test_float_hand_value(self):
-        h = np.array([0.6, 0.3, 0.6])
-        value = float_msqe_surrogate(h, [3, 2])
-        expected = (math.pi / 3.0) * (0.36 * 2.0**-6 + 0.5 * 0.09 * 2.0**-4)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_relaxed_allocation_minimizes_float_surrogate(self):
-        rng = np.random.default_rng(9)
-        h = rng.uniform(0.05, 0.9, size=7)
-        h = 0.5 * (h + h[::-1])
-        m = lc_float_alloc(h, 8)[:4]
-        base = float_msqe_surrogate(h, m)
-        # Shift mantissa mass between the two edge coordinates; the
-        # consumption weights match, so the budget is preserved.
-        for eps in (0.25, -0.25):
-            shifted = m + eps * np.array([1.0, -1.0, 0.0, 0.0])
-            assert float_msqe_surrogate(h, shifted) > base
-
-    def test_float_shape_checked(self):
-        with pytest.raises(ContractViolation):
-            float_msqe_surrogate(np.array([0.6, 0.3, 0.6]), [3, 2, 3])

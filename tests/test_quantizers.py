@@ -1,9 +1,11 @@
 """Fixed- and floating-point quantizer behavior and error models."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitalloc.problem import ContractViolation
 from bitalloc.quantizers import quantize_fixed_bits, quantize_float_bits, round_half_away
 
 
@@ -96,6 +98,11 @@ class TestQuantizeFixed:
             x = 0.5 * (1.0 - 2.0**-b)
         assert quantize_fixed_bits(-x, b) == -quantize_fixed_bits(x, b)
 
+    @pytest.mark.parametrize("frac_bits", [-1, np.array([3, -1, 2])])
+    def test_negative_bit_count_rejected(self, frac_bits):
+        with pytest.raises(ContractViolation, match="fractional bits must be >= 0"):
+            quantize_fixed_bits([0.3, -0.2, 0.9], frac_bits)
+
 
 class TestFloatSpec:
     """The range of a format with e exponent and m significand bits, as literal values."""
@@ -180,6 +187,18 @@ class TestQuantizeFloat:
     @settings(max_examples=200)
     def test_doubling_commutes_in_normal_range(self, x, m):
         assert quantize_float_in_range(2.0 * x, 6, m) == 2.0 * quantize_float_in_range(x, 6, m)
+
+    @pytest.mark.parametrize(
+        "exp_bits, mantissa_bits, message",
+        [
+            (5, 0, "significand bits must be >= 1"),
+            (5, np.array([3, 0, 2]), "significand bits must be >= 1"),
+            (0, 3, "exponent bits must be >= 1"),
+        ],
+    )
+    def test_impossible_widths_rejected(self, exp_bits, mantissa_bits, message):
+        with pytest.raises(ContractViolation, match=message):
+            quantize_float_bits([0.3, -0.2, 0.9], exp_bits, mantissa_bits)
 
 
 class TestErrorModels:

@@ -1,0 +1,34 @@
+"""README.md names only what the package has."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def resolves(dotted: str) -> bool:
+    """Whether dotted is a module, or a module followed by attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_every_package_name_in_the_readme_resolves():
+    names = set(re.findall(r"\bbitalloc(?:\.\w+)+", README))
+    code = "\n".join(re.findall(r"```\w*\n(.*?)```", README, re.S))
+    imports = re.findall(r"^from (bitalloc[\w.]*) import (\([^)]*\)|.+)$", code, re.M)
+    for module, imported in imports:
+        names.update(f"{module}.{name}" for name in re.findall(r"\w+", imported))
+    # The scan sees both a package-level and a module-level import.
+    assert {"bitalloc.SwarmConfig", "bitalloc.fir.fir_problem"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []

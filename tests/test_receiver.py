@@ -19,7 +19,6 @@ from bitalloc.receiver import (
     receiver_problem,
     sum_rate,
     unquantized_reference,
-    unquantized_sum_rate,
 )
 
 from conftest import assert_batch_composition_agrees
@@ -107,6 +106,8 @@ class TestGeometry:
 
 
 class TestSumRate:
+    CFG = SystemConfig(m_antennas=6, k_users=3, p_u=2.0, mc_channels=4, seed=4)
+
     def hand_channel(self):
         g = np.array([[0.9 + 0.3j], [-0.4 + 0.7j]])
         return ChannelRealization(G=g, gamma=np.array([1.0]))
@@ -144,15 +145,12 @@ class TestSumRate:
         )
 
     def test_many_bits_approach_unquantized_rate(self):
-        cfg = SystemConfig(m_antennas=6, k_users=3)
-        channel = generate_channel(cfg, np.random.default_rng(4))
-        near = sum_rate(channel, np.full(6, 20), 2.0)
-        assert near == pytest.approx(unquantized_sum_rate(channel, 2.0), rel=1e-6)
+        near = -receiver_problem(self.CFG).evaluate_objective(np.full(6, 20))
+        assert near == pytest.approx(unquantized_reference(self.CFG), rel=1e-6)
 
     def test_quantization_strictly_hurts(self):
-        cfg = SystemConfig(m_antennas=6, k_users=3)
-        channel = generate_channel(cfg, np.random.default_rng(4))
-        assert sum_rate(channel, np.full(6, 2), 2.0) < unquantized_sum_rate(channel, 2.0)
+        rate = -receiver_problem(self.CFG).evaluate_objective(np.full(6, 2))
+        assert rate < unquantized_reference(self.CFG)
 
 
 class TestErgodicProblem:
