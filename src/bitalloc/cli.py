@@ -2,7 +2,7 @@
 
 Experiments are described by a small INI-style config file with an
 [experiment] section naming the application and the strategies to run,
-an optional [swarm] section overriding engine hyperparameters, and one
+an optional [swarm] section sizing and seeding the engines, and one
 application section ([fir], [receiver] or [qgd]) with the problem
 parameters. [swarm] and the application section take the parameters of
 the library code they feed, with that code's defaults. A key a section
@@ -134,6 +134,9 @@ def _load_parser(path: Path) -> configparser.ConfigParser:
 
 
 def _write_csv(path: Path, seed: int, header: list[str], rows: list[list]) -> None:
+    """Write one result file; its directory is made with the first file, so
+    a config that fails before any result leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -178,9 +181,10 @@ def _fir_spec_from(section: _Section, n_taps: int) -> fir.FilterSpec:
     band_edges = []
     for tok in _split_list(section.raw("bands")):
         lo, _, hi = tok.partition(":")
-        if not hi:
-            raise _fail("[fir] bands", f"expected low:high pairs, got {tok!r}")
-        band_edges.append((float(lo), float(hi)))
+        try:
+            band_edges.append((float(lo), float(hi)))
+        except ValueError:
+            raise _fail("[fir] bands", f"expected low:high pairs, got {tok!r}") from None
     desired, weights = section.get("desired", []), section.get("weights", [])
     try:
         return fir.FilterSpec.of_pi(band_edges, desired, weights, n_taps)
@@ -414,8 +418,6 @@ def run_experiment(config_path) -> int:
     if not strategies:
         raise _fail("[experiment] strategies", "at least one strategy is required")
     out_dir = ex.config_dir / ex.exp.get("output_dir", "results")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     summary = ex.app.run(ex, strategies, out_dir)
     if ex.exp.get("json_summary", False):
         payload = {"application": application, "seed": ex.seed, "results": summary}

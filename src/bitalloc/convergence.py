@@ -16,8 +16,8 @@ declare the parameter triple guaranteed-stable when
 Condition (ii) bounds the perturbation the stochastic accelerations may
 inject before the quadratic Lyapunov argument breaks down, so the pair
 of conditions is sufficient rather than necessary: parameters that fail
-(ii) often still behave well in practice, including the defaults used
-by the search engines here.
+(ii) often still behave well in practice, including the fixed schedule
+the search engines here follow (check_schedule).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ContractViolation
-from .swarm import SwarmConfig, schedule_hyperparams
+from .swarm import schedule_hyperparams
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,41 +105,24 @@ def check_convergence_conditions(w: float, c1: float, c2: float) -> ConvergenceR
     )
 
 
-def check_schedule(
-    w_min: float,
-    w_max: float,
-    c1_min: float,
-    c1_max: float,
-    c2_min: float,
-    c2_max: float,
-    iterations: int,
-) -> ConvergenceReport:
-    """Worst-case report along the linear hyperparameter schedules.
+def check_schedule(iterations: int) -> ConvergenceReport:
+    """Worst-case report along the engines' fixed schedule.
 
     The stability argument treats (w, c) as constants while the engines
     vary them per iteration; this helper reconciles the two views by
-    evaluating the check pointwise at every scheduled iteration, taken
-    from the engines' own schedule_hyperparams, and returning the report
-    with the smallest margin threshold - lambda_max(P). The bounds must
-    form a valid SwarmConfig schedule. With the default schedules c1 and
-    c2 move in opposite directions at equal rates, so c stays constant
-    while w sweeps from near w_max down to w_min.
+    evaluating the check pointwise at every iteration of an
+    iterations-long search, taken from the engines' own
+    schedule_hyperparams, and returning the report with the smallest
+    margin threshold - lambda_max(P). c1 and c2 move in opposite
+    directions at equal rates, so c stays 1.5 while w sweeps from near
+    0.9 down to 0.4.
     """
     if iterations < 1:
         raise ContractViolation(f"iterations must be >= 1, got {iterations}")
-    config = SwarmConfig(
-        i_iter=iterations,
-        w_min=w_min,
-        w_max=w_max,
-        c1_min=c1_min,
-        c1_max=c1_max,
-        c2_min=c2_min,
-        c2_max=c2_max,
-    )
     worst: ConvergenceReport | None = None
     worst_margin = np.inf
     for it in range(1, iterations + 1):
-        report = check_convergence_conditions(*schedule_hyperparams(config, it))
+        report = check_convergence_conditions(*schedule_hyperparams(it, iterations))
         margin = report.threshold - report.lambda_max_P
         if margin < worst_margin:
             worst_margin = margin

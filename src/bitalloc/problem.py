@@ -169,16 +169,11 @@ class AllocationProblem:
         return self.evaluate_consumption(b) <= self.budget
 
 
-def penalized_fitness(problem: AllocationProblem, b, penalty_weight: float) -> float:
-    """F(b) plus penalty_weight times the budget violation, if any."""
-    b = problem._check_vector(b)
-    return float(penalized_fitness_batch(problem, b[None, :], penalty_weight)[0])
-
-
 def penalized_fitness_batch(
     problem: AllocationProblem, mat, penalty_weight: float
 ) -> np.ndarray:
-    """penalized_fitness of every row; the penalized swarm's cost."""
+    """F plus penalty_weight times the budget violation, if any, of
+    every row; the penalized swarm's cost."""
     if not penalty_weight > 0:
         raise ContractViolation(f"penalty_weight must be > 0, got {penalty_weight}")
     excess = problem.evaluate_consumption_batch(mat) - problem.budget

@@ -9,6 +9,11 @@ Two variants share one synchronous engine:
   repair that always removes the bit whose loss hurts the objective
   least.
 
+Both follow one fixed hyperparameter schedule (W_SCHEDULE, C1_SCHEDULE,
+C2_SCHEDULE and V_MAX below), the one convergence.check_schedule
+checks; a SwarmConfig sets only the swarm's size, the penalty weight
+and the seeding.
+
 All particles start from the uniform allocation at the budget average,
 which the problem contract guarantees to be feasible. The very first
 evaluated batch always provides the incumbent, even when every value in
@@ -68,30 +73,32 @@ from .quantizers import round_half_away
 _SEED_DOMAIN = 0xB17A
 
 
+# The fixed schedule, the paper's for both engines: (value at iteration
+# 0, value at iteration i_iter) of the inertia weight w and of the
+# cognitive and social coefficients c1 and c2, each moving linearly in
+# between, so early iterations explore around personal bests and late
+# ones contract on the global best. c1 + c2 stays 3 throughout.
+# Velocities are clamped to [-V_MAX, V_MAX].
+W_SCHEDULE = (0.9, 0.4)
+C1_SCHEDULE = (2.5, 0.5)
+C2_SCHEDULE = (0.5, 2.5)
+V_MAX = 3.0
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Hyperparameters for one swarm search.
+    """Size, penalty and seeding of one swarm search.
 
-    The inertia weight decays linearly from w_max to w_min while the
-    cognitive coefficient ramps from c1_max down to c1_min and the
-    social coefficient from c2_min up to c2_max, so early iterations
-    explore around personal bests and late iterations contract on the
-    global best. The stochastic acceleration factors are drawn per
-    particle and per coordinate. A config's [swarm] section may set
-    every field but seed, which comes from [experiment]; a field it does
-    not set keeps the default here, and any other key is an error.
+    The hyperparameter schedule is fixed (W_SCHEDULE, C1_SCHEDULE,
+    C2_SCHEDULE and V_MAX above); the stochastic acceleration factors
+    are drawn per particle and per coordinate. A config's [swarm]
+    section may set every field but seed, which comes from
+    [experiment]; a field it does not set keeps the default here, and
+    any other key is an error.
     """
 
     n_pop: int = 550
     i_iter: int = 100
-    w_min: float = 0.4
-    w_max: float = 0.9
-    c1_min: float = 0.5
-    c1_max: float = 2.5
-    c2_min: float = 0.5
-    c2_max: float = 2.5
-    v_min: float = -3.0
-    v_max: float = 3.0
     penalty_weight: float = 1e3
     restarts: int = 10
     seed: int = 0
@@ -99,18 +106,6 @@ class SwarmConfig:
     def __post_init__(self):
         if self.n_pop < 1 or self.i_iter < 1 or self.restarts < 1:
             raise ContractViolation("n_pop, i_iter and restarts must all be >= 1")
-        if not self.v_min < self.v_max:
-            raise ContractViolation(f"need v_min < v_max, got [{self.v_min}, {self.v_max}]")
-        if not self.w_min <= self.w_max:
-            raise ContractViolation(f"need w_min <= w_max, got [{self.w_min}, {self.w_max}]")
-        if not 0 < self.c1_min <= self.c1_max:
-            raise ContractViolation(
-                f"need 0 < c1_min <= c1_max, got [{self.c1_min}, {self.c1_max}]"
-            )
-        if not 0 < self.c2_min <= self.c2_max:
-            raise ContractViolation(
-                f"need 0 < c2_min <= c2_max, got [{self.c2_min}, {self.c2_max}]"
-            )
         if not self.penalty_weight > 0:
             raise ContractViolation(f"penalty_weight must be > 0, got {self.penalty_weight}")
 
@@ -144,14 +139,12 @@ class RunResult:
     step_down_rows: int
 
 
-def schedule_hyperparams(config: SwarmConfig, it: int) -> tuple[float, float, float]:
-    """(w, c1, c2) at iteration it, counted 1..i_iter."""
-    if not 1 <= it <= config.i_iter:
-        raise ContractViolation(f"iteration index {it} outside 1..{config.i_iter}")
-    frac = it / config.i_iter
-    w = config.w_max - (config.w_max - config.w_min) * frac
-    c1 = config.c1_max + (config.c1_min - config.c1_max) * frac
-    c2 = config.c2_min + (config.c2_max - config.c2_min) * frac
+def schedule_hyperparams(it: int, i_iter: int) -> tuple[float, float, float]:
+    """(w, c1, c2) at iteration it of i_iter, counted 1..i_iter."""
+    if not 1 <= it <= i_iter:
+        raise ContractViolation(f"iteration index {it} outside 1..{i_iter}")
+    frac = it / i_iter
+    w, c1, c2 = (a + (b - a) * frac for a, b in (W_SCHEDULE, C1_SCHEDULE, C2_SCHEDULE))
     return w, c1, c2
 
 
@@ -249,12 +242,6 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     return allowed[idx]
 
 
-def greedy_repair(problem: AllocationProblem, b) -> np.ndarray:
-    """Single-vector form of the batch repair."""
-    b = problem._check_vector(b)
-    return greedy_repair_batch(problem, np.asarray(b, dtype=np.int64)[None, :])[0]
-
-
 # -- the engine --------------------------------------------------------------
 
 
@@ -268,30 +255,30 @@ def step_swarm(
     c2: float,
     r1: np.ndarray,
     r2: np.ndarray,
-    config: SwarmConfig,
     allowed: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous position/velocity update for the whole swarm.
 
-    The new velocity is clamped to [v_min, v_max] before the position
+    The new velocity is clamped to [-V_MAX, V_MAX] before the position
     move, the move rounds half away from zero, and the resulting
     positions snap back into the allowed set.
     """
     vel = w * vel + c1 * r1 * (p_best - pos) + c2 * r2 * (g_best[None, :] - pos)
-    np.clip(vel, config.v_min, config.v_max, out=vel)
+    np.clip(vel, -V_MAX, V_MAX, out=vel)
     pos = snap_to_allowed(pos + round_half_away(vel).astype(np.int64), allowed)
     return pos, vel
 
 
 def init_swarm(
-    problem: AllocationProblem, config: SwarmConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial positions, velocities and global-best guess.
+    problem: AllocationProblem, n_pop: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial positions and velocities.
 
     Every particle starts at the uniform budget-average allocation;
-    velocities are uniform on [v_min, v_max]; the pre-evaluation global
-    best is a random allocation, which the engine replaces with the
-    best of the first evaluated batch whatever its cost.
+    velocities are uniform on [-V_MAX, V_MAX]. One random allocation is
+    then drawn and discarded: the draw is part of every seed's generator
+    sequence, so dropping it would change every answer. The engine takes
+    its first global best from the first evaluated batch.
     """
     allowed = _allowed_array(problem)
     if problem.budget_bits not in problem.allowed_values:
@@ -303,10 +290,10 @@ def init_swarm(
     start = snap_to_allowed(
         np.full(problem.dimension, problem.budget_bits, dtype=np.int64), allowed
     )
-    pos = np.repeat(start[None, :], config.n_pop, axis=0)
-    vel = rng.uniform(config.v_min, config.v_max, size=(config.n_pop, problem.dimension))
-    g_guess = allowed[rng.integers(0, allowed.size, size=problem.dimension)]
-    return pos, vel, g_guess
+    pos = np.repeat(start[None, :], n_pop, axis=0)
+    vel = rng.uniform(-V_MAX, V_MAX, size=(n_pop, problem.dimension))
+    rng.integers(0, allowed.size, size=problem.dimension)
+    return pos, vel
 
 
 def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
@@ -367,9 +354,7 @@ def _run_single(
         else partial(penalized_fitness_batch, problem, penalty_weight=config.penalty_weight)
     )
 
-    # The guess is drawn only to keep the generator's sequence; the
-    # first batch replaces it even when all its costs are +inf.
-    pos, vel, _ = init_swarm(problem, config, rng)
+    pos, vel = init_swarm(problem, config.n_pop, rng)
     if repair:
         pos = greedy_repair_batch(problem, pos)
 
@@ -385,10 +370,10 @@ def _run_single(
 
     draw_shape = (config.n_pop, problem.dimension)
     for it in range(1, config.i_iter + 1):
-        w, c1, c2 = schedule_hyperparams(config, it)
+        w, c1, c2 = schedule_hyperparams(it, config.i_iter)
         r1 = rng.random(draw_shape)
         r2 = rng.random(draw_shape)
-        pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, config, allowed)
+        pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, allowed)
         if repair:
             pos = greedy_repair_batch(problem, pos)
         cost = costs(pos)

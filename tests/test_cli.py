@@ -132,16 +132,19 @@ class TestRunFir:
             assert (out_dir / name).read_bytes() == before[name]
 
 
-def test_shipped_toy_outputs_reproduce_byte_for_byte(tmp_path):
+@pytest.mark.parametrize("name", ["fir_toy_oracle", "qgd_least_squares"])
+def test_shipped_toy_outputs_reproduce_byte_for_byte(tmp_path, name):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read(CONFIG_DIR / "fir_toy_oracle.ini")
-    parser["fir"]["coefficients"] = str((CONFIG_DIR / parser["fir"]["coefficients"]).resolve())
+    parser.read(CONFIG_DIR / f"{name}.ini")
+    if parser.has_option("fir", "coefficients"):
+        coefficients = (CONFIG_DIR / parser["fir"]["coefficients"]).resolve()
+        parser["fir"]["coefficients"] = str(coefficients)
     parser["experiment"]["output_dir"] = str(tmp_path / "out")
-    config = tmp_path / "fir_toy_oracle.ini"
+    config = tmp_path / f"{name}.ini"
     with open(config, "w") as fh:
         parser.write(fh)
     assert cli.main(["run", str(config)]) == 0
-    shipped = CONFIG_DIR / "out" / "fir_toy_oracle"
+    shipped = CONFIG_DIR / "out" / name
     expected = {p.name: p.read_bytes() for p in shipped.iterdir()}
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == expected
 
@@ -318,7 +321,9 @@ benchmark = a
         )
         self.run_expecting_config_error(tmp_path, text, "[swarm]", capsys)
 
-    @pytest.mark.parametrize("line", ["n_popp = 5", "restart = 99", "seed = 3"])
+    @pytest.mark.parametrize(
+        "line", ["n_popp = 5", "restart = 99", "seed = 3", "w_min = 0.5", "v_max = 2"]
+    )
     def test_unknown_swarm_key_named(self, tmp_path, capsys, line):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS) + line + "\n"
         key = line.split()[0]
@@ -355,7 +360,15 @@ benchmark = a
             "kind = fixed", "kind = float\nexp_bits = 0"
         )
         self.run_expecting_config_error(tmp_path, text, "[fir]: exp_bits must be >= 1", capsys)
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace("0:0.4,", "0:x,")
+        self.run_expecting_config_error(
+            tmp_path, text, "[fir] bands: expected low:high pairs, got '0:x'", capsys, command
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_must_exist(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2

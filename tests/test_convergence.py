@@ -108,36 +108,33 @@ class TestCheckConvergenceConditions:
 
 class TestScheduleCheck:
     def test_default_schedule_worst_point(self):
-        cfg = SwarmConfig()
-        report = check_schedule(
-            cfg.w_min, cfg.w_max, cfg.c1_min, cfg.c1_max, cfg.c2_min, cfg.c2_max, cfg.i_iter
-        )
+        i_iter = SwarmConfig().i_iter
+        report = check_schedule(i_iter)
         # Opposite equal-rate acceleration sweeps keep c pinned at 1.5.
         assert report.c == pytest.approx(1.5)
         assert report.guaranteed is False
-        # Manual scan: the margin threshold - lambda_max(P) must match
-        # the minimum over the same scheduled points.
+        # Manual scan of the shipped schedule, w from 0.9 down to 0.4:
+        # the margin threshold - lambda_max(P) must match the minimum
+        # over the same scheduled points.
         margins = []
-        for it in range(1, cfg.i_iter + 1):
-            frac = it / cfg.i_iter
-            w = cfg.w_max - (cfg.w_max - cfg.w_min) * frac
+        for it in range(1, i_iter + 1):
+            w = 0.9 - 0.5 * it / i_iter
             point = check_convergence_conditions(w, 1.5, 1.5)
             margins.append(point.threshold - point.lambda_max_P)
         assert report.threshold - report.lambda_max_P == pytest.approx(min(margins))
 
     def test_every_default_schedule_point_fails_condition_2(self):
-        cfg = SwarmConfig()
-        for it in range(1, cfg.i_iter + 1, 7):
-            frac = it / cfg.i_iter
-            w = cfg.w_max - (cfg.w_max - cfg.w_min) * frac
+        i_iter = SwarmConfig().i_iter
+        for it in range(1, i_iter + 1, 7):
+            w = 0.9 - 0.5 * it / i_iter
             assert check_convergence_conditions(w, 1.5, 1.5).condition_2 is False
 
-    def test_constant_schedule_reduces_to_point_check(self):
-        report = check_schedule(0.6, 0.6, 1.0, 1.0, 1.0, 1.0, 25)
-        point = check_convergence_conditions(0.6, 1.0, 1.0)
+    def test_single_iteration_is_the_schedule_end_point(self):
+        report = check_schedule(1)
+        point = check_convergence_conditions(0.4, 0.5, 2.5)
         np.testing.assert_array_equal(report.P, point.P)
         assert report.lambda_max_P == point.lambda_max_P
 
     def test_bad_iteration_count_rejected(self):
         with pytest.raises(ContractViolation):
-            check_schedule(0.4, 0.9, 0.5, 2.5, 0.5, 2.5, 0)
+            check_schedule(0)

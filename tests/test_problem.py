@@ -15,7 +15,6 @@ from bitalloc.problem import (
     InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
-    penalized_fitness,
     penalized_fitness_batch,
 )
 
@@ -121,12 +120,12 @@ class TestPenalizedFitness:
     def test_feasible_point_is_plain_objective(self):
         p = weighted_msqe_problem([1.0, 2.0], budget=6.0)
         b = np.array([3, 3])
-        assert penalized_fitness(p, b, 1e3) == p.evaluate_objective(b)
+        assert penalized_fitness_batch(p, b[None, :], 1e3)[0] == p.evaluate_objective(b)
 
     def test_unit_violation_adds_weight(self):
         p = linear_problem(2, tuple(range(1, 9)), 4.0, lambda b: 7.0, budget_bits=2)
         # C = 5 exceeds the budget of 4 by exactly one unit.
-        assert penalized_fitness(p, [2, 3], 1e3) == pytest.approx(7.0 + 1000.0)
+        assert penalized_fitness_batch(p, [[2, 3]], 1e3)[0] == pytest.approx(7.0 + 1000.0)
 
     def test_symmetric_filter_toy_penalty(self):
         # 3-tap filter, so two unique coefficients; the worked case is
@@ -137,21 +136,24 @@ class TestPenalizedFitness:
         p = fir_problem(spec, coeffs, "fixed", budget_bits=4)
         b = np.array([5, 5])
         assert p.evaluate_consumption(b) == 15.0
-        penalty = penalized_fitness(p, b, 1e3) - p.evaluate_objective(b)
+        penalty = penalized_fitness_batch(p, b[None, :], 1e3)[0] - p.evaluate_objective(b)
         assert penalty == pytest.approx(3000.0)
 
     def test_nonpositive_weight_rejected(self):
         p = weighted_msqe_problem([1.0])
         with pytest.raises(ContractViolation):
-            penalized_fitness(p, [3], 0.0)
+            penalized_fitness_batch(p, [[3]], 0.0)
         with pytest.raises(ContractViolation):
-            penalized_fitness(p, [3], -1.0)
+            penalized_fitness_batch(p, [[3]], -1.0)
 
     def test_batch_matches_scalar(self):
         p = weighted_msqe_problem([1.0, 2.0, 4.0], budget=7.0, budget_bits=2)
         mat = np.array([[2, 2, 2], [3, 3, 3], [7, 7, 7], [1, 1, 1]])
         batch = penalized_fitness_batch(p, mat, 10.0)
-        scalar = [penalized_fitness(p, row, 10.0) for row in mat]
+        scalar = [
+            p.evaluate_objective(row) + 10.0 * max(0.0, p.evaluate_consumption(row) - p.budget)
+            for row in mat
+        ]
         np.testing.assert_allclose(batch, scalar)
 
     @given(
@@ -161,7 +163,7 @@ class TestPenalizedFitness:
     def test_exceeds_objective_only_when_infeasible(self, bits, weight):
         p = weighted_msqe_problem(np.ones(len(bits)), budget=3.0 * len(bits))
         b = np.asarray(bits)
-        fitness = penalized_fitness(p, b, weight)
+        fitness = penalized_fitness_batch(p, b[None, :], weight)[0]
         objective = p.evaluate_objective(b)
         if p.is_feasible(b):
             assert fitness == objective

@@ -22,7 +22,13 @@ from bitalloc.qgd import (
     synthetic_classification,
     train,
 )
-from bitalloc.swarm import SwarmConfig, greedy_repair, run_gcpso, run_ppso, sensitivity_vector
+from bitalloc.swarm import (
+    SwarmConfig,
+    greedy_repair_batch,
+    run_gcpso,
+    run_ppso,
+    sensitivity_vector,
+)
 
 from conftest import assert_batch_composition_agrees
 
@@ -279,12 +285,12 @@ class TestLeastSquaresStepDown:
             return out
 
         # One bit over; rescaling rounds it back, so a greedy pass runs.
-        over = np.array([5, 4, 4, 4, 4])
+        over = np.array([[5, 4, 4, 4, 4]])
         with pytest.raises(ContractViolation, match="NaN for row 0, coordinate 2"):
-            greedy_repair(replace(p, objective_step_down=nan_hook), over)
+            greedy_repair_batch(replace(p, objective_step_down=nan_hook), over)
         flat = replace(p, objective_step_down=lambda mat, lower: np.zeros(mat.shape[0]))
         with pytest.raises(ContractViolation, match="objective_step_down returned shape"):
-            greedy_repair(flat, over)
+            greedy_repair_batch(flat, over)
 
     def test_only_least_squares_has_the_hook(self):
         assert qgd_problem(tiny_least_squares(), np.zeros(5)).objective_step_down is not None

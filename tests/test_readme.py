@@ -32,3 +32,12 @@ def test_every_package_name_in_the_readme_resolves():
     # The scan sees both a package-level and a module-level import.
     assert {"bitalloc.SwarmConfig", "bitalloc.fir.fir_problem"} <= names
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+def test_readme_states_the_shipped_schedule():
+    from bitalloc import swarm
+
+    text = " ".join(README.split())
+    for start, end in (swarm.W_SCHEDULE, swarm.C1_SCHEDULE, swarm.C2_SCHEDULE):
+        assert f"from {start} to {end}" in text
+    assert f"clamped to ±{swarm.V_MAX:g}" in text

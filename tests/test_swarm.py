@@ -16,11 +16,11 @@ from bitalloc.problem import (
     ContractViolation,
     InfeasibleBudgetError,
     brute_force_optimum,
-    penalized_fitness,
+    penalized_fitness_batch,
 )
 from bitalloc.swarm import (
+    V_MAX,
     SwarmConfig,
-    greedy_repair,
     greedy_repair_batch,
     init_swarm,
     run_gcpso,
@@ -45,11 +45,11 @@ class TestSwarmConfig:
             {"n_pop": 0},
             {"i_iter": 0},
             {"restarts": 0},
-            {"v_min": 3.0, "v_max": 3.0},
-            {"w_min": 1.0, "w_max": 0.4},
-            {"c1_min": 0.0},
-            {"c1_min": 2.0, "c1_max": 1.0},
-            {"c2_min": -0.5},
+            {"n_pop": -5},
+            {"i_iter": -1},
+            {"restarts": -3},
+            {"penalty_weight": -1.0},
+            {"penalty_weight": float("nan")},
             {"penalty_weight": 0.0},
         ],
     )
@@ -60,30 +60,22 @@ class TestSwarmConfig:
 
 class TestSchedule:
     def test_final_iteration_hits_extremes(self):
-        cfg = SwarmConfig()
-        w, c1, c2 = schedule_hyperparams(cfg, cfg.i_iter)
+        w, c1, c2 = schedule_hyperparams(100, 100)
         assert w == pytest.approx(0.4)
         assert c1 == pytest.approx(0.5)
         assert c2 == pytest.approx(2.5)
 
     def test_midpoint(self):
-        cfg = SwarmConfig()
-        w, c1, c2 = schedule_hyperparams(cfg, 50)
+        w, c1, c2 = schedule_hyperparams(50, 100)
         assert w == pytest.approx(0.65)
         assert c1 == pytest.approx(1.5)
         assert c2 == pytest.approx(1.5)
 
-    def test_constant_when_bounds_coincide(self):
-        cfg = SwarmConfig(w_min=0.7, w_max=0.7)
-        for it in (1, 37, 100):
-            assert schedule_hyperparams(cfg, it)[0] == pytest.approx(0.7)
-
     def test_one_based_indexing_enforced(self):
-        cfg = SwarmConfig()
         with pytest.raises(ContractViolation):
-            schedule_hyperparams(cfg, 0)
+            schedule_hyperparams(0, 100)
         with pytest.raises(ContractViolation):
-            schedule_hyperparams(cfg, cfg.i_iter + 1)
+            schedule_hyperparams(101, 100)
 
 
 class TestSnapToAllowed:
@@ -107,7 +99,6 @@ class TestSnapToAllowed:
 
 
 class TestStepSwarm:
-    CFG = SwarmConfig(n_pop=1, i_iter=1, restarts=1)
     ALLOWED = np.arange(1, 8)
 
     def test_converged_swarm_is_a_fixed_point(self):
@@ -115,7 +106,7 @@ class TestStepSwarm:
         vel = np.zeros((2, 2))
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 0.8, 1.2, 1.7,
-            np.full((2, 2), 0.5), np.full((2, 2), 0.5), self.CFG, self.ALLOWED,
+            np.full((2, 2), 0.5), np.full((2, 2), 0.5), self.ALLOWED,
         )
         np.testing.assert_array_equal(new_pos, pos)
         np.testing.assert_array_equal(new_vel, 0.0)
@@ -127,7 +118,7 @@ class TestStepSwarm:
         vel = np.array([[2.6, 2.5]])
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), self.CFG, self.ALLOWED,
+            np.zeros((1, 2)), np.zeros((1, 2)), self.ALLOWED,
         )
         np.testing.assert_array_equal(new_pos, [[5, 5]])
         np.testing.assert_allclose(new_vel, vel)
@@ -137,7 +128,7 @@ class TestStepSwarm:
         vel = np.array([[10.0, -10.0]])
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), self.CFG, self.ALLOWED,
+            np.zeros((1, 2)), np.zeros((1, 2)), self.ALLOWED,
         )
         np.testing.assert_allclose(new_vel, [[3.0, -3.0]])
         np.testing.assert_array_equal(new_pos, [[5, 1]])
@@ -151,7 +142,7 @@ class TestStepSwarm:
         g_best = allowed[rng.integers(0, 3, size=4)]
         new_pos, _ = step_swarm(
             pos, vel, p_best, g_best, 0.9, 2.0, 2.0,
-            rng.random((8, 4)), rng.random((8, 4)), self.CFG, allowed,
+            rng.random((8, 4)), rng.random((8, 4)), allowed,
         )
         assert np.isin(new_pos, allowed).all()
 
@@ -159,18 +150,15 @@ class TestStepSwarm:
 class TestInitSwarm:
     def test_all_particles_start_uniform(self):
         p = weighted_msqe_problem([1.0, 1.0, 1.0], budget=9.0)
-        cfg = SwarmConfig(n_pop=12, i_iter=5, restarts=1)
-        pos, vel, g_guess = init_swarm(p, cfg, np.random.default_rng(0))
+        pos, vel = init_swarm(p, 12, np.random.default_rng(0))
         np.testing.assert_array_equal(pos, np.full((12, 3), 3))
         assert vel.shape == (12, 3)
-        assert (vel >= cfg.v_min).all() and (vel <= cfg.v_max).all()
-        assert np.isin(g_guess, p.allowed_values).all()
+        assert (vel >= -V_MAX).all() and (vel <= V_MAX).all()
 
     def test_seed_changes_velocities_not_positions(self):
         p = weighted_msqe_problem([1.0, 1.0], budget=6.0)
-        cfg = SwarmConfig(n_pop=6, i_iter=5, restarts=1)
-        pos_a, vel_a, _ = init_swarm(p, cfg, np.random.default_rng(1))
-        pos_b, vel_b, _ = init_swarm(p, cfg, np.random.default_rng(2))
+        pos_a, vel_a = init_swarm(p, 6, np.random.default_rng(1))
+        pos_b, vel_b = init_swarm(p, 6, np.random.default_rng(2))
         np.testing.assert_array_equal(pos_a, pos_b)
         assert not np.array_equal(vel_a, vel_b)
 
@@ -178,9 +166,8 @@ class TestInitSwarm:
         p = weighted_msqe_problem(
             [1.0, 1.0], allowed=(1, 3, 5), budget=10.0, budget_bits=2
         )
-        cfg = SwarmConfig(n_pop=4, i_iter=5, restarts=1)
         with pytest.warns(UserWarning, match="not an allowed value"):
-            pos, _, _ = init_swarm(p, cfg, np.random.default_rng(0))
+            pos, _ = init_swarm(p, 4, np.random.default_rng(0))
         # 2 ties between 1 and 3 and resolves down.
         np.testing.assert_array_equal(pos, np.full((4, 2), 1))
 
@@ -237,34 +224,33 @@ class TestSharedStepDown:
         j = int(np.argmin(sensitivity_vector(p, b)))  # lowest index on ties
         expected = b.copy()
         expected[j] = max(v for v in p.allowed_values if v < b[j])
-        np.testing.assert_array_equal(greedy_repair(p, b), expected)
+        np.testing.assert_array_equal(greedy_repair_batch(p, b[None, :]), [expected])
 
 
 class TestGreedyRepair:
     def test_feasible_rows_untouched(self):
         p = weighted_msqe_problem([1.0, 1.0], budget=8.0, budget_bits=4)
-        np.testing.assert_array_equal(greedy_repair(p, [4, 3]), [4, 3])
+        np.testing.assert_array_equal(greedy_repair_batch(p, [[4, 3]]), [[4, 3]])
 
     def test_rescale_reaches_feasibility_alone(self):
         p = weighted_msqe_problem([1.0, 1.0], budget=8.0, budget_bits=4)
-        np.testing.assert_array_equal(greedy_repair(p, [6, 6]), [4, 4])
-        np.testing.assert_array_equal(greedy_repair(p, [5, 4]), [4, 4])
+        np.testing.assert_array_equal(greedy_repair_batch(p, [[6, 6], [5, 4]]), [[4, 4], [4, 4]])
 
     def test_decrement_removes_least_sensitive_bit(self):
         # After rescaling, (3, 3) rounds back to itself and stays one
         # unit over, so one greedy decrement must fire; the lighter
         # second coordinate loses its bit.
         p = weighted_msqe_problem([4.0, 1.0], budget=5.0, budget_bits=2)
-        np.testing.assert_array_equal(greedy_repair(p, [3, 3]), [3, 2])
+        np.testing.assert_array_equal(greedy_repair_batch(p, [[3, 3]]), [[3, 2]])
 
     def test_tie_decrements_lowest_index(self):
         p = weighted_msqe_problem([1.0, 1.0], budget=5.0, budget_bits=2)
-        np.testing.assert_array_equal(greedy_repair(p, [3, 3]), [2, 3])
+        np.testing.assert_array_equal(greedy_repair_batch(p, [[3, 3]]), [[2, 3]])
 
     def test_idempotent(self):
         p = weighted_msqe_problem([4.0, 1.0, 2.0], budget=7.0, budget_bits=2)
-        once = greedy_repair(p, [7, 7, 7])
-        np.testing.assert_array_equal(greedy_repair(p, once), once)
+        once = greedy_repair_batch(p, [[7, 7, 7]])
+        np.testing.assert_array_equal(greedy_repair_batch(p, once), once)
 
     def test_batch_matches_single_rows(self):
         p = weighted_msqe_problem([4.0, 1.0, 2.0], budget=9.0)
@@ -272,13 +258,13 @@ class TestGreedyRepair:
         mat = rng.integers(1, 8, size=(12, 3))
         batch = greedy_repair_batch(p, mat)
         for row_in, row_out in zip(mat, batch):
-            np.testing.assert_array_equal(greedy_repair(p, row_in), row_out)
+            np.testing.assert_array_equal(greedy_repair_batch(p, row_in[None, :]), [row_out])
         assert (p.evaluate_consumption_batch(batch) <= p.budget).all()
 
     def test_unreachable_budget_raises(self):
         p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget=1.5, budget_bits=0)
         with pytest.raises(InfeasibleBudgetError):
-            greedy_repair(p, [2, 2])
+            greedy_repair_batch(p, [[2, 2]])
 
     def test_stuck_row_detected_inside_mixed_batch(self):
         p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget=1.5, budget_bits=0)
@@ -321,7 +307,7 @@ class TestRuns:
         p = self.toy()
         result = run_ppso(p, self.CFG)
         assert result.best_cost == pytest.approx(
-            penalized_fitness(p, result.best, self.CFG.penalty_weight)
+            penalized_fitness_batch(p, result.best[None, :], self.CFG.penalty_weight)[0]
         )
 
     def test_repair_best_cost_is_raw_objective(self):
@@ -480,7 +466,8 @@ class TestEnginePostConditions:
                 assert result.best_cost == p.evaluate_objective(result.best)
                 assert optimum <= result.best_cost
             else:
-                assert result.best_cost == penalized_fitness(p, result.best, cfg.penalty_weight)
+                fitness = penalized_fitness_batch(p, result.best[None, :], cfg.penalty_weight)
+                assert result.best_cost == fitness[0]
 
 
 def _without_memo():
