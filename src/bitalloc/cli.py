@@ -224,13 +224,18 @@ def _receiver_keys(section: _Section) -> tuple[str, ...]:
 
 
 def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
-    """One problem per transmit power in p_u_db, built when the sweep reaches it."""
+    """One problem per transmit power in p_u_db, built when the sweep reaches it;
+    two powers that would write the same trace file are rejected first."""
     p_u_db_list = section.get("p_u_db", [0.0])
     if not p_u_db_list:
         raise _fail("[receiver] p_u_db", "at least one power is required")
-    for p_u_db in p_u_db_list:
+    suffixes = [f"_pu{p:g}dB".replace("-", "m").replace(".", "p") for p in p_u_db_list]
+    clash = [repr(p) for p, suffix in zip(p_u_db_list, suffixes) if suffixes.count(suffix) > 1]
+    if clash:
+        raise _fail("[receiver] p_u_db", f"{', '.join(clash)} would share trace files; "
+                    "list each power once")
+    for p_u_db, suffix in zip(p_u_db_list, suffixes):
         cfg = section.build(receiver.SystemConfig, p_u=10.0 ** (p_u_db / 10.0), seed=seed)
-        suffix = f"_pu{p_u_db:g}dB".replace("-", "m").replace(".", "p")
         yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
 
@@ -415,6 +420,8 @@ def run_experiment(config_path) -> int:
                 "[experiment] strategies",
                 f"strategy {strategy!r} is not valid for application {application!r}",
             )
+        if strategies.count(strategy) > 1:
+            raise _fail("[experiment] strategies", f"strategy {strategy!r} is listed more than once")
     if not strategies:
         raise _fail("[experiment] strategies", "at least one strategy is required")
     out_dir = ex.config_dir / ex.exp.get("output_dir", "results")

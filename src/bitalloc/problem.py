@@ -1,14 +1,15 @@
 """Contract for integer bit-allocation problems plus shared tooling.
 
 An allocation problem is: minimize F(b) subject to C(b) <= budget with
-every b_n drawn from a finite integer set. Applications provide F and C
-as batch callables that map a (rows, N) integer matrix of candidate
-allocations to one value per row; single-vector evaluation goes through
-the same callables on a one-row matrix, so every formula has exactly
-one implementation. A scalar function f lifts to the batch form with
-``lambda mat: np.array([f(row) for row in mat])``. This module adds the
-penalty wrapper used by the penalized swarm and an exhaustive oracle
-for desk-scale instances.
+every b_n drawn from one contiguous integer range, so the candidates
+form a lattice. Applications provide F and C as batch callables that
+map a (rows, N) integer matrix of candidate allocations to one value
+per row; single-vector evaluation goes through the same callables on a
+one-row matrix, so every formula has exactly one implementation. A
+scalar function f lifts to the batch form with ``lambda mat:
+np.array([f(row) for row in mat])``. This module adds the penalty
+wrapper used by the penalized swarm, the lattice index, and an
+exhaustive oracle for desk-scale instances.
 
 Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
@@ -22,11 +23,11 @@ contract: the batch evaluators reject it and name the row.
 
 A problem may also supply objective_step_down(mat, lower), an (r, n)
 matrix whose entry [i, j] is F(row i of mat with coordinate j set to
-lower[i, j]). The greedy repair and the sensitivities then ask it for
-every one-coordinate step down at once instead of evaluating r * n
-candidate rows (a swarm search whose objective memo engages keeps
-looking the candidates up instead). Its values must agree with objective_batch on those
-rows to rounding, and equal F(row i) exactly where a coordinate's
+lower[i, j], one bit lower or, at the floor, unchanged). The greedy
+repair then asks it for every one-coordinate step down at once instead
+of evaluating r * n candidate rows (a swarm search whose memo engages
+looks them up instead). Its values must agree with objective_batch on
+those rows to rounding, and equal F(row i) exactly where a coordinate's
 change leaves F's inputs unchanged, so exact ties stay ties. The hook
 belongs to its F: a copy made with dataclasses.replace that swaps
 objective_batch for a different F must drop it (objective_step_down=
@@ -36,9 +37,8 @@ memo, a tracer) keeps it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class AllocationProblem:
     """One bit-allocation instance.
 
     dimension: number of allocation variables N.
-    allowed_values: the finite integer set each b_n is drawn from.
+    allowed_values: the contiguous integer range each b_n is drawn
+        from; a set with a gap is a ContractViolation.
     budget_bits: the per-variable average that defines the budget (the
         uniform vector [budget_bits]*N is the canonical feasible start).
     budget: the consumption bound C(b) must not exceed. Stored as a
@@ -94,6 +95,8 @@ class AllocationProblem:
         allowed = tuple(sorted(set(int(v) for v in self.allowed_values)))
         if not allowed:
             raise ContractViolation("allowed_values must be nonempty")
+        if allowed[-1] - allowed[0] + 1 != len(allowed):
+            raise ContractViolation(f"allowed_values must be a contiguous range, got {allowed}")
         object.__setattr__(self, "allowed_values", allowed)
         if not np.isfinite(self.budget):
             raise ContractViolation(f"budget must be finite, got {self.budget}")
@@ -180,15 +183,13 @@ def penalized_fitness_batch(
     return problem.evaluate_objective_batch(mat) + penalty_weight * np.maximum(0.0, excess)
 
 
-def _candidate_chunks(
-    allowed: tuple[int, ...], dimension: int, chunk_rows: int
-) -> Iterable[np.ndarray]:
-    it = itertools.product(allowed, repeat=dimension)
-    while True:
-        block = list(itertools.islice(it, chunk_rows))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+def lattice_index(problem: AllocationProblem, mat) -> np.ndarray:
+    """Each row's index in the lattice of allowed allocations: b - lo in
+    mixed radix len(allowed_values), first coordinate most significant,
+    so index order is lexicographic. The swarm's memo keys rows by it;
+    brute_force_optimum decodes it with its inverse, np.unravel_index."""
+    shape = (len(problem.allowed_values),) * problem.dimension
+    return np.ravel_multi_index(tuple((np.asarray(mat) - problem.allowed_values[0]).T), shape)
 
 
 def brute_force_optimum(
@@ -196,22 +197,25 @@ def brute_force_optimum(
 ) -> tuple[np.ndarray, float]:
     """Exhaustively minimize F over all feasible allocations.
 
-    Candidates are enumerated in lexicographic order of the allowed
-    values. The first feasible chunk's minimum is the first incumbent,
-    even at F = +inf, and after it only strict improvements replace the
-    incumbent, so ties resolve to the lexicographically smallest
-    feasible vector. Single threaded by contract (determinism over
-    speed).
+    Candidates are enumerated in lattice_index order, which is
+    lexicographic, in chunks of 65,536 rows. The first feasible chunk's
+    minimum is the first incumbent, even at F = +inf, and after it only
+    strict improvements replace the incumbent, so ties resolve to the
+    lexicographically smallest feasible vector. Single threaded by
+    contract (determinism over speed).
     """
-    size = len(problem.allowed_values) ** problem.dimension
+    base, n = len(problem.allowed_values), problem.dimension
+    size = base**n
     if size > cap:
         raise SearchSpaceTooLarge(
-            f"{len(problem.allowed_values)}^{problem.dimension} = {size} candidates "
+            f"{base}^{n} = {size} candidates "
             f"exceeds the cap of {cap}; raise the cap only for instances you can wait on"
         )
     best_vec: Optional[np.ndarray] = None
     best_val = np.inf
-    for chunk in _candidate_chunks(problem.allowed_values, problem.dimension, 65536):
+    for start in range(0, size, 65536):
+        index = np.arange(start, min(start + 65536, size))
+        chunk = np.stack(np.unravel_index(index, (base,) * n), axis=1) + problem.allowed_values[0]
         feasible = problem.evaluate_consumption_batch(chunk) <= problem.budget
         if not feasible.any():
             continue

@@ -20,11 +20,12 @@ evaluated batch always provides the incumbent, even when every value in
 it is +inf, so the reported best can never be worse than the uniform
 baseline and the repair swarm's best is always feasible.
 
-Everything is vectorized over the population: objectives are evaluated
-through the problem's batch interface on (rows, N) integer matrices,
-and best-reduction happens in particle-index order so results do not
-depend on evaluation scheduling. Runs are deterministic for a given
-seed.
+Everything is vectorized over the population and works on bit values:
+the allowed values are one range lo..hi, so moves clip into it and a
+step down is b - 1 wherever b > lo. Objectives are evaluated through
+the problem's batch interface on (rows, N) integer matrices, and
+best-reduction happens in particle-index order so results do not depend
+on evaluation scheduling. Runs are deterministic for a given seed.
 
 A search (all its restarts) runs on a copy of the problem whose
 objective is one _Objective, so every objective evaluation goes through
@@ -33,11 +34,11 @@ candidates. It counts the rows sent to the problem
 (RunResult.objective_rows). When the allowed lattice is no larger than
 the rows one restart evaluates, len(allowed) ** N <= n_pop * (i_iter + 1),
 rows must repeat, so it also memoizes: each row is keyed by its
-mixed-radix index into the allowed set, and only rows whose key it has
-not seen reach the problem, one per distinct key. The objective is pure
-by contract, so this changes no value beyond pinning one per row for
-the whole search (a batch objective may otherwise differ in the last
-bits between batches). Larger spaces bypass the memo.
+problem.lattice_index, and only rows whose key it has not seen reach
+the problem, one per distinct key. The objective is pure by contract,
+so this changes no value beyond pinning one per row for the whole
+search (a batch objective may otherwise differ in the last bits between
+batches). Larger spaces bypass the memo.
 
 When the problem supplies objective_step_down and the memo does not
 engage, the repair's step-down values come from that hook, and
@@ -64,6 +65,7 @@ from .problem import (
     AllocationProblem,
     ContractViolation,
     InfeasibleBudgetError,
+    lattice_index,
     penalized_fitness_batch,
 )
 from .quantizers import round_half_away
@@ -148,43 +150,18 @@ def schedule_hyperparams(it: int, i_iter: int) -> tuple[float, float, float]:
     return w, c1, c2
 
 
-def _allowed_array(problem: AllocationProblem) -> np.ndarray:
-    return np.asarray(problem.allowed_values, dtype=np.int64)
+# -- greedy budget repair ----------------------------------------------------
 
 
-def snap_to_allowed(values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Round each entry to the nearest member of the allowed set.
-
-    Ties between two equally near members resolve to the smaller one.
-    For a contiguous integer range this is just a clip.
-    """
-    values = np.asarray(values)
-    lo, hi = int(allowed[0]), int(allowed[-1])
-    if hi - lo + 1 == allowed.size:
-        return np.clip(values, lo, hi).astype(np.int64)
-    idx = np.searchsorted(allowed, values)
-    idx = np.clip(idx, 1, allowed.size - 1)
-    below = allowed[idx - 1]
-    above = allowed[idx]
-    pick_above = (above - values) < (values - below)
-    out = np.where(pick_above, above, below)
-    return np.clip(out, lo, hi).astype(np.int64)
-
-
-# -- sensitivity and greedy budget repair ------------------------------------
-
-
-def _step_down_values(
-    problem: AllocationProblem, allowed: np.ndarray, mat: np.ndarray
-) -> np.ndarray:
-    """(r, n) values F(row i of mat with coordinate j stepped down to
-    the next smaller allowed value), +inf where none lies below. They
-    come from the problem's objective_step_down hook when it has one;
-    otherwise the r * n candidates go to the objective as one batch.
-    Either way floor coordinates are valued unchanged, then masked."""
+def _step_down_values(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
+    """(r, n) values F(row i of mat with coordinate j one bit lower),
+    +inf where b_j is already the lowest allowed value. They come from
+    the problem's objective_step_down hook when it has one; otherwise
+    the r * n candidates go to the objective as one batch. Either way
+    floor coordinates are valued unchanged, then masked."""
     r, n = mat.shape
-    idx = np.searchsorted(allowed, mat)
-    lower = allowed[np.maximum(idx - 1, 0)]
+    floor = mat == problem.allowed_values[0]
+    lower = np.where(floor, mat, mat - 1)
     if problem.objective_step_down is not None:
         values = problem.evaluate_step_down_batch(mat, lower)
     else:
@@ -192,54 +169,45 @@ def _step_down_values(
         candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
         candidates[:, diag, diag] = lower
         values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
-    values[idx == 0] = np.inf
+    values[floor] = np.inf
     return values
-
-
-def sensitivity_vector(problem: AllocationProblem, b) -> np.ndarray:
-    """All coordinate sensitivities at once, +inf where already minimal."""
-    allowed = _allowed_array(problem)
-    b = np.asarray(problem._check_vector(b), dtype=np.int64)
-    return _step_down_values(problem, allowed, b[None, :])[0] - problem.evaluate_objective(b)
 
 
 def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
     """Force every row of an allocation matrix under the budget.
 
-    Per row: snap to the allowed set; if over budget, rescale by
-    budget / C(b) and snap again; then repeatedly remove the single bit
-    whose removal increases the objective least (lowest index on ties)
-    until the row is feasible. Rows that were feasible to begin with
-    pass through untouched. Assumes consumption is nondecreasing in
-    every coordinate, which all applications here satisfy.
+    Per row: clip into the allowed range; if over budget, rescale by
+    budget / C(b), round half away from zero and clip again; then
+    repeatedly step down by one bit the coordinate whose step increases
+    the objective least (lowest index on ties) until the row is
+    feasible. Rows that were feasible to begin with pass through
+    untouched. Assumes consumption is nondecreasing in every coordinate,
+    which all applications here satisfy.
     """
-    allowed = _allowed_array(problem)
-    mat = snap_to_allowed(problem._check_matrix(mat), allowed)
-    idx = np.searchsorted(allowed, mat)  # exact: every entry is in the set
+    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
+    mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
 
-    cons = problem.evaluate_consumption_batch(allowed[idx])
+    cons = problem.evaluate_consumption_batch(mat)
     over = cons > problem.budget
     if over.any():
         scale = problem.budget / cons[over]
-        scaled = round_half_away(allowed[idx[over]] * scale[:, None])
-        idx[over] = np.searchsorted(allowed, snap_to_allowed(scaled, allowed))
-        cons[over] = problem.evaluate_consumption_batch(allowed[idx[over]])
+        mat[over] = np.clip(round_half_away(mat[over] * scale[:, None]), lo, hi)
+        cons[over] = problem.evaluate_consumption_batch(mat[over])
         over = cons > problem.budget
 
     while over.any():
-        rows = idx[over]  # (r, n) indices into the allowed set
-        if (~(rows > 0).any(axis=1)).any():
+        rows = mat[over]
+        if (rows == lo).all(axis=1).any():
             raise InfeasibleBudgetError(
                 "budget repair ran out of bits to remove: even the all-minimum "
                 f"allocation exceeds the budget of {problem.budget}"
             )
-        values = _step_down_values(problem, allowed, allowed[rows])
-        j = np.argmin(values, axis=1)  # lowest index wins ties
+        j = np.argmin(_step_down_values(problem, rows), axis=1)  # lowest index wins ties
         rows[np.arange(rows.shape[0]), j] -= 1
-        idx[over] = rows
-        cons[over] = problem.evaluate_consumption_batch(allowed[rows])
+        mat[over] = rows
+        cons[over] = problem.evaluate_consumption_batch(rows)
         over = cons > problem.budget
-    return allowed[idx]
+    return mat
 
 
 # -- the engine --------------------------------------------------------------
@@ -255,18 +223,18 @@ def step_swarm(
     c2: float,
     r1: np.ndarray,
     r2: np.ndarray,
-    allowed: np.ndarray,
+    lo: int,
+    hi: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous position/velocity update for the whole swarm.
 
     The new velocity is clamped to [-V_MAX, V_MAX] before the position
     move, the move rounds half away from zero, and the resulting
-    positions snap back into the allowed set.
+    positions are clipped into the allowed range lo..hi.
     """
     vel = w * vel + c1 * r1 * (p_best - pos) + c2 * r2 * (g_best[None, :] - pos)
     np.clip(vel, -V_MAX, V_MAX, out=vel)
-    pos = snap_to_allowed(pos + round_half_away(vel).astype(np.int64), allowed)
-    return pos, vel
+    return np.clip(pos + round_half_away(vel).astype(np.int64), lo, hi), vel
 
 
 def init_swarm(
@@ -280,19 +248,16 @@ def init_swarm(
     sequence, so dropping it would change every answer. The engine takes
     its first global best from the first evaluated batch.
     """
-    allowed = _allowed_array(problem)
-    if problem.budget_bits not in problem.allowed_values:
+    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
+    if not lo <= problem.budget_bits <= hi:
         warnings.warn(
             f"budget average {problem.budget_bits} is not an allowed value; "
             "starting from the nearest member instead",
             stacklevel=2,
         )
-    start = snap_to_allowed(
-        np.full(problem.dimension, problem.budget_bits, dtype=np.int64), allowed
-    )
-    pos = np.repeat(start[None, :], n_pop, axis=0)
+    pos = np.full((n_pop, problem.dimension), np.clip(problem.budget_bits, lo, hi))
     vel = rng.uniform(-V_MAX, V_MAX, size=(n_pop, problem.dimension))
-    rng.integers(0, allowed.size, size=problem.dimension)
+    rng.integers(0, len(problem.allowed_values), size=problem.dimension)
     return pos, vel
 
 
@@ -318,17 +283,14 @@ class _Objective:
         self.step_down_rows = 0
         self.table: Optional[np.ndarray] = None
         if _memo_engages(problem, config):
-            base = len(problem.allowed_values)
-            self.allowed = _allowed_array(problem)
-            self.radix = base ** np.arange(problem.dimension - 1, -1, -1, dtype=np.int64)
-            self.table = np.zeros(base**problem.dimension)
+            self.table = np.zeros(len(problem.allowed_values) ** problem.dimension)
             self.known = np.zeros(self.table.size, dtype=bool)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         if self.table is None:
             self.rows += mat.shape[0]
             return self.problem.objective_batch(mat)
-        keys = np.searchsorted(self.allowed, mat) @ self.radix
+        keys = lattice_index(self.problem, mat)
         unknown = np.flatnonzero(~self.known[keys])
         if unknown.size:
             new, first = np.unique(keys[unknown], return_index=True)
@@ -347,7 +309,7 @@ def _run_single(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(best, best cost, trace) of one restart."""
     rng = np.random.default_rng([_SEED_DOMAIN, int(seed)])
-    allowed = _allowed_array(problem)
+    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     costs = (
         problem.evaluate_objective_batch
         if repair
@@ -373,7 +335,7 @@ def _run_single(
         w, c1, c2 = schedule_hyperparams(it, config.i_iter)
         r1 = rng.random(draw_shape)
         r2 = rng.random(draw_shape)
-        pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, allowed)
+        pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
         if repair:
             pos = greedy_repair_batch(problem, pos)
         cost = costs(pos)

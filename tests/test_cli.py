@@ -269,6 +269,27 @@ class TestRunValidation:
             tmp_path, text, "[experiment] strategies", capsys
         )
 
+    def test_repeated_strategy_named(self, tmp_path, capsys):
+        # Each listed strategy writes its own results row and trace file.
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+            "naive, lc, ppso, gcpso, oracle", "naive, ppso, ppso"
+        )
+        err = self.run_expecting_config_error(tmp_path, text, "[experiment] strategies", capsys)
+        assert "'ppso' is listed more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("powers", ["10, 10.0", "0, 1.0000001, 1.0000002"])
+    def test_powers_sharing_a_trace_file_named(self, tmp_path, capsys, command, powers):
+        # Powers that format alike would write one trace_*_pu<p>dB.csv.
+        text = RECEIVER_CONFIG.replace("strategies = naive", "strategies = naive, ppso")
+        text += f"p_u_db = {powers}\n"
+        err = self.run_expecting_config_error(
+            tmp_path, text, "[receiver] p_u_db", capsys, command
+        )
+        assert "would share trace files" in err
+        assert not (tmp_path / "results").exists()
+
     def test_strategy_application_mismatch(self, tmp_path, capsys):
         text = """\
 [experiment]

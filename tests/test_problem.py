@@ -1,5 +1,6 @@
 """Allocation-problem contract, penalty wrapper and exhaustive oracle."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,8 +16,10 @@ from bitalloc.problem import (
     InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
+    lattice_index,
     penalized_fitness_batch,
 )
+from bitalloc.swarm import SwarmConfig, _Objective
 
 from conftest import weighted_msqe_problem
 
@@ -41,6 +44,10 @@ class TestAllocationProblem:
     def test_empty_allowed_set_rejected(self):
         with pytest.raises(ContractViolation):
             linear_problem(2, (), 10.0, lambda b: 0.0)
+
+    def test_gapped_allowed_set_rejected(self):
+        with pytest.raises(ContractViolation, match=r"contiguous range, got \(1, 2, 4\)"):
+            linear_problem(2, (4, 1, 2), 10.0, lambda b: 0.0)
 
     def test_infeasible_uniform_start_rejected(self):
         # budget_bits = 3 is in the set but 2 * 3 > 5.
@@ -169,6 +176,52 @@ class TestPenalizedFitness:
             assert fitness == objective
         else:
             assert fitness > objective
+
+
+class TestLatticeIndex:
+    """The lattice index the oracle enumerates by and the memo keys rows
+    by, on a range whose floor is above 1 and a lattice of 5 ** 7 =
+    78,125 rows, more than one 65,536-row oracle chunk."""
+
+    ALLOWED = tuple(range(2, 7))
+    PRODUCT = np.array(list(itertools.product(ALLOWED, repeat=7)))
+
+    def problem(self, chunks):
+        def consumption_batch(mat):
+            chunks.append(mat.copy())
+            return np.zeros(mat.shape[0])
+
+        position = {tuple(row): float(k) for k, row in enumerate(self.PRODUCT.tolist())}
+        return AllocationProblem(
+            dimension=7,
+            allowed_values=self.ALLOWED,
+            budget_bits=0,  # outside the range: skips the uniform-start check
+            budget=0.0,
+            objective_batch=lambda mat: np.array([position[tuple(r)] for r in mat.tolist()]),
+            consumption_batch=consumption_batch,
+        )
+
+    def test_oracle_rows_are_the_product_in_order(self):
+        chunks = []
+        best, value = brute_force_optimum(self.problem(chunks))
+        assert [len(c) for c in chunks] == [65536, 78125 - 65536]
+        np.testing.assert_array_equal(np.concatenate(chunks), self.PRODUCT)
+        np.testing.assert_array_equal(best, [2] * 7)
+        assert value == 0.0
+
+    def test_memo_key_of_each_oracle_row_is_its_index(self):
+        chunks = []
+        p = self.problem(chunks)
+        brute_force_optimum(p)
+        rows = np.concatenate(chunks)
+        np.testing.assert_array_equal(lattice_index(p, rows), np.arange(len(rows)))
+        # The memo stores each row's value at its key: F is the row's
+        # position in the product, so the table reads 0, 1, 2, ...
+        memo = _Objective(p, SwarmConfig(n_pop=len(rows), i_iter=1))
+        assert memo.table is not None
+        np.testing.assert_array_equal(memo(rows[::-1]), np.arange(len(rows))[::-1])
+        np.testing.assert_array_equal(memo.table, np.arange(len(rows)))
+        assert memo.rows == len(rows)
 
 
 class TestBruteForceOptimum:

@@ -26,8 +26,6 @@ from bitalloc.swarm import (
     run_gcpso,
     run_ppso,
     schedule_hyperparams,
-    sensitivity_vector,
-    snap_to_allowed,
     step_swarm,
 )
 
@@ -78,35 +76,13 @@ class TestSchedule:
             schedule_hyperparams(101, 100)
 
 
-class TestSnapToAllowed:
-    def test_contiguous_range_clips(self):
-        allowed = np.arange(1, 8)
-        np.testing.assert_array_equal(
-            snap_to_allowed(np.array([9.7, 0.0, 3.2]), allowed), [7, 1, 3]
-        )
-
-    def test_gapped_set_rounds_to_nearest(self):
-        allowed = np.array([1, 3, 6])
-        np.testing.assert_array_equal(
-            snap_to_allowed(np.array([4.4, 5.2, 100.0, -2.0]), allowed), [3, 6, 6, 1]
-        )
-
-    def test_ties_resolve_to_smaller_member(self):
-        allowed = np.array([1, 3, 6])
-        np.testing.assert_array_equal(
-            snap_to_allowed(np.array([2.0, 4.5]), allowed), [1, 3]
-        )
-
-
 class TestStepSwarm:
-    ALLOWED = np.arange(1, 8)
-
     def test_converged_swarm_is_a_fixed_point(self):
         pos = np.array([[3, 4], [3, 4]])
         vel = np.zeros((2, 2))
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 0.8, 1.2, 1.7,
-            np.full((2, 2), 0.5), np.full((2, 2), 0.5), self.ALLOWED,
+            np.full((2, 2), 0.5), np.full((2, 2), 0.5), 1, 7,
         )
         np.testing.assert_array_equal(new_pos, pos)
         np.testing.assert_array_equal(new_vel, 0.0)
@@ -118,7 +94,7 @@ class TestStepSwarm:
         vel = np.array([[2.6, 2.5]])
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), self.ALLOWED,
+            np.zeros((1, 2)), np.zeros((1, 2)), 1, 7,
         )
         np.testing.assert_array_equal(new_pos, [[5, 5]])
         np.testing.assert_allclose(new_vel, vel)
@@ -128,23 +104,24 @@ class TestStepSwarm:
         vel = np.array([[10.0, -10.0]])
         new_pos, new_vel = step_swarm(
             pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), self.ALLOWED,
+            np.zeros((1, 2)), np.zeros((1, 2)), 1, 7,
         )
         np.testing.assert_allclose(new_vel, [[3.0, -3.0]])
         np.testing.assert_array_equal(new_pos, [[5, 1]])
 
     def test_positions_stay_in_allowed_set(self):
-        allowed = np.array([1, 3, 6])
         rng = np.random.default_rng(11)
-        pos = allowed[rng.integers(0, 3, size=(8, 4))]
+        pos = rng.integers(3, 7, size=(8, 4))
         vel = rng.uniform(-3, 3, size=(8, 4))
-        p_best = allowed[rng.integers(0, 3, size=(8, 4))]
-        g_best = allowed[rng.integers(0, 3, size=4)]
-        new_pos, _ = step_swarm(
-            pos, vel, p_best, g_best, 0.9, 2.0, 2.0,
-            rng.random((8, 4)), rng.random((8, 4)), allowed,
-        )
-        assert np.isin(new_pos, allowed).all()
+        p_best = rng.integers(3, 7, size=(8, 4))
+        g_best = rng.integers(3, 7, size=4)
+        args = (pos, vel, p_best, g_best, 0.9, 2.0, 2.0, rng.random((8, 4)), rng.random((8, 4)))
+        new_pos, _ = step_swarm(*args, 3, 6)
+        assert ((new_pos >= 3) & (new_pos <= 6)).all() and new_pos.dtype == np.int64
+        # Unclipped, the same move leaves the range 3..6 on both sides.
+        free, _ = step_swarm(*args, -100, 100)
+        assert free.min() < 3 and free.max() > 6
+        np.testing.assert_array_equal(new_pos, np.clip(free, 3, 6))
 
 
 class TestInitSwarm:
@@ -163,35 +140,42 @@ class TestInitSwarm:
         assert not np.array_equal(vel_a, vel_b)
 
     def test_budget_average_outside_set_warns_and_snaps(self):
-        p = weighted_msqe_problem(
-            [1.0, 1.0], allowed=(1, 3, 5), budget=10.0, budget_bits=2
-        )
-        with pytest.warns(UserWarning, match="not an allowed value"):
-            pos, _ = init_swarm(p, 4, np.random.default_rng(0))
-        # 2 ties between 1 and 3 and resolves down.
-        np.testing.assert_array_equal(pos, np.full((4, 2), 1))
+        # The nearest member of 3..5 is the nearer end of the range.
+        for budget_bits, start in [(1, 3), (9, 5)]:
+            p = weighted_msqe_problem(
+                [1.0, 1.0], allowed=(3, 4, 5), budget=10.0, budget_bits=budget_bits
+            )
+            with pytest.warns(UserWarning, match="not an allowed value"):
+                pos, _ = init_swarm(p, 4, np.random.default_rng(0))
+            np.testing.assert_array_equal(pos, np.full((4, 2), start))
+
+
+def sensitivities(problem, b):
+    """F of b with each coordinate one bit lower, less F(b); +inf at the floor."""
+    b = np.asarray(b)
+    return swarm._step_down_values(problem, b[None, :])[0] - problem.evaluate_objective(b)
 
 
 class TestSensitivity:
     def test_closed_form_on_weighted_msqe(self):
         p = weighted_msqe_problem([2.0, 0.5], budget=6.0)
-        vec = sensitivity_vector(p, [3, 3])
+        vec = sensitivities(p, [3, 3])
         # Dropping one bit quadruples that term: delta = 3 w_j 2^(-2 b_j).
         assert vec[0] == pytest.approx(3 * 2.0 * 2.0**-6)
         assert vec[1] == pytest.approx(3 * 0.5 * 2.0**-6)
 
     def test_vector_form_marks_floor_infinite(self):
         p = weighted_msqe_problem([2.0, 0.5], budget=6.0)
-        vec = sensitivity_vector(p, [1, 3])
+        vec = sensitivities(p, [1, 3])
         assert vec[0] == np.inf
         assert vec[1] == pytest.approx(3 * 0.5 * 2.0**-6)
 
 
 @st.composite
 def step_down_cases(draw):
-    """A weighted-MSQE toy on a contiguous or gapped set, a row in that
-    set, and a budget exactly one unit below the row's consumption."""
-    allowed = draw(st.sampled_from([tuple(range(1, 8)), (1, 2, 4, 7)]))
+    """A weighted-MSQE toy on a range with floor 1 or 3, a row in that
+    range, and a budget exactly one unit below the row's consumption."""
+    allowed = draw(st.sampled_from([tuple(range(1, 8)), tuple(range(3, 8))]))
     n = draw(st.integers(2, 5))
     weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
     b = np.array(draw(st.lists(st.sampled_from(allowed), min_size=n, max_size=n)))
@@ -204,11 +188,11 @@ class TestSharedStepDown:
     @given(step_down_cases())
     def test_vector_and_single_sensitivity_agree(self, case):
         p, b = case
-        vec = sensitivity_vector(p, b)
+        vec = sensitivities(p, b)
         for j in range(p.dimension):
             if b[j] > p.allowed_values[0]:
                 stepped = b.copy()
-                stepped[j] = max(v for v in p.allowed_values if v < b[j])
+                stepped[j] -= 1
                 assert vec[j] == p.evaluate_objective(stepped) - p.evaluate_objective(b)
             else:
                 assert vec[j] == np.inf
@@ -221,9 +205,9 @@ class TestSharedStepDown:
         # no coordinate holds more than half of C, so only the greedy
         # decrement acts.
         assume(2 * b.max() <= b.sum())
-        j = int(np.argmin(sensitivity_vector(p, b)))  # lowest index on ties
+        j = int(np.argmin(sensitivities(p, b)))  # lowest index on ties
         expected = b.copy()
-        expected[j] = max(v for v in p.allowed_values if v < b[j])
+        expected[j] -= 1
         np.testing.assert_array_equal(greedy_repair_batch(p, b[None, :]), [expected])
 
 
@@ -410,10 +394,10 @@ def row_loop_problem(weights, allowed, budget_bits, slack, calls=None):
 
 @st.composite
 def memo_cases(draw):
-    """A row-loop toy on a contiguous or gapped set and a swarm whose
+    """A row-loop toy on a range with floor 0, 1 or 3 and a swarm whose
     single restart evaluates at least as many rows as the set has
     allocations, so the memo engages."""
-    allowed = draw(st.sampled_from([(1, 2, 3, 4), (1, 2, 4, 7), tuple(range(0, 6))]))
+    allowed = draw(st.sampled_from([(1, 2, 3, 4), tuple(range(3, 8)), tuple(range(0, 6))]))
     n = draw(st.integers(2, 3))
     weights = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
     p = row_loop_problem(
@@ -429,10 +413,10 @@ def memo_cases(draw):
 
 @st.composite
 def engine_cases(draw):
-    """A row-loop toy with 2 to 4 coordinates on a contiguous or gapped
-    set and a small swarm whose penalty may be too weak to keep the
+    """A row-loop toy with 2 to 4 coordinates on a range with floor 0, 1
+    or 3 and a small swarm whose penalty may be too weak to keep the
     penalized answer feasible."""
-    allowed = draw(st.sampled_from([(1, 2, 3, 4), (1, 2, 4, 7), tuple(range(0, 6))]))
+    allowed = draw(st.sampled_from([(1, 2, 3, 4), tuple(range(3, 8)), tuple(range(0, 6))]))
     n = draw(st.integers(2, 4))
     weights = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
     p = row_loop_problem(
