@@ -213,7 +213,7 @@ def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case
         budget_bits = keys["budget_bits"]
         if keys["kind"] == "fixed":
             return fir.lc_fixed_alloc(coeffs.n_taps, budget_bits)
-        relaxed = fir.lc_float_alloc(coeffs, budget_bits, strict=False)
+        relaxed = fir.lc_float_alloc(coeffs, budget_bits)
         return fir.lc_float_map(relaxed, coeffs, budget_bits)
 
     yield _Case(problem, lc=lc)
@@ -224,9 +224,10 @@ def _receiver_keys(section: _Section) -> tuple[str, ...]:
 
 
 def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
-    """One problem per transmit power in p_u_db, built when the sweep reaches it;
-    two powers that would write the same trace file are rejected first."""
-    p_u_db_list = section.get("p_u_db", [0.0])
+    """One problem per transmit power in p_u_db, built when the sweep reaches it.
+    Every power is checked before the first is built: its SystemConfig, and
+    that no two powers would write the same trace file."""
+    p_u_db_list = [p + 0.0 for p in section.get("p_u_db", [0.0])]  # -0.0 becomes 0.0
     if not p_u_db_list:
         raise _fail("[receiver] p_u_db", "at least one power is required")
     suffixes = [f"_pu{p:g}dB".replace("-", "m").replace(".", "p") for p in p_u_db_list]
@@ -234,8 +235,9 @@ def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[
     if clash:
         raise _fail("[receiver] p_u_db", f"{', '.join(clash)} would share trace files; "
                     "list each power once")
-    for p_u_db, suffix in zip(p_u_db_list, suffixes):
-        cfg = section.build(receiver.SystemConfig, p_u=10.0 ** (p_u_db / 10.0), seed=seed)
+    cfgs = [section.build(receiver.SystemConfig, p_u=10.0 ** (p / 10.0), seed=seed)
+            for p in p_u_db_list]
+    for cfg, p_u_db, suffix in zip(cfgs, p_u_db_list, suffixes):
         yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
 
@@ -302,6 +304,8 @@ class _Experiment:
                 if key not in valid[name]:
                     raise _fail(f"[{name}] {key}", f"unknown key; valid: {', '.join(valid[name])}")
         self.seed = self.exp.get("seed", 0)
+        if self.seed < 0:
+            raise _fail("[experiment] seed", f"must be >= 0, got {self.seed}")
         self.cap = self.exp.get("oracle_cap", DEFAULT_ORACLE_CAP)
         self.swarm = None  # without [swarm] each application picks its engine config
         if parser.has_section("swarm"):

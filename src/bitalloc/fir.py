@@ -30,7 +30,7 @@ import numpy as np
 from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError
 from .quantizers import quantize_fixed_bits, quantize_float_bits
 
-DEFAULT_POINTS_PER_TAP = 16
+POINTS_PER_TAP = 16  # grid points per band per tap
 DEFAULT_EXP_BITS = 5
 _CHUNK_ROWS = 4096
 
@@ -160,15 +160,6 @@ def _tap_weights(half_size: int) -> np.ndarray:
     return weights
 
 
-def _half_and_weights(h) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(h, CoefficientSet):
-        half = h.half
-    else:
-        h = np.asarray(h, dtype=float)
-        half = h[: (h.size + 1) // 2]
-    return half, _tap_weights(half.size)
-
-
 def _cosine_matrix(n_taps: int, omegas: np.ndarray) -> np.ndarray:
     """cos((center - n) * omega) for the unique coefficient indices."""
     center = (n_taps - 1) // 2
@@ -176,29 +167,14 @@ def _cosine_matrix(n_taps: int, omegas: np.ndarray) -> np.ndarray:
     return np.cos(lags[:, None] * omegas[None, :])
 
 
-def magnitude(h, omegas) -> np.ndarray:
-    """Real-valued magnitude response H(omega) of a Type I filter.
-
-    Accepts a CoefficientSet or a full-length symmetric array; omegas
-    may be a scalar or an array.
-    """
-    half, weights = _half_and_weights(h)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    n_taps = 2 * half.size - 1
-    out = (weights * half) @ _cosine_matrix(n_taps, omegas)
-    return out if out.size > 1 else float(out[0])
-
-
-def band_grid(
-    spec: FilterSpec, points_per_tap: int = DEFAULT_POINTS_PER_TAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def band_grid(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense evaluation grid: (omegas, desired, weights) per point.
 
-    Each band contributes points_per_tap * n_taps uniformly spaced
+    Each band contributes POINTS_PER_TAP * n_taps uniformly spaced
     points with both edges included, which keeps the discretized
     maximum stable against grid placement.
     """
-    per_band = points_per_tap * spec.n_taps
+    per_band = POINTS_PER_TAP * spec.n_taps
     omegas, desired, weights = [], [], []
     for (lo, hi), d, w in zip(spec.bands, spec.desired, spec.weights):
         pts = np.linspace(lo, hi, per_band)
@@ -223,15 +199,16 @@ def _quantize_half_batch(
 
 
 class _MinimaxEvaluator:
-    """Precomputed grid machinery shared by minimax evaluations."""
+    """The band grid and the one magnitude-response kernel of the minimax objective."""
 
-    def __init__(self, spec: FilterSpec, coeffs: CoefficientSet, points_per_tap: int):
+    def __init__(self, spec: FilterSpec, coeffs: CoefficientSet):
         if spec.n_taps != coeffs.n_taps:
             raise ContractViolation(
                 f"spec is for {spec.n_taps} taps but coefficients have {coeffs.n_taps}"
             )
-        self.half, self.tap_weights = _half_and_weights(coeffs)
-        omegas, desired, weights = band_grid(spec, points_per_tap)
+        self.half = coeffs.half
+        self.tap_weights = _tap_weights(self.half.size)
+        omegas, desired, weights = band_grid(spec)
         self.cosmat = _cosine_matrix(spec.n_taps, omegas)
         self.desired = desired
         self.grid_weights = weights
@@ -249,32 +226,9 @@ class _MinimaxEvaluator:
         return out
 
 
-def minimax_error(
-    spec: FilterSpec,
-    coeffs: CoefficientSet,
-    half_bits,
-    kind: str = "fixed",
-    *,
-    exp_bits: int = DEFAULT_EXP_BITS,
-    points_per_tap: int = DEFAULT_POINTS_PER_TAP,
-) -> float:
-    """Weighted minimax error of the quantized filter on the grid."""
-    ev = _MinimaxEvaluator(spec, coeffs, points_per_tap)
-    bits = np.asarray(half_bits, dtype=np.int64)
-    if bits.shape != (ev.half.size,):
-        raise ContractViolation(
-            f"allocation has shape {bits.shape}, expected ({ev.half.size},)"
-        )
-    return float(ev.error_of_bits(bits[None, :], kind, exp_bits)[0])
-
-
-def full_precision_error(
-    spec: FilterSpec,
-    coeffs: CoefficientSet,
-    points_per_tap: int = DEFAULT_POINTS_PER_TAP,
-) -> float:
+def full_precision_error(spec: FilterSpec, coeffs: CoefficientSet) -> float:
     """Minimax error of the unquantized design (the floor any allocation chases)."""
-    ev = _MinimaxEvaluator(spec, coeffs, points_per_tap)
+    ev = _MinimaxEvaluator(spec, coeffs)
     return float(ev.error_of_half_rows(ev.half[None, :])[0])
 
 
@@ -285,7 +239,6 @@ def fir_problem(
     budget_bits: int = 8,
     *,
     exp_bits: int = DEFAULT_EXP_BITS,
-    points_per_tap: int = DEFAULT_POINTS_PER_TAP,
 ) -> AllocationProblem:
     """Expose the quantized-filter design as an allocation problem.
 
@@ -293,6 +246,7 @@ def fir_problem(
     allowed set is {1, ..., 2 * budget_bits + 1}, consumption counts
     edge coefficients twice and the center once, and the budget is
     n_taps * budget_bits (met with equality by the uniform allocation).
+    evaluate_objective gives one allocation's minimax error on band_grid.
     """
     if kind not in ("fixed", "float"):
         raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
@@ -300,7 +254,7 @@ def fir_problem(
         raise ContractViolation(f"budget_bits must be >= 1, got {budget_bits}")
     if exp_bits < 1:
         raise ContractViolation(f"exp_bits must be >= 1, got {exp_bits}")
-    ev = _MinimaxEvaluator(spec, coeffs, points_per_tap)
+    ev = _MinimaxEvaluator(spec, coeffs)
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:
         return ev.error_of_bits(np.asarray(mat, dtype=np.int64), kind, exp_bits)
@@ -335,7 +289,7 @@ def lc_fixed_alloc(n_taps: int, budget_bits: int) -> np.ndarray:
     return np.full((n_taps + 1) // 2, budget_bits, dtype=np.int64)
 
 
-def lc_float_alloc(h, m_bar: int, strict: bool = True) -> np.ndarray:
+def lc_float_alloc(h, m_bar: int) -> np.ndarray:
     """Relaxed (real-valued) mantissa allocation, full filter length.
 
     m[n] = m_bar + log2(|h[n]| / GM(h)), where GM is the geometric mean
@@ -343,11 +297,9 @@ def lc_float_alloc(h, m_bar: int, strict: bool = True) -> np.ndarray:
     n_taps * m_bar exactly, and by symmetry so does the center-weighted
     half-length sum.
 
-    The closed form assumes every rounded-up mantissa stays in range,
-    which holds when m_bar >= 1 + ceil(log2(GM(h) / min|h|)). Pass
-    strict=False to skip that check and let the integer mapping clamp
-    instead; benchmark designs with very small edge coefficients need
-    this escape.
+    Below m_bar = 1 + ceil(log2(GM(h) / min|h|)), as in benchmark designs
+    with very small edge coefficients, some entries fall under one
+    mantissa bit; lc_float_map clamps them.
     """
     if isinstance(h, CoefficientSet):
         h = h.h
@@ -358,19 +310,7 @@ def lc_float_alloc(h, m_bar: int, strict: bool = True) -> np.ndarray:
         )
     log_mag = np.log2(np.abs(h))
     gm_log = log_mag.mean()
-    bound = 1 + math.ceil(gm_log - log_mag.min())
-    if strict and m_bar < bound:
-        raise ContractViolation(
-            f"mantissa budget {m_bar} is below the feasibility bound {bound} "
-            "= 1 + ceil(log2(GM(h)/min|h|)); pass strict=False to clamp at the floor"
-        )
     return m_bar + log_mag - gm_log
-
-
-def _half_msqe_coeffs(h: np.ndarray) -> np.ndarray:
-    """Per-unique-coefficient MSQE weight for the floating-point model."""
-    half, weights = _half_and_weights(h)
-    return (math.pi / 6.0) * half**2 * weights
 
 
 def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
@@ -410,7 +350,7 @@ def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
     if total <= budget:
         return bits
 
-    c = _half_msqe_coeffs(h)
+    c = (math.pi / 6.0) * h[:half_n] ** 2 * cons_weights  # MSQE weight per unique coefficient
     demotable = fractional & (floors >= 1.0)
     K = np.full(half_n, np.inf)
     idx = np.nonzero(demotable)[0]

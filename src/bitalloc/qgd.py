@@ -15,7 +15,7 @@ ridge term (synthetic two-Gaussian data or a sparse text dataset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -129,7 +129,8 @@ def quantize_gradient(g, bits) -> np.ndarray:
     quantizer's domain; the coordinate equal to the norm itself (when
     the gradient has a single nonzero entry) saturates to 1 - 2^(-b),
     a documented bias of the scheme. A zero gradient passes through as
-    zeros. bits may also be a (rows, D) matrix, one allocation per row.
+    zeros. bits may also be a (rows, D) matrix, one allocation per row,
+    and the result has bits' shape.
     """
     g = np.asarray(g, dtype=float)
     bits = np.asarray(bits, dtype=np.int64)
@@ -137,7 +138,7 @@ def quantize_gradient(g, bits) -> np.ndarray:
         raise ContractViolation(f"bit vector has shape {bits.shape}, expected {g.shape}")
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
-        return np.zeros_like(g)
+        return np.zeros(bits.shape)
     return norm * quantize_fixed_bits(g / norm, bits)
 
 
@@ -236,15 +237,13 @@ class TrainResult:
 
     metric_trace[t] is ||z_t - z_star|| when the task knows its target
     and loss(z_t) otherwise, recorded at t = 0..t_iter. allocations
-    holds the bit vector chosen at each step; converged_at is the first
-    iteration whose gradient vanished, if any.
+    holds the bit vector chosen at each step; once the gradient
+    vanishes, the remaining entries of both repeat the last ones.
     """
 
     z: np.ndarray
     metric_trace: np.ndarray
-    loss_trace: np.ndarray
     allocations: np.ndarray
-    converged_at: Optional[int] = None
 
 
 def _metric(task: QgdTask, z: np.ndarray) -> float:
@@ -275,18 +274,13 @@ def train(
     d = task.dimension
     z = np.zeros(d)
     metric_trace = np.empty(task.t_iter + 1)
-    loss_trace = np.empty(task.t_iter + 1)
     metric_trace[0] = _metric(task, z)
-    loss_trace[0] = loss(task, z)
     allocations = np.full((task.t_iter, d), task.budget_bits, dtype=np.int64)
-    converged_at: Optional[int] = None
 
     for t in range(task.t_iter):
         g = gradient(task, z)
         if not np.any(g):
-            converged_at = t
             metric_trace[t + 1 :] = metric_trace[t]
-            loss_trace[t + 1 :] = loss_trace[t]
             allocations[t:] = allocations[t - 1] if t else task.budget_bits
             break
         if strategy == "uniform":
@@ -299,15 +293,8 @@ def train(
         allocations[t] = bits
         z = z - task.eta * quantize_gradient(g, bits)
         metric_trace[t + 1] = _metric(task, z)
-        loss_trace[t + 1] = loss(task, z)
 
-    return TrainResult(
-        z=z,
-        metric_trace=metric_trace,
-        loss_trace=loss_trace,
-        allocations=allocations,
-        converged_at=converged_at,
-    )
+    return TrainResult(z=z, metric_trace=metric_trace, allocations=allocations)
 
 
 # -- task constructors ---------------------------------------------------------

@@ -32,6 +32,13 @@ _BETA_TABLE = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 _CHANNEL_DOMAIN = 0xC4A2
 _CHUNK_ROWS = 256
 
+# Hexagonal cell of radius CELL_RADIUS m, no user within R_MIN m, path loss
+# (r / R_MIN)^-PATH_LOSS_EXPONENT, log-normal shadowing of SHADOWING_DB dB.
+CELL_RADIUS = 1000.0
+R_MIN = 100.0
+PATH_LOSS_EXPONENT = 3.8
+SHADOWING_DB = 8.0
+
 
 def beta_of_bits(bits) -> np.ndarray:
     """Distortion factor beta per entry; beta(0) = 1 (nothing passes)."""
@@ -58,31 +65,23 @@ def adc_consumption(bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Cell geometry, link parameters and Monte-Carlo controls."""
+    """Link parameters and Monte-Carlo controls; the cell geometry is the
+    module constants, and each channel realization places the users afresh."""
 
     m_antennas: int = 64
     k_users: int = 10
     p_u: float = 1.0
-    cell_radius: float = 1000.0
-    r_min: float = 100.0
-    path_loss_exponent: float = 3.8
-    shadowing_db: float = 8.0
     budget_bits: int = 1
     mc_channels: int = 100
     seed: int = 0
-    redraw_large_scale: bool = True
 
     def __post_init__(self):
         if not self.m_antennas >= self.k_users >= 1:
             raise ContractViolation(
                 f"need m_antennas >= k_users >= 1, got M={self.m_antennas}, K={self.k_users}"
             )
-        if not self.p_u > 0:
-            raise ContractViolation(f"p_u must be positive, got {self.p_u}")
-        if not 0 < self.r_min < self.cell_radius:
-            raise ContractViolation(
-                f"need 0 < r_min < cell_radius, got {self.r_min}, {self.cell_radius}"
-            )
+        if not 0 < self.p_u < math.inf:
+            raise ContractViolation(f"p_u must be positive and finite, got {self.p_u}")
         if self.budget_bits < 1:
             raise ContractViolation(f"budget_bits must be >= 1, got {self.budget_bits}")
         if self.mc_channels < 1:
@@ -101,14 +100,14 @@ class ChannelRealization:
     gamma: np.ndarray
 
 
-def _sample_cell_positions(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform points in the hexagonal cell, at least r_min from the center.
+def _sample_cell_positions(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform points in the hexagonal cell, at least R_MIN from the center.
 
-    The hexagon has vertices on the x axis at +-cell_radius; a point is
+    The hexagon has vertices on the x axis at +-CELL_RADIUS; a point is
     inside iff |y| <= sqrt(3)/2 * R and sqrt(3)|x| + |y| <= sqrt(3) R.
     Rejection sampling from the bounding box accepts about 3/4 of draws.
     """
-    R = cfg.cell_radius
+    R = CELL_RADIUS
     root3 = math.sqrt(3.0)
     out = np.empty((count, 2))
     have = 0
@@ -117,7 +116,7 @@ def _sample_cell_positions(cfg: SystemConfig, rng: np.random.Generator, count: i
         x = rng.uniform(-R, R, size=2 * need + 8)
         y = rng.uniform(-root3 / 2.0 * R, root3 / 2.0 * R, size=x.size)
         r = np.hypot(x, y)
-        ok = (root3 * np.abs(x) + np.abs(y) <= root3 * R) & (r >= cfg.r_min)
+        ok = (root3 * np.abs(x) + np.abs(y) <= root3 * R) & (r >= R_MIN)
         take = min(int(ok.sum()), need)
         out[have : have + take, 0] = x[ok][:take]
         out[have : have + take, 1] = y[ok][:take]
@@ -127,21 +126,18 @@ def _sample_cell_positions(cfg: SystemConfig, rng: np.random.Generator, count: i
 
 def large_scale_gains(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Path loss with log-normal shadowing for K freshly placed users."""
-    pos = _sample_cell_positions(cfg, rng, cfg.k_users)
+    pos = _sample_cell_positions(rng, cfg.k_users)
     r = np.hypot(pos[:, 0], pos[:, 1])
-    shadow = 10.0 ** (cfg.shadowing_db * rng.standard_normal(cfg.k_users) / 10.0)
-    return shadow * (r / cfg.r_min) ** (-cfg.path_loss_exponent)
+    shadow = 10.0 ** (SHADOWING_DB * rng.standard_normal(cfg.k_users) / 10.0)
+    return shadow * (r / R_MIN) ** (-PATH_LOSS_EXPONENT)
 
 
-def generate_channel(
-    cfg: SystemConfig, rng: np.random.Generator, gamma: np.ndarray | None = None
-) -> ChannelRealization:
-    """Draw one channel realization; pass gamma to reuse user placements."""
-    if gamma is None:
-        gamma = large_scale_gains(cfg, rng)
+def generate_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one channel realization, users placed afresh."""
+    gamma = large_scale_gains(cfg, rng)
     shape = (cfg.m_antennas, cfg.k_users)
     H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return ChannelRealization(G=H * np.sqrt(gamma)[None, :], gamma=np.asarray(gamma))
+    return ChannelRealization(G=H * np.sqrt(gamma)[None, :], gamma=gamma)
 
 
 class _RateEvaluator:
@@ -201,8 +197,7 @@ def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
 def draw_realizations(cfg: SystemConfig) -> list[ChannelRealization]:
     """The pinned Monte-Carlo channel set for cfg (seed-deterministic)."""
     rng = np.random.default_rng([_CHANNEL_DOMAIN, cfg.seed])
-    gamma = None if cfg.redraw_large_scale else large_scale_gains(cfg, rng)
-    return [generate_channel(cfg, rng, gamma=gamma) for _ in range(cfg.mc_channels)]
+    return [generate_channel(cfg, rng) for _ in range(cfg.mc_channels)]
 
 
 def receiver_problem(cfg: SystemConfig) -> AllocationProblem:

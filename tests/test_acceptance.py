@@ -23,7 +23,6 @@ from bitalloc.fir import (
     lc_float_alloc,
     lc_float_map,
     load_coefficients,
-    minimax_error,
 )
 from bitalloc.problem import brute_force_optimum
 from bitalloc.qgd import (
@@ -110,7 +109,8 @@ def test_criterion_02_uniform_closed_form_equals_naive_on_fixtures():
             alloc = lc_fixed_alloc(n_taps, budget)
             naive = np.full((n_taps + 1) // 2, budget, dtype=np.int64)
             np.testing.assert_array_equal(alloc, naive)
-            assert minimax_error(spec, coeffs, alloc) == minimax_error(spec, coeffs, naive)
+            problem = fir_problem(spec, coeffs, "fixed", budget)
+            assert problem.evaluate_objective(alloc) == problem.evaluate_objective(naive)
 
 
 def test_criterion_03_relaxed_mantissa_allocation_and_mapping():
@@ -206,7 +206,7 @@ def test_criterion_04_benchmark_orderings_and_published_anchors():
         m_bar = FLOAT_BUDGETS[letter]
         p_flt = fir_problem(spec, coeffs, "float", m_bar, exp_bits=5)
         naive_flt = p_flt.evaluate_objective(np.full(18, m_bar))
-        lc_bits = lc_float_map(lc_float_alloc(coeffs, m_bar, strict=False), coeffs, m_bar)
+        lc_bits = lc_float_map(lc_float_alloc(coeffs, m_bar), coeffs, m_bar)
         lc_err = p_flt.evaluate_objective(lc_bits)
         pp_f = run_ppso(p_flt, swarm_cfg)
         gc_f = run_gcpso(p_flt, swarm_cfg)

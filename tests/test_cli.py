@@ -3,12 +3,13 @@
 import configparser
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bitalloc import cli
-from bitalloc.fir import FilterSpec, fir_problem, load_coefficients, minimax_error
+from bitalloc.fir import FilterSpec, fir_problem, load_coefficients
 from bitalloc.problem import brute_force_optimum
 from bitalloc.qgd import synthetic_classification, train
 
@@ -80,7 +81,7 @@ class TestRunFir:
         _, rows = read_results(out_dir)
         spec = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
         coeffs = load_coefficients(TOY_COEFFS)
-        expected = minimax_error(spec, coeffs, np.full(4, 3), "fixed")
+        expected = fir_problem(spec, coeffs, "fixed", 3).evaluate_objective(np.full(4, 3))
         naive = next(r for r in rows if r["strategy"] == "naive")
         assert float(naive["minimax_error"]) == expected
         assert float(naive["consumption"]) == 21.0
@@ -279,7 +280,7 @@ class TestRunValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
-    @pytest.mark.parametrize("powers", ["10, 10.0", "0, 1.0000001, 1.0000002"])
+    @pytest.mark.parametrize("powers", ["10, 10.0", "0, 1.0000001, 1.0000002", "0, -0"])
     def test_powers_sharing_a_trace_file_named(self, tmp_path, capsys, command, powers):
         # Powers that format alike would write one trace_*_pu<p>dB.csv.
         text = RECEIVER_CONFIG.replace("strategies = naive", "strategies = naive, ppso")
@@ -289,6 +290,15 @@ class TestRunValidation:
         )
         assert "would share trace files" in err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_infinite_power_rejected(self, tmp_path, capsys, command):
+        # An infinite p_u made every SINR NaN, which the rate read as 0.
+        # The oracle solves only the first power, so every power is checked first.
+        text = RECEIVER_CONFIG + "p_u_db = 0, inf\n"
+        err = self.run_expecting_config_error(tmp_path, text, "[receiver]", capsys, command)
+        assert "p_u must be positive and finite, got inf" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     def test_strategy_application_mismatch(self, tmp_path, capsys):
         text = """\
@@ -360,6 +370,13 @@ benchmark = a
             ("receiver", "receiver", "m_antenna = 8"),
             ("qgd", "qgd", "n_row = 30"),
             ("qgd", "qgd", "n_samples = 30"),  # a logistic key under task = least_squares
+            # model constants, not options
+            ("fir", "fir", "points_per_tap = 8"),
+            ("receiver", "receiver", "cell_radius = 500"),
+            ("receiver", "receiver", "r_min = 50"),
+            ("receiver", "receiver", "path_loss_exponent = 3"),
+            ("receiver", "receiver", "shadowing_db = 6"),
+            ("receiver", "receiver", "redraw_large_scale = false"),
         ],
     )
     def test_unknown_key_named(self, tmp_path, capsys, command, base, section, line):
@@ -369,6 +386,17 @@ benchmark = a
             tmp_path, text, f"[{section}] {key}", capsys, command
         )
         assert "unknown key; valid:" in err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("base", ["fir", "receiver", "qgd"])
+    def test_negative_seed_named(self, tmp_path, capsys, base, command):
+        text = re.sub(r"^seed = .*\n", "", BASE_CONFIGS[base], flags=re.M)
+        text = text.replace("[experiment]\n", "[experiment]\nseed = -1\n")
+        err = self.run_expecting_config_error(
+            tmp_path, text, "[experiment] seed", capsys, command
+        )
+        assert "must be >= 0, got -1" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_unknown_section_named(self, tmp_path, capsys, command):

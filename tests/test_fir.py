@@ -16,15 +16,35 @@ from bitalloc.fir import (
     lc_float_alloc,
     lc_float_map,
     load_coefficients,
-    magnitude,
-    minimax_error,
 )
 from bitalloc.problem import ContractViolation, InfeasibleBudgetError
+from bitalloc.quantizers import quantize_fixed_bits, quantize_float_bits
 
 from conftest import FIXTURE_DIR, assert_batch_composition_agrees
 
 H7 = load_coefficients(FIXTURE_DIR / "toy7.txt")
 A35 = load_coefficients(FIXTURE_DIR / "a35.txt")
+SPEC7 = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
+
+
+def direct_error(spec, h):
+    """Weighted minimax error of the full-length filter h on band_grid,
+    its response summed as complex exponentials: an independent
+    reference for the module's cosine-matrix kernel."""
+    omegas, desired, weights = band_grid(spec)
+    n = np.arange(h.size)
+    center = (h.size - 1) // 2
+    response = np.real(np.exp(1j * np.outer(omegas, center - n)) @ h)
+    return float(np.abs((response - desired) * weights).max())
+
+
+def quantized_filter(coeffs, bits, kind, exp_bits=5):
+    """The full-length filter with each unique coefficient quantized."""
+    if kind == "fixed":
+        half = quantize_fixed_bits(coeffs.half, np.asarray(bits) - 1)
+    else:
+        half, _ = quantize_float_bits(coeffs.half, exp_bits, np.asarray(bits))
+    return np.concatenate([half, half[-2::-1]])
 
 
 class TestFilterSpec:
@@ -122,20 +142,31 @@ class TestLoadCoefficients:
 
 class TestMagnitude:
     def test_dc_gain_is_coefficient_sum(self):
-        assert magnitude(H7, 0.0) == pytest.approx(H7.h.sum(), rel=1e-14)
+        # A band squeezed onto omega = 0 with target 0 reads |H(0)|.
+        spec = FilterSpec(bands=((0.0, 1e-12),), desired=(0.0,), weights=(1.0,), n_taps=7)
+        assert full_precision_error(spec, H7) == pytest.approx(abs(H7.h.sum()), rel=1e-14)
 
     def test_center_impulse_is_flat(self):
-        h = np.array([0.0, 0.0, 0.5, 0.0, 0.0])
-        omegas = np.linspace(0, math.pi, 33)
-        np.testing.assert_allclose(magnitude(h, omegas), 0.5)
+        coeffs = CoefficientSet(h=np.array([0.0, 0.0, 0.5, 0.0, 0.0]))
+        zero = FilterSpec.of_pi([(0.0, 1.0)], [0.0], [1.0], 5)
+        half = FilterSpec.of_pi([(0.0, 1.0)], [0.5], [1.0], 5)
+        assert full_precision_error(zero, coeffs) == pytest.approx(0.5, rel=1e-14)
+        assert full_precision_error(half, coeffs) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_complex_frequency_response(self):
-        omegas = np.linspace(0, math.pi, 57)
-        n = np.arange(H7.n_taps)
-        direct = np.array(
-            [np.real(np.sum(H7.h * np.exp(1j * w * (H7.center - n)))) for w in omegas]
-        )
-        np.testing.assert_allclose(magnitude(H7, omegas), direct, atol=1e-10)
+        rng = np.random.default_rng(0xF1)
+        for letter in "abcd":
+            spec = benchmark_spec(letter, 35)
+            coeffs = load_coefficients(FIXTURE_DIR / f"{letter}35.txt")
+            assert full_precision_error(spec, coeffs) == pytest.approx(
+                direct_error(spec, coeffs.h), rel=1e-10
+            )
+            for kind, budget_bits in (("fixed", 8), ("float", 4)):
+                p = fir_problem(spec, coeffs, kind, budget_bits, exp_bits=5)
+                for bits in rng.integers(1, 2 * budget_bits + 2, size=(3, 18)):
+                    assert p.evaluate_objective(bits) == pytest.approx(
+                        direct_error(spec, quantized_filter(coeffs, bits, kind)), rel=1e-10
+                    )
 
 
 class TestBandGrid:
@@ -151,29 +182,30 @@ class TestBandGrid:
 
     def test_piecewise_targets(self):
         spec = benchmark_spec("b", 35)
-        _, desired, weights = band_grid(spec, points_per_tap=2)
-        per_band = 2 * 35
+        _, desired, weights = band_grid(spec)
+        per_band = 16 * 35
         assert set(desired[:per_band]) == {1.0}
         assert set(desired[per_band:]) == {0.0}
         assert set(weights[per_band:]) == {10.0}
 
 
 class TestMinimaxError:
-    SPEC7 = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
+    """The objective of fir_problem, valued one allocation at a time."""
 
     def test_generous_bits_reach_full_precision(self):
         generous = np.full(4, 45)
         for kind in ("fixed", "float"):
-            err = minimax_error(self.SPEC7, H7, generous, kind, exp_bits=9)
-            assert err == pytest.approx(full_precision_error(self.SPEC7, H7), abs=1e-9)
+            err = fir_problem(SPEC7, H7, kind, 22, exp_bits=9).evaluate_objective(generous)
+            assert err == pytest.approx(full_precision_error(SPEC7, H7), abs=1e-9)
 
     def test_frozen_benchmark_values(self):
         spec = benchmark_spec("a", 35)
         uniform = np.full(18, 8)
-        assert minimax_error(spec, A35, uniform, "fixed") == pytest.approx(
+        assert fir_problem(spec, A35, "fixed", 8).evaluate_objective(uniform) == pytest.approx(
             0.0326714545525526, abs=1e-12
         )
-        assert minimax_error(spec, A35, np.full(18, 4), "float", exp_bits=5) == pytest.approx(
+        p_float = fir_problem(spec, A35, "float", 4, exp_bits=5)
+        assert p_float.evaluate_objective(np.full(18, 4)) == pytest.approx(
             0.03737837667614019, abs=1e-12
         )
         assert full_precision_error(spec, A35) == pytest.approx(
@@ -183,9 +215,9 @@ class TestMinimaxError:
     def test_frozen_bandstop_values(self):
         spec = benchmark_spec("c", 35)
         coeffs = load_coefficients(FIXTURE_DIR / "c35.txt")
-        assert minimax_error(spec, coeffs, np.full(18, 8), "fixed") == pytest.approx(
-            0.046875, abs=1e-12
-        )
+        assert fir_problem(spec, coeffs, "fixed", 8).evaluate_objective(
+            np.full(18, 8)
+        ) == pytest.approx(0.046875, abs=1e-12)
         assert full_precision_error(spec, coeffs) == pytest.approx(
             0.0026338381239250364, abs=1e-12
         )
@@ -195,51 +227,49 @@ class TestMinimaxError:
         heavy = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [2.0, 4.0], 7)
         bits = np.array([3, 4, 5, 6])
         # Doubling every band weight doubles the weighted deviation.
-        assert minimax_error(heavy, H7, bits) == pytest.approx(
-            2.0 * minimax_error(light, H7, bits), rel=1e-12
+        assert fir_problem(heavy, H7).evaluate_objective(bits) == pytest.approx(
+            2.0 * fir_problem(light, H7).evaluate_objective(bits), rel=1e-12
         )
 
     def test_allocation_shape_checked(self):
-        with pytest.raises(ContractViolation):
-            minimax_error(self.SPEC7, H7, np.full(7, 8))
+        with pytest.raises(ContractViolation, match=r"shape \(7,\), expected \(4,\)"):
+            fir_problem(SPEC7, H7).evaluate_objective(np.full(7, 8))
 
     def test_spec_and_coefficients_must_agree(self):
-        with pytest.raises(ContractViolation):
-            minimax_error(benchmark_spec("a", 35), H7, np.full(18, 8))
+        with pytest.raises(ContractViolation, match="spec is for 35 taps"):
+            fir_problem(benchmark_spec("a", 35), H7)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractViolation):
-            minimax_error(self.SPEC7, H7, np.full(4, 8), "posit")
+        with pytest.raises(ContractViolation, match="unknown quantization kind"):
+            fir_problem(SPEC7, H7, "posit")
 
 
 class TestFirProblem:
-    SPEC7 = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
-
     def test_dimensions_and_allowed_set(self):
-        p = fir_problem(self.SPEC7, H7, "fixed", budget_bits=3)
+        p = fir_problem(SPEC7, H7, "fixed", budget_bits=3)
         assert p.dimension == 4
         assert p.allowed_values == tuple(range(1, 8))
         assert p.budget == 21.0
 
     def test_uniform_allocation_meets_budget_exactly(self):
-        p = fir_problem(self.SPEC7, H7, "fixed", budget_bits=3)
+        p = fir_problem(SPEC7, H7, "fixed", budget_bits=3)
         assert p.evaluate_consumption(np.full(4, 3)) == p.budget
 
     def test_edges_cost_double_center_costs_single(self):
-        p = fir_problem(self.SPEC7, H7, "fixed", budget_bits=3)
+        p = fir_problem(SPEC7, H7, "fixed", budget_bits=3)
         base = p.evaluate_consumption([3, 3, 3, 3])
         assert p.evaluate_consumption([4, 3, 3, 3]) == base + 2
         assert p.evaluate_consumption([3, 3, 3, 4]) == base + 1
 
     def test_objective_is_minimax_error(self):
-        p = fir_problem(self.SPEC7, H7, "float", budget_bits=3, exp_bits=5)
+        p = fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=5)
         bits = np.array([2, 4, 3, 5])
         assert p.evaluate_objective(bits) == pytest.approx(
-            minimax_error(self.SPEC7, H7, bits, "float", exp_bits=5)
+            direct_error(SPEC7, quantized_filter(H7, bits, "float", exp_bits=5)), rel=1e-12
         )
 
     def test_batch_agrees_with_scalar(self):
-        p = fir_problem(self.SPEC7, H7, "fixed", budget_bits=3)
+        p = fir_problem(SPEC7, H7, "fixed", budget_bits=3)
         mat = np.array([[3, 3, 3, 3], [1, 2, 3, 4], [7, 7, 7, 7]])
         np.testing.assert_allclose(
             p.evaluate_objective_batch(mat),
@@ -253,11 +283,11 @@ class TestFirProblem:
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ContractViolation):
-            fir_problem(self.SPEC7, H7, "fixed", budget_bits=0)
+            fir_problem(SPEC7, H7, "fixed", budget_bits=0)
 
     def test_bad_exponent_width_rejected(self):
         with pytest.raises(ContractViolation, match="exp_bits must be >= 1"):
-            fir_problem(self.SPEC7, H7, "float", budget_bits=3, exp_bits=0)
+            fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=0)
 
 
 class TestLcFixedAlloc:
@@ -271,7 +301,8 @@ class TestLcFixedAlloc:
         alloc = lc_fixed_alloc(35, 8)
         naive = np.full(18, 8)
         np.testing.assert_array_equal(alloc, naive)
-        assert minimax_error(spec, A35, alloc) == minimax_error(spec, A35, naive)
+        p = fir_problem(spec, A35, "fixed", 8)
+        assert p.evaluate_objective(alloc) == p.evaluate_objective(naive)
 
     def test_even_tap_count_rejected(self):
         with pytest.raises(ContractViolation):
@@ -288,7 +319,7 @@ class TestLcFloatAlloc:
         np.testing.assert_allclose(m, [6.5, 5.5])
 
     def test_full_length_sum_is_exact(self):
-        m = lc_float_alloc(A35, 4, strict=False)
+        m = lc_float_alloc(A35, 4)
         assert m.sum() == pytest.approx(35 * 4, rel=1e-12)
 
     def test_stationarity_equalizes_weighted_terms(self):
@@ -298,12 +329,9 @@ class TestLcFloatAlloc:
         products = h**2 * np.exp2(-2.0 * m)
         np.testing.assert_allclose(products, products[0], rtol=1e-9)
 
-    def test_budget_below_bound_rejected(self):
-        with pytest.raises(ContractViolation, match="feasibility bound"):
-            lc_float_alloc(np.array([0.5, 0.25]), 1)
-
-    def test_strict_escape_allows_small_budgets(self):
-        m = lc_float_alloc(np.array([0.5, 0.25]), 1, strict=False)
+    def test_budget_below_bound_keeps_the_relaxed_form(self):
+        # The bound 1 + ceil(log2(GM / min|h|)) is 2 here; lc_float_map clamps.
+        m = lc_float_alloc(np.array([0.5, 0.25]), 1)
         np.testing.assert_allclose(m, [1.5, 0.5])
 
     def test_zero_coefficient_rejected(self):
@@ -325,7 +353,7 @@ class TestLcFloatMap:
         np.testing.assert_array_equal(lc_float_map(m_tilde, h, 3), [3, 2])
 
     def test_mapped_total_respects_budget(self):
-        m_tilde = lc_float_alloc(A35, 4, strict=False)
+        m_tilde = lc_float_alloc(A35, 4)
         bits = lc_float_map(m_tilde, A35, 4)
         cons = 2.0 * bits[:-1].sum() + bits[-1]
         assert cons <= 35 * 4

@@ -141,9 +141,10 @@ class TestTaskValidation:
 
 class TestQuantizeGradient:
     def test_zero_gradient_passes_through(self):
-        np.testing.assert_array_equal(
-            quantize_gradient(np.zeros(3), np.full(3, 4)), np.zeros(3)
-        )
+        for bits in (np.full(3, 4), np.full((2, 3), 4)):
+            out = quantize_gradient(np.zeros(3), bits)
+            assert out.shape == bits.shape
+            np.testing.assert_array_equal(out, 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
@@ -329,7 +330,7 @@ class TestTrain:
         task = tiny_least_squares(t_iter=150, eta=0.005)
         result = train(task, "uniform")
         assert result.metric_trace.shape == (151,)
-        assert result.loss_trace[-1] < 1e-6 * result.loss_trace[0]
+        assert loss(task, result.z) < 1e-6 * loss(task, np.zeros(5))
         assert result.metric_trace[-1] < 1e-3 * result.metric_trace[0]
         assert (result.allocations == 4).all()
 
@@ -345,12 +346,13 @@ class TestTrain:
         task = tiny_least_squares(t_iter=3)
         result = train(task, "uniform")
         assert result.metric_trace[0] == pytest.approx(np.linalg.norm(task.z_star))
-        assert result.loss_trace[0] == pytest.approx(loss(task, np.zeros(5)))
+        assert result.metric_trace[-1] == np.linalg.norm(result.z - task.z_star)
 
     def test_metric_falls_back_to_loss(self):
         task = synthetic_classification(40, 4, eta=0.2, t_iter=3, seed=5)
         result = train(task, "uniform")
-        np.testing.assert_allclose(result.metric_trace, result.loss_trace)
+        assert result.metric_trace[0] == loss(task, np.zeros(4))
+        assert result.metric_trace[-1] == loss(task, result.z)
 
     def test_swarm_strategies_respect_budget_and_reproduce(self):
         task = tiny_least_squares(t_iter=4)
@@ -382,9 +384,8 @@ class TestTrain:
             z_star=np.zeros(3),
         )
         result = train(task, "uniform")
-        assert result.converged_at == 0
         np.testing.assert_allclose(result.metric_trace, 0.0)
-        np.testing.assert_allclose(result.loss_trace, 0.0)
+        np.testing.assert_array_equal(result.z, 0.0)
         assert result.allocations.shape == (4, 3)
 
     def test_unknown_strategy_rejected(self):

@@ -41,3 +41,12 @@ def test_readme_states_the_shipped_schedule():
     for start, end in (swarm.W_SCHEDULE, swarm.C1_SCHEDULE, swarm.C2_SCHEDULE):
         assert f"from {start} to {end}" in text
     assert f"clamped to ±{swarm.V_MAX:g}" in text
+
+
+def test_readme_states_the_cell_geometry():
+    from bitalloc import receiver
+
+    text = " ".join(README.split())
+    assert f"a {receiver.CELL_RADIUS:g} m hexagon with a {receiver.R_MIN:g} m exclusion" in text
+    exponent, shadowing = receiver.PATH_LOSS_EXPONENT, receiver.SHADOWING_DB
+    assert f"path-loss exponent {exponent:g} and {shadowing:g} dB" in text

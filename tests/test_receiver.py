@@ -7,6 +7,8 @@ import pytest
 
 from bitalloc.problem import ContractViolation
 from bitalloc.receiver import (
+    CELL_RADIUS,
+    R_MIN,
     ChannelRealization,
     SystemConfig,
     _sample_cell_positions,
@@ -68,10 +70,11 @@ class TestSystemConfig:
             {"m_antennas": 4, "k_users": 5},
             {"k_users": 0},
             {"p_u": 0.0},
-            {"r_min": 1000.0, "cell_radius": 1000.0},
-            {"r_min": 0.0},
+            {"p_u": -1.0},
+            {"p_u": float("nan")},
             {"budget_bits": 0},
             {"mc_channels": 0},
+            {"p_u": float("inf")},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -81,15 +84,14 @@ class TestSystemConfig:
 
 class TestGeometry:
     def test_positions_stay_inside_hexagon_outside_exclusion(self):
-        cfg = SystemConfig(m_antennas=8, k_users=4)
         rng = np.random.default_rng(31)
-        pos = _sample_cell_positions(cfg, rng, 500)
+        pos = _sample_cell_positions(rng, 500)
         x, y = pos[:, 0], pos[:, 1]
         root3 = math.sqrt(3.0)
         tol = 1e-9
-        assert (np.abs(y) <= root3 / 2.0 * cfg.cell_radius + tol).all()
-        assert (root3 * np.abs(x) + np.abs(y) <= root3 * cfg.cell_radius + tol).all()
-        assert (np.hypot(x, y) >= cfg.r_min - tol).all()
+        assert (np.abs(y) <= root3 / 2.0 * CELL_RADIUS + tol).all()
+        assert (root3 * np.abs(x) + np.abs(y) <= root3 * CELL_RADIUS + tol).all()
+        assert (np.hypot(x, y) >= R_MIN - tol).all()
 
     def test_large_scale_gains_positive(self):
         cfg = SystemConfig(m_antennas=8, k_users=6)
@@ -100,8 +102,9 @@ class TestGeometry:
     def test_small_scale_fading_is_unit_power(self):
         cfg = SystemConfig(m_antennas=200, k_users=100)
         rng = np.random.default_rng(12)
-        channel = generate_channel(cfg, rng, gamma=np.ones(100))
-        mean_power = (np.abs(channel.G) ** 2).mean()
+        channel = generate_channel(cfg, rng)
+        fading = channel.G / np.sqrt(channel.gamma)[None, :]
+        mean_power = (np.abs(fading) ** 2).mean()
         assert mean_power == pytest.approx(1.0, rel=0.02)
 
 
@@ -160,8 +163,6 @@ class TestErgodicProblem:
         budget_bits=1,
         mc_channels=8,
         seed=3,
-        cell_radius=500.0,
-        r_min=50.0,
     )
 
     def test_channel_set_is_seed_deterministic(self):
@@ -171,23 +172,14 @@ class TestErgodicProblem:
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.G, cb.G)
         other = draw_realizations(
-            SystemConfig(
-                m_antennas=4, k_users=2, budget_bits=1, mc_channels=8, seed=4,
-                cell_radius=500.0, r_min=50.0,
-            )
+            SystemConfig(m_antennas=4, k_users=2, budget_bits=1, mc_channels=8, seed=4)
         )
         assert not np.array_equal(a[0].G, other[0].G)
 
-    def test_large_scale_redraw_flag(self):
-        fixed = SystemConfig(
-            m_antennas=4, k_users=2, mc_channels=3, redraw_large_scale=False
-        )
-        cs = draw_realizations(fixed)
-        np.testing.assert_array_equal(cs[0].gamma, cs[1].gamma)
-        redrawn = draw_realizations(
-            SystemConfig(m_antennas=4, k_users=2, mc_channels=3)
-        )
-        assert not np.array_equal(redrawn[0].gamma, redrawn[1].gamma)
+    def test_users_are_redrawn_per_channel(self):
+        cs = draw_realizations(SystemConfig(m_antennas=4, k_users=2, mc_channels=3))
+        assert not np.array_equal(cs[0].gamma, cs[1].gamma)
+        assert not np.array_equal(cs[1].gamma, cs[2].gamma)
 
     def test_problem_dimensions_and_budget(self):
         p = receiver_problem(self.CFG)
