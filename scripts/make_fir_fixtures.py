@@ -2,10 +2,11 @@
 """Regenerate the equiripple filter fixtures under fixtures/.
 
 Each fixture is a Type I (odd-length, even-symmetric) linear-phase FIR
-design produced by the Remez exchange algorithm for one of four band
-layouts, at 35 and 45 taps. Coefficients are written one per line at
-full double precision, so reruns are byte-identical for a given scipy
-version.
+design produced by the Remez exchange algorithm for one of the four
+band layouts in bitalloc.fir.BENCHMARKS, at 35 and 45 taps, plus a
+7-tap toy lowpass. Coefficients are written one per line at full
+double precision, so reruns are byte-identical for a given scipy
+version. Needs bitalloc importable (installed, or PYTHONPATH=src).
 
 Usage: python3 scripts/make_fir_fixtures.py [output_dir]
 """
@@ -16,58 +17,35 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import remez
 
-# Band edges as fractions of the Nyquist frequency (== multiples of pi
-# for the corresponding angular frequencies), with per-band desired
-# values and weights.
-DESIGNS = {
-    "a": dict(
-        bands=[0.0, 0.4, 0.5, 1.0],
-        desired=[1.0, 0.0],
-        weight=[1.0, 1.0],
-        label="lowpass, pass [0, 0.4pi], stop [0.5pi, pi], weights 1/1",
-    ),
-    "b": dict(
-        bands=[0.0, 0.4, 0.5, 1.0],
-        desired=[1.0, 0.0],
-        weight=[1.0, 10.0],
-        label="lowpass, pass [0, 0.4pi], stop [0.5pi, pi], weights 1/10",
-    ),
-    "c": dict(
-        bands=[0.0, 0.24, 0.4, 0.68, 0.84, 1.0],
-        desired=[1.0, 0.0, 1.0],
-        weight=[1.0, 1.0, 1.0],
-        label="bandstop, pass [0, 0.24pi] and [0.84pi, pi], stop [0.4pi, 0.68pi]",
-    ),
-    "d": dict(
-        bands=[0.02, 0.42, 0.52, 0.98],
-        desired=[1.0, 0.0],
-        weight=[1.0, 1.0],
-        label="lowpass with offset edges, pass [0.02pi, 0.42pi], stop [0.52pi, 0.98pi]",
-    ),
+from bitalloc.fir import BENCHMARKS
+
+LABELS = {
+    "a": "lowpass, pass [0, 0.4pi], stop [0.5pi, pi], weights 1/1",
+    "b": "lowpass, pass [0, 0.4pi], stop [0.5pi, pi], weights 1/10",
+    "c": "bandstop, pass [0, 0.24pi] and [0.84pi, pi], stop [0.4pi, 0.68pi]",
+    "d": "lowpass with offset edges, pass [0.02pi, 0.42pi], stop [0.52pi, 0.98pi]",
 }
 
 LENGTHS = (35, 45)
 
 
-def design(letter: str, n_taps: int) -> np.ndarray:
-    cfg = DESIGNS[letter]
-    h = remez(
-        n_taps,
-        cfg["bands"],
-        cfg["desired"],
-        weight=cfg["weight"],
-        fs=2.0,
-        grid_density=64,
-    )
+def design(n_taps: int, bands, desired, weights) -> np.ndarray:
+    """Remez design; band edges in multiples of pi (fractions of Nyquist)."""
+    edges = [edge for band in bands for edge in band]
+    h = remez(n_taps, edges, desired, weight=weights, fs=2.0, grid_density=64)
     # The exchange algorithm returns a numerically symmetric impulse
     # response; make the symmetry exact so ingestion checks are strict.
     h = 0.5 * (h + h[::-1])
-    assert np.abs(h).max() < 1.0, f"{letter}{n_taps}: coefficients out of (-1, 1)"
+    assert np.abs(h).max() < 1.0, f"{n_taps} taps: coefficients out of (-1, 1)"
     return h
 
 
-def write_fixture(path: Path, h: np.ndarray, header: list[str]) -> None:
-    lines = list(header) + [f"{c:.17g}" for c in h]
+def write_fixture(path: Path, h: np.ndarray, label: str) -> None:
+    header = [
+        f"# {h.size}-tap equiripple {label}",
+        "# generated by scripts/make_fir_fixtures.py (Remez exchange, grid density 64)",
+    ]
+    lines = header + [f"{c:.17g}" for c in h]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({h.size} taps)")
 
@@ -75,29 +53,14 @@ def write_fixture(path: Path, h: np.ndarray, header: list[str]) -> None:
 def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "fixtures"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for letter, cfg in DESIGNS.items():
+    for letter, label in LABELS.items():
         for n_taps in LENGTHS:
-            write_fixture(
-                out_dir / f"{letter}{n_taps}.txt",
-                design(letter, n_taps),
-                [
-                    f"# {n_taps}-tap equiripple {cfg['label']}",
-                    "# generated by scripts/make_fir_fixtures.py (Remez exchange, grid density 64)",
-                ],
-            )
+            h = design(n_taps, *BENCHMARKS[letter])
+            write_fixture(out_dir / f"{letter}{n_taps}.txt", h, label)
     # Tiny lowpass used by configs/fir_toy_oracle.ini; dimension 4 keeps
     # the exhaustive search cheap.
-    toy = remez(7, [0.0, 0.4, 0.6, 1.0], [1.0, 0.0], fs=2.0, grid_density=64)
-    toy = 0.5 * (toy + toy[::-1])
-    assert np.abs(toy).max() < 1.0
-    write_fixture(
-        out_dir / "toy7.txt",
-        toy,
-        [
-            "# 7-tap equiripple lowpass toy, pass [0, 0.4pi], stop [0.6pi, pi]",
-            "# generated by scripts/make_fir_fixtures.py (Remez exchange, grid density 64)",
-        ],
-    )
+    toy = design(7, ((0.0, 0.4), (0.6, 1.0)), (1.0, 0.0), (1.0, 1.0))
+    write_fixture(out_dir / "toy7.txt", toy, "lowpass toy, pass [0, 0.4pi], stop [0.6pi, pi]")
     return 0
 
 

@@ -152,6 +152,13 @@ def _bits_str(bits) -> str:
     return " ".join(str(int(b)) for b in np.asarray(bits).ravel())
 
 
+def _add_failed(rows: list, labels: dict, strategy, message) -> None:
+    """Report a strategy that gave no allocation and append its nan row."""
+    at = "".join(f" at {name} = {value}" for name, value in labels.items())
+    print(f"strategy {strategy}{at}: {message}", file=sys.stderr)
+    rows.append([*map(_fmt, labels.values()), strategy, "nan", "nan", ""])
+
+
 def _add_result(rows: list, summary: list, labels: dict, strategy, key, value, cons, bits):
     """Append one results.csv row and its summary.json entry."""
     rows.append([*map(_fmt, labels.values()), strategy, _fmt(value), _fmt(cons), _bits_str(bits)])
@@ -213,8 +220,8 @@ def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case
         budget_bits = keys["budget_bits"]
         if keys["kind"] == "fixed":
             return fir.lc_fixed_alloc(coeffs.n_taps, budget_bits)
-        relaxed = fir.lc_float_alloc(coeffs, budget_bits)
-        return fir.lc_float_map(relaxed, coeffs, budget_bits)
+        relaxed = fir.lc_float_alloc(coeffs.h, budget_bits)
+        return fir.lc_float_map(relaxed, coeffs.h, budget_bits)
 
     yield _Case(problem, lc=lc)
 
@@ -235,8 +242,11 @@ def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[
     if clash:
         raise _fail("[receiver] p_u_db", f"{', '.join(clash)} would share trace files; "
                     "list each power once")
-    cfgs = [section.build(receiver.SystemConfig, p_u=10.0 ** (p / 10.0), seed=seed)
-            for p in p_u_db_list]
+    try:
+        p_u_list = [10.0 ** (p / 10.0) for p in p_u_db_list]
+    except OverflowError:
+        raise _fail("[receiver] p_u_db", "powers above about 3082 dB overflow a float") from None
+    cfgs = [section.build(receiver.SystemConfig, p_u=p_u, seed=seed) for p_u in p_u_list]
     for cfg, p_u_db, suffix in zip(cfgs, p_u_db_list, suffixes):
         yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
@@ -320,12 +330,6 @@ def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
     """Solve every case with every strategy and score each allocation."""
     swarm_cfg = ex.swarm or SwarmConfig(seed=ex.seed)
     rows, traces, summary = [], {}, []
-
-    def failed(case: _Case, strategy: str, message) -> None:
-        at = "".join(f" at {name} = {value}" for name, value in case.labels.items())
-        print(f"strategy {strategy}{at}: {message}", file=sys.stderr)
-        rows.append([*map(_fmt, case.labels.values()), strategy, "nan", "nan", ""])
-
     for case in ex.cases():
         problem = case.problem
         for strategy in strategies:
@@ -341,13 +345,14 @@ def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
                     result = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, swarm_cfg)
                     bits, trace = result.best, result.trace
             except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
-                failed(case, strategy, exc)
+                _add_failed(rows, case.labels, strategy, exc)
                 continue
             cons = problem.evaluate_consumption(bits)
             if cons > problem.budget:
                 # A penalized search can end over budget when the penalty is too weak.
-                failed(case, strategy, f"allocation {_bits_str(bits)} consumes {_fmt(cons)}, "
-                       f"over the budget of {_fmt(problem.budget)}")
+                _add_failed(rows, case.labels, strategy,
+                            f"allocation {_bits_str(bits)} consumes {_fmt(cons)}, "
+                            f"over the budget of {_fmt(problem.budget)}")
                 continue
             if trace is not None:
                 traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
@@ -369,7 +374,11 @@ def _run_qgd(ex: _Experiment, strategies, out_dir: Path) -> list:
     rows, summary = [], []
     for strategy in strategies:
         qgd_strategy = "uniform" if strategy == "naive" else strategy
-        result = qgd.train(task, qgd_strategy, swarm_config=ex.swarm)
+        try:
+            result = qgd.train(task, qgd_strategy, swarm_config=ex.swarm)
+        except InfeasibleBudgetError as exc:
+            _add_failed(rows, {}, strategy, exc)
+            continue
         trace_rows = [
             [t, _fmt(value), int(result.allocations[t - 1].sum()) if t else 0]
             for t, value in enumerate(result.metric_trace)
@@ -412,23 +421,21 @@ def run_experiment(config_path) -> int:
     ex = _Experiment(Path(config_path))
     application = ex.section.name
     strategies = _split_list(ex.exp.raw("strategies"))
-    known = dict.fromkeys(s for app in _APPLICATIONS.values() for s in app.strategies)
     for strategy in strategies:
-        if strategy not in known:
-            raise _fail(
-                "[experiment] strategies",
-                f"unknown strategy {strategy!r}; valid: {', '.join(known)}",
-            )
         if strategy not in ex.app.strategies:
             raise _fail(
                 "[experiment] strategies",
-                f"strategy {strategy!r} is not valid for application {application!r}",
+                f"strategy {strategy!r} is not valid for application {application!r}; "
+                f"valid: {', '.join(ex.app.strategies)}",
             )
         if strategies.count(strategy) > 1:
             raise _fail("[experiment] strategies", f"strategy {strategy!r} is listed more than once")
     if not strategies:
         raise _fail("[experiment] strategies", "at least one strategy is required")
     out_dir = ex.config_dir / ex.exp.get("output_dir", "results")
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():  # checked before any strategy is solved
+        raise _fail("[experiment] output_dir", f"{existing} exists and is not a directory")
     summary = ex.app.run(ex, strategies, out_dir)
     if ex.exp.get("json_summary", False):
         payload = {"application": application, "seed": ex.seed, "results": summary}

@@ -76,10 +76,11 @@ class FilterSpec:
         return cls(bands=scaled, desired=tuple(desired), weights=tuple(weights), n_taps=n_taps)
 
 
-# Benchmark band layouts, edges in multiples of pi: a lowpass pair, the
-# same pair with a 10x stopband weight, a two-notch bandstop, and a
-# lowpass with offset band edges.
-_BENCHMARKS = {
+# Benchmark band layouts, (band edges in multiples of pi, desired,
+# weights): a lowpass pair, the same pair with a 10x stopband weight, a
+# bandstop, and a lowpass with offset band edges. The fixtures under
+# fixtures/ are designed from these (scripts/make_fir_fixtures.py).
+BENCHMARKS = {
     "a": (((0.0, 0.4), (0.5, 1.0)), (1.0, 0.0), (1.0, 1.0)),
     "b": (((0.0, 0.4), (0.5, 1.0)), (1.0, 0.0), (1.0, 10.0)),
     "c": (
@@ -94,9 +95,9 @@ _BENCHMARKS = {
 def benchmark_spec(letter: str, n_taps: int) -> FilterSpec:
     """One of the four benchmark design targets at a given length."""
     key = letter.lower()
-    if key not in _BENCHMARKS:
+    if key not in BENCHMARKS:
         raise ContractViolation(f"unknown benchmark letter {letter!r}; use one of a, b, c, d")
-    bands, desired, weights = _BENCHMARKS[key]
+    bands, desired, weights = BENCHMARKS[key]
     return FilterSpec.of_pi(bands=bands, desired=desired, weights=weights, n_taps=n_taps)
 
 
@@ -187,15 +188,14 @@ def band_grid(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _quantize_half_batch(
     half: np.ndarray, bits: np.ndarray, kind: str, exp_bits: int
 ) -> np.ndarray:
-    """Quantize the unique coefficients under each row's allocation."""
+    """Quantize the unique coefficients under each row's allocation;
+    kind is 'fixed' or 'float', as fir_problem checked."""
     if kind == "fixed":
         # Allocation counts total wordlength: one sign bit, b - 1
         # fractional bits.
         return quantize_fixed_bits(half[None, :], bits - 1)
-    if kind == "float":
-        values, _ = quantize_float_bits(half[None, :], exp_bits, bits)
-        return values
-    raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
+    values, _ = quantize_float_bits(half[None, :], exp_bits, bits)
+    return values
 
 
 class _MinimaxEvaluator:
@@ -290,7 +290,8 @@ def lc_fixed_alloc(n_taps: int, budget_bits: int) -> np.ndarray:
 
 
 def lc_float_alloc(h, m_bar: int) -> np.ndarray:
-    """Relaxed (real-valued) mantissa allocation, full filter length.
+    """Relaxed (real-valued) mantissa allocation of the full impulse
+    response h (an array, such as CoefficientSet.h).
 
     m[n] = m_bar + log2(|h[n]| / GM(h)), where GM is the geometric mean
     of the coefficient magnitudes; the sum over the full length equals
@@ -301,8 +302,6 @@ def lc_float_alloc(h, m_bar: int) -> np.ndarray:
     with very small edge coefficients, some entries fall under one
     mantissa bit; lc_float_map clamps them.
     """
-    if isinstance(h, CoefficientSet):
-        h = h.h
     h = np.asarray(h, dtype=float)
     if (h == 0).any():
         raise ContractViolation(
@@ -324,11 +323,10 @@ def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
         K(i) = (2^(-2 floor(m~_i)) - 2^(-2 m~_i)) * c_i / (m~_i - floor(m~_i)),
 
     is dropped to its floor. Coordinates whose floor would fall below
-    one mantissa bit are never demoted. Operates on (and returns) the
-    unique-coefficient half of the symmetric filter.
+    one mantissa bit are never demoted. m_tilde and h are full-length
+    arrays (h such as CoefficientSet.h); the result is the allocation
+    of the unique-coefficient half of the symmetric filter.
     """
-    if isinstance(h, CoefficientSet):
-        h = h.h
     h = np.asarray(h, dtype=float)
     m_tilde = np.asarray(m_tilde, dtype=float)
     if m_tilde.shape != h.shape:

@@ -176,9 +176,10 @@ def penalized_fitness_batch(
     problem: AllocationProblem, mat, penalty_weight: float
 ) -> np.ndarray:
     """F plus penalty_weight times the budget violation, if any, of
-    every row; the penalized swarm's cost."""
-    if not penalty_weight > 0:
-        raise ContractViolation(f"penalty_weight must be > 0, got {penalty_weight}")
+    every row; the penalized swarm's cost. The weight must be finite,
+    since inf times a zero violation is NaN."""
+    if not 0 < penalty_weight < np.inf:
+        raise ContractViolation(f"need a finite penalty_weight > 0, got {penalty_weight}")
     excess = problem.evaluate_consumption_batch(mat) - problem.budget
     return problem.evaluate_objective_batch(mat) + penalty_weight * np.maximum(0.0, excess)
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation
+from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError
 from .quantizers import quantize_fixed_bits
 from .swarm import RunResult, SwarmConfig, run_gcpso, run_ppso
 
@@ -47,7 +47,6 @@ class QgdTask:
     budget_bits: int
     z_star: Optional[np.ndarray] = None
     seed: int = 0
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("least_squares", "logistic"):
@@ -88,10 +87,6 @@ class QgdTask:
     def _gram(self) -> np.ndarray:
         """features^T features, shared by every step's least-squares problem."""
         return self.features.T @ self.features
-
-    @cached_property
-    def _gram_diag(self) -> np.ndarray:
-        return np.diag(self._gram)
 
 
 def loss(task: QgdTask, z) -> float:
@@ -158,8 +153,8 @@ class _LeastSquaresStep:
     """
 
     # A descent run can keep every step's problem alive, so an instance
-    # holds only g and two numbers of its own; the Gram matrix and its
-    # diagonal are the task's.
+    # holds only g and two numbers of its own; the Gram matrix is the
+    # task's.
     __slots__ = ("task", "g", "norm", "l0")
 
     def __init__(self, task: QgdTask, z: np.ndarray, g: np.ndarray):
@@ -186,7 +181,7 @@ class _LeastSquaresStep:
         gq = q @ self.task._gram
         d = self._step(lower) - q
         eta = self.task.eta
-        change = d * (eta * eta * (gq + 0.5 * self.task._gram_diag * d) - eta * self.g)
+        change = d * (eta * eta * (gq + 0.5 * np.diag(self.task._gram) * d) - eta * self.g)
         return self._values(q, gq)[:, None] + change
 
 
@@ -262,6 +257,8 @@ def train(
     Strategies: 'uniform' spends budget_bits on every coordinate;
     'ppso' / 'gcpso' re-solve the per-step allocation problem with the
     corresponding engine, seeded per step so reruns are reproducible.
+    A step whose swarm answer spends more than the budget (a penalized
+    search whose penalty is too weak) raises InfeasibleBudgetError.
     """
     if strategy not in ("uniform", "ppso", "gcpso"):
         raise ContractViolation(
@@ -290,6 +287,10 @@ def train(
             cfg = replace(base_cfg, seed=base_cfg.seed + t)
             result: RunResult = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, cfg)
             bits = result.best
+            if bits.sum() > problem.budget:
+                raise InfeasibleBudgetError(
+                    f"step {t}: allocation {bits.tolist()} spends {bits.sum()} bits, "
+                    f"over the budget of {problem.budget:g}")
         allocations[t] = bits
         z = z - task.eta * quantize_gradient(g, bits)
         metric_trace[t + 1] = _metric(task, z)
@@ -307,25 +308,20 @@ def gaussian_least_squares(
     t_iter: int = 200,
     budget_bits: int = 4,
     seed: int = 0,
-    noise_std: float = 0.0,
 ) -> QgdTask:
-    """Random Gaussian design with a known planted target."""
+    """Random Gaussian design with a known planted target, noiseless."""
     rng = np.random.default_rng([_DATA_DOMAIN, seed])
     A = rng.standard_normal((n_rows, n_cols))
     z_star = rng.standard_normal(n_cols)
-    y = A @ z_star
-    if noise_std > 0:
-        y = y + noise_std * rng.standard_normal(n_rows)
     return QgdTask(
         kind="least_squares",
         features=A,
-        targets=y,
+        targets=A @ z_star,
         eta=eta,
         t_iter=t_iter,
         budget_bits=budget_bits,
         z_star=z_star,
         seed=seed,
-        name=f"ls-{n_rows}x{n_cols}",
     )
 
 
@@ -336,15 +332,15 @@ def synthetic_classification(
     t_iter: int = 100,
     budget_bits: int = 4,
     seed: int = 0,
-    separation: float = 2.0,
 ) -> QgdTask:
-    """Two Gaussian clouds with opposite labels, linearly separable-ish."""
+    """Two unit-variance Gaussian clouds with opposite labels, centred at
+    -u and +u for a random unit vector u; linearly separable-ish."""
     rng = np.random.default_rng([_DATA_DOMAIN, seed, 1])
     direction = rng.standard_normal(n_features)
     direction /= np.linalg.norm(direction)
     labels = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
     features = rng.standard_normal((n_samples, n_features))
-    features += (0.5 * separation) * labels[:, None] * direction[None, :]
+    features += labels[:, None] * direction[None, :]
     return QgdTask(
         kind="logistic",
         features=features,
@@ -353,7 +349,6 @@ def synthetic_classification(
         t_iter=t_iter,
         budget_bits=budget_bits,
         seed=seed,
-        name=f"logit-{n_samples}x{n_features}",
     )
 
 
@@ -413,5 +408,4 @@ def load_sparse_dataset(
         t_iter=t_iter,
         budget_bits=budget_bits,
         seed=seed,
-        name=Path(path).stem,
     )

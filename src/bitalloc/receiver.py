@@ -178,11 +178,6 @@ class _RateEvaluator:
             )
         return out
 
-    def unquantized_rate(self) -> float:
-        """Mean sum rate at infinite resolution (alpha = 1, beta = 0)."""
-        m = self.U.shape[1]
-        return float(self.mean_rates(np.ones((1, m)), np.zeros((1, m)))[0])
-
 
 def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
     """Sum achievable rate of one realization under one bit allocation."""
@@ -230,5 +225,8 @@ def receiver_problem(cfg: SystemConfig) -> AllocationProblem:
 
 
 def unquantized_reference(cfg: SystemConfig) -> float:
-    """Ergodic unquantized sum rate over the same pinned channel set."""
-    return _RateEvaluator(draw_realizations(cfg), cfg.p_u).unquantized_rate()
+    """Ergodic sum rate at infinite resolution (alpha = 1, beta = 0) over
+    the same pinned channel set."""
+    ev = _RateEvaluator(draw_realizations(cfg), cfg.p_u)
+    m = cfg.m_antennas
+    return float(ev.mean_rates(np.ones((1, m)), np.zeros((1, m)))[0])

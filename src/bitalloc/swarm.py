@@ -53,7 +53,7 @@ full objective.
 
 from __future__ import annotations
 
-import time
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -108,8 +108,8 @@ class SwarmConfig:
     def __post_init__(self):
         if self.n_pop < 1 or self.i_iter < 1 or self.restarts < 1:
             raise ContractViolation("n_pop, i_iter and restarts must all be >= 1")
-        if not self.penalty_weight > 0:
-            raise ContractViolation(f"penalty_weight must be > 0, got {self.penalty_weight}")
+        if not 0 < self.penalty_weight < math.inf:
+            raise ContractViolation(f"need a finite penalty_weight > 0, got {self.penalty_weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +122,10 @@ class RunResult:
     variant. trace[k] is the incumbent cost after k iterations
     (trace[0] follows the initial evaluation), so it has i_iter + 1
     entries and is nonincreasing. When the search ran with restarts,
-    seed records which restart produced the winner and elapsed the
-    total wall time over all restarts. objective_rows counts the rows
-    sent to the problem's objective over all restarts; it is
-    deterministic, and below the rows the engine asked for when the
-    search memoized. step_down_rows counts the candidates valued by the
+    seed records which restart produced the winner. objective_rows
+    counts the rows sent to the problem's objective over all restarts;
+    it is deterministic, and below the rows the engine asked for when
+    the search memoized. step_down_rows counts the candidates valued by the
     problem's objective_step_down hook, r * n per call for r rows of n
     coordinates (0 without the hook), so objective_rows +
     step_down_rows is all the valuation work of the search.
@@ -136,7 +135,6 @@ class RunResult:
     best_cost: float
     trace: np.ndarray
     seed: int
-    elapsed: float
     objective_rows: int
     step_down_rows: int
 
@@ -352,7 +350,6 @@ def _run_single(
 
 
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
-    t0 = time.perf_counter()
     objective = _Objective(problem, config)
     use_hook = problem.objective_step_down is not None and objective.table is None
     searched = replace(
@@ -373,7 +370,6 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
         best_cost=g_cost,
         trace=trace,
         seed=seed,
-        elapsed=time.perf_counter() - t0,
         objective_rows=objective.rows,
         step_down_rows=objective.step_down_rows,
     )

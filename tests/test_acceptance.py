@@ -206,7 +206,7 @@ def test_criterion_04_benchmark_orderings_and_published_anchors():
         m_bar = FLOAT_BUDGETS[letter]
         p_flt = fir_problem(spec, coeffs, "float", m_bar, exp_bits=5)
         naive_flt = p_flt.evaluate_objective(np.full(18, m_bar))
-        lc_bits = lc_float_map(lc_float_alloc(coeffs, m_bar), coeffs, m_bar)
+        lc_bits = lc_float_map(lc_float_alloc(coeffs.h, m_bar), coeffs.h, m_bar)
         lc_err = p_flt.evaluate_objective(lc_bits)
         pp_f = run_ppso(p_flt, swarm_cfg)
         gc_f = run_gcpso(p_flt, swarm_cfg)

@@ -266,9 +266,11 @@ class TestRunValidation:
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
             "naive, lc, ppso, gcpso, oracle", "naive, simulated_annealing"
         )
-        self.run_expecting_config_error(
+        err = self.run_expecting_config_error(
             tmp_path, text, "[experiment] strategies", capsys
         )
+        assert ("strategy 'simulated_annealing' is not valid for application 'fir'; "
+                "valid: naive, lc, ppso, gcpso, oracle") in err
 
     def test_repeated_strategy_named(self, tmp_path, capsys):
         # Each listed strategy writes its own results row and trace file.
@@ -293,12 +295,28 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_infinite_power_rejected(self, tmp_path, capsys, command):
-        # An infinite p_u made every SINR NaN, which the rate read as 0.
+        # An infinite p_u made every SINR NaN, which the rate read as 0, and
+        # 4000 dB overflowed on the way to a linear power.
         # The oracle solves only the first power, so every power is checked first.
-        text = RECEIVER_CONFIG + "p_u_db = 0, inf\n"
-        err = self.run_expecting_config_error(tmp_path, text, "[receiver]", capsys, command)
-        assert "p_u must be positive and finite, got inf" in err
-        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+        for powers, message in [
+            ("0, inf", "[receiver]: p_u must be positive and finite, got inf"),
+            ("0, 4000", "[receiver] p_u_db: powers above about 3082 dB overflow a float"),
+        ]:
+            text = RECEIVER_CONFIG + f"p_u_db = {powers}\n"
+            self.run_expecting_config_error(tmp_path, text, message, capsys, command)
+            assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
+    @pytest.mark.parametrize("output_dir", ["out", "out/sub"])
+    def test_output_dir_naming_a_file_rejected(self, tmp_path, capsys, output_dir):
+        # Rejected before any strategy is solved, not when the results are written.
+        (tmp_path / "out").write_text("a file\n")
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+            "output_dir = out", f"output_dir = {output_dir}"
+        )
+        err = self.run_expecting_config_error(tmp_path, text, "[experiment] output_dir", capsys)
+        assert f"{tmp_path / 'out'} exists and is not a directory" in err
+        assert "strategy" not in err
+        assert (tmp_path / "out").read_text() == "a file\n"
 
     def test_strategy_application_mismatch(self, tmp_path, capsys):
         text = """\
@@ -347,10 +365,10 @@ benchmark = a
         )
 
     def test_invalid_swarm_setting_rejected(self, tmp_path, capsys):
-        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
-            "n_pop = 60", "n_pop = 0"
-        )
-        self.run_expecting_config_error(tmp_path, text, "[swarm]", capsys)
+        base = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS)
+        # An infinite penalty weight made the penalized fitness NaN at every feasible row.
+        for text in [base.replace("n_pop = 60", "n_pop = 0"), base + "penalty_weight = inf\n"]:
+            self.run_expecting_config_error(tmp_path, text, "[swarm]", capsys)
 
     @pytest.mark.parametrize(
         "line", ["n_popp = 5", "restart = 99", "seed = 3", "w_min = 0.5", "v_max = 2"]
@@ -370,6 +388,7 @@ benchmark = a
             ("receiver", "receiver", "m_antenna = 8"),
             ("qgd", "qgd", "n_row = 30"),
             ("qgd", "qgd", "n_samples = 30"),  # a logistic key under task = least_squares
+            ("qgd", "qgd", "noise_std = 0.5"),
             # model constants, not options
             ("fir", "fir", "points_per_tap = 8"),
             ("receiver", "receiver", "cell_radius = 500"),
@@ -464,6 +483,39 @@ def test_over_budget_penalized_answer_is_a_failed_row(tmp_path, capsys):
     assert not (tmp_path / "out" / "trace_ppso.csv").exists()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "ppso" not in [entry["strategy"] for entry in summary["results"]]
+
+
+def test_over_budget_qgd_step_is_a_failed_row(tmp_path, capsys):
+    # As above: the weak penalty lets step 0's allocation spend 7 of 5 bits.
+    text = """\
+[experiment]
+application = qgd
+strategies = naive, ppso
+seed = 0
+output_dir = out
+
+[qgd]
+task = least_squares
+n_rows = 50
+n_cols = 5
+eta = 0.01
+t_iter = 6
+budget_bits = 1
+
+[swarm]
+n_pop = 20
+i_iter = 10
+restarts = 1
+penalty_weight = 1e-9
+"""
+    config = write_config(tmp_path, text)
+    assert cli.main(["run", str(config)]) == 0
+    assert ("strategy ppso: step 0: allocation [1, 1, 1, 3, 1] spends 7 bits, "
+            "over the budget of 5") in capsys.readouterr().err
+    _, rows = read_results(tmp_path / "out")
+    assert rows[1] == {"strategy": "ppso", "final_metric": "nan", "consumption": "nan", "bits": ""}
+    assert rows[0]["strategy"] == "naive"
+    assert not (tmp_path / "out" / "trace_ppso.csv").exists()
 
 
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)

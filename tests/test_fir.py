@@ -1,6 +1,9 @@
 """Filter design target, minimax objective and closed-form allocators."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +90,18 @@ class TestBenchmarkSpec:
     def test_unknown_letter_rejected(self):
         with pytest.raises(ContractViolation, match="unknown benchmark"):
             benchmark_spec("q", 35)
+
+    def test_fixture_script_rebuilds_the_fixtures(self, tmp_path):
+        # The script designs the fixtures from BENCHMARKS; byte equality
+        # holds for the scipy release the fixtures were made with.
+        pytest.importorskip("scipy")
+        root = FIXTURE_DIR.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        script = root / "scripts" / "make_fir_fixtures.py"
+        subprocess.run([sys.executable, str(script), str(tmp_path)], env=env, check=True,
+                       capture_output=True)
+        expected = {p.name: p.read_bytes() for p in FIXTURE_DIR.iterdir()}
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
 
 
 class TestCoefficientSet:
@@ -319,7 +334,7 @@ class TestLcFloatAlloc:
         np.testing.assert_allclose(m, [6.5, 5.5])
 
     def test_full_length_sum_is_exact(self):
-        m = lc_float_alloc(A35, 4)
+        m = lc_float_alloc(A35.h, 4)
         assert m.sum() == pytest.approx(35 * 4, rel=1e-12)
 
     def test_stationarity_equalizes_weighted_terms(self):
@@ -353,8 +368,8 @@ class TestLcFloatMap:
         np.testing.assert_array_equal(lc_float_map(m_tilde, h, 3), [3, 2])
 
     def test_mapped_total_respects_budget(self):
-        m_tilde = lc_float_alloc(A35, 4)
-        bits = lc_float_map(m_tilde, A35, 4)
+        m_tilde = lc_float_alloc(A35.h, 4)
+        bits = lc_float_map(m_tilde, A35.h, 4)
         cons = 2.0 * bits[:-1].sum() + bits[-1]
         assert cons <= 35 * 4
         assert (bits >= 1).all()

@@ -152,6 +152,8 @@ class TestPenalizedFitness:
             penalized_fitness_batch(p, [[3]], 0.0)
         with pytest.raises(ContractViolation):
             penalized_fitness_batch(p, [[3]], -1.0)
+        with pytest.raises(ContractViolation):  # inf * a zero violation is NaN
+            penalized_fitness_batch(p, [[3]], np.inf)
 
     def test_batch_matches_scalar(self):
         p = weighted_msqe_problem([1.0, 2.0, 4.0], budget=7.0, budget_bits=2)

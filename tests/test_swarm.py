@@ -49,6 +49,7 @@ class TestSwarmConfig:
             {"penalty_weight": -1.0},
             {"penalty_weight": float("nan")},
             {"penalty_weight": 0.0},
+            {"penalty_weight": float("inf")},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
