@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError
+from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks
 from .quantizers import quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
@@ -218,12 +218,10 @@ class _MinimaxEvaluator:
         return np.abs((response - self.desired) * self.grid_weights).max(axis=1)
 
     def error_of_bits(self, bits: np.ndarray, kind: str, exp_bits: int) -> np.ndarray:
-        out = np.empty(bits.shape[0])
-        for start in range(0, bits.shape[0], _CHUNK_ROWS):
-            chunk = bits[start : start + _CHUNK_ROWS]
-            rows = _quantize_half_batch(self.half, chunk, kind, exp_bits)
-            out[start : start + _CHUNK_ROWS] = self.error_of_half_rows(rows)
-        return out
+        def error(chunk):
+            return self.error_of_half_rows(_quantize_half_batch(self.half, chunk, kind, exp_bits))
+
+        return by_chunks(error, bits, _CHUNK_ROWS)
 
 
 def full_precision_error(spec: FilterSpec, coeffs: CoefficientSet) -> float:

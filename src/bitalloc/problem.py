@@ -8,8 +8,9 @@ per row; single-vector evaluation goes through the same callables on a
 one-row matrix, so every formula has exactly one implementation. A
 scalar function f lifts to the batch form with ``lambda mat:
 np.array([f(row) for row in mat])``. This module adds the penalty
-wrapper used by the penalized swarm, the lattice index, and an
-exhaustive oracle for desk-scale instances.
+wrapper used by the penalized swarm, the row chunking of the batch
+kernels, the lattice index, and an exhaustive oracle for desk-scale
+instances.
 
 Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
@@ -172,6 +173,15 @@ class AllocationProblem:
         return self.evaluate_consumption(b) <= self.budget
 
 
+def by_chunks(fn: BatchFunction, mat: np.ndarray, chunk_rows: int) -> np.ndarray:
+    """fn over blocks of at most chunk_rows rows of mat, so a batch kernel's
+    temporaries stay bounded; one value per row, empty for no rows."""
+    out = np.empty(mat.shape[0])
+    for start in range(0, mat.shape[0], chunk_rows):
+        out[start : start + chunk_rows] = fn(mat[start : start + chunk_rows])
+    return out
+
+
 def penalized_fitness_batch(
     problem: AllocationProblem, mat, penalty_weight: float
 ) -> np.ndarray:
@@ -187,10 +197,16 @@ def penalized_fitness_batch(
 def lattice_index(problem: AllocationProblem, mat) -> np.ndarray:
     """Each row's index in the lattice of allowed allocations: b - lo in
     mixed radix len(allowed_values), first coordinate most significant,
-    so index order is lexicographic. The swarm's memo keys rows by it;
-    brute_force_optimum decodes it with its inverse, np.unravel_index."""
+    so index order is lexicographic. The swarm's memos key rows by it
+    and brute_force_optimum enumerates it; lattice_rows is its inverse."""
     shape = (len(problem.allowed_values),) * problem.dimension
     return np.ravel_multi_index(tuple((np.asarray(mat) - problem.allowed_values[0]).T), shape)
+
+
+def lattice_rows(problem: AllocationProblem, index) -> np.ndarray:
+    """The (len(index), N) int64 allocations with these lattice_index values."""
+    shape = (len(problem.allowed_values),) * problem.dimension
+    return np.stack(np.unravel_index(index, shape), axis=1) + problem.allowed_values[0]
 
 
 def brute_force_optimum(
@@ -215,8 +231,7 @@ def brute_force_optimum(
     best_vec: Optional[np.ndarray] = None
     best_val = np.inf
     for start in range(0, size, 65536):
-        index = np.arange(start, min(start + 65536, size))
-        chunk = np.stack(np.unravel_index(index, (base,) * n), axis=1) + problem.allowed_values[0]
+        chunk = lattice_rows(problem, np.arange(start, min(start + 65536, size)))
         feasible = problem.evaluate_consumption_batch(chunk) <= problem.budget
         if not feasible.any():
             continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation
+from .problem import AllocationProblem, ContractViolation, by_chunks
 
 # Normalized distortion of an optimal scalar quantizer for a unit-power
 # Gaussian input, per bit width; beyond five bits the asymptotic
@@ -170,13 +170,9 @@ class _RateEvaluator:
 
     def ergodic_rates(self, bits: np.ndarray) -> np.ndarray:
         """Mean sum rate per allocation row, averaged over realizations."""
-        out = np.empty(bits.shape[0])
-        for start in range(0, bits.shape[0], _CHUNK_ROWS):
-            chunk = bits[start : start + _CHUNK_ROWS]
-            out[start : start + _CHUNK_ROWS] = self.mean_rates(
-                alpha_of_bits(chunk), beta_of_bits(chunk)
-            )
-        return out
+        return by_chunks(
+            lambda c: self.mean_rates(alpha_of_bits(c), beta_of_bits(c)), bits, _CHUNK_ROWS
+        )
 
 
 def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:

@@ -38,7 +38,13 @@ problem.lattice_index, and only rows whose key it has not seen reach
 the problem, one per distinct key. The objective is pure by contract,
 so this changes no value beyond pinning one per row for the whole
 search (a batch objective may otherwise differ in the last bits between
-batches). Larger spaces bypass the memo.
+batches). The repair swarm then also repairs each distinct row once per
+search and looks its result up afterwards. With every value pinned, the
+greedy repair is a pure function of the row, and each step-down
+candidate of a row repaired before is already known, so repairing only
+the new rows sends the objective the same new rows, in the same order,
+as repairing all of them: no value and no answer moves. Larger spaces
+bypass both memos.
 
 When the problem supplies objective_step_down and the memo does not
 engage, the repair's step-down values come from that hook, and
@@ -57,7 +63,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,6 +72,7 @@ from .problem import (
     ContractViolation,
     InfeasibleBudgetError,
     lattice_index,
+    lattice_rows,
     penalized_fitness_batch,
 )
 from .quantizers import round_half_away
@@ -267,13 +274,15 @@ def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
 
 class _Objective:
     """F for one search: counts the rows sent to the problem and, when
-    _memo_engages, evaluates each distinct row once (see the module
-    docstring). The table is dense over the lattice, so it holds at most
-    n_pop * (i_iter + 1) entries. It is the objective_batch of the
-    engine's copy of the problem, whose evaluate_objective_batch checks
-    what it returns; the rows the memo evaluates are checked before they
-    are stored. step_down counts the candidates of the problem's
-    step-down hook, which the engine uses only when the memo is off."""
+    _memo_engages, evaluates each distinct row once and repair repairs
+    each distinct row once (see the module docstring). The tables are
+    dense over the lattice, so each holds at most n_pop * (i_iter + 1)
+    entries; repaired holds the lattice index of each row's repair, -1
+    until it is known. It is the objective_batch of the engine's copy of
+    the problem, whose evaluate_objective_batch checks what it returns;
+    the rows the memo evaluates are checked before they are stored.
+    step_down counts the candidates of the problem's step-down hook,
+    which the engine uses only when the memo is off."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig):
         self.problem = problem
@@ -283,6 +292,7 @@ class _Objective:
         if _memo_engages(problem, config):
             self.table = np.zeros(len(problem.allowed_values) ** problem.dimension)
             self.known = np.zeros(self.table.size, dtype=bool)
+            self.repaired = np.full(self.table.size, -1, dtype=np.int64)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         if self.table is None:
@@ -301,11 +311,24 @@ class _Objective:
         self.step_down_rows += mat.size
         return self.problem.objective_step_down(mat, lower)
 
+    def repair(self, problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
+        """greedy_repair_batch(problem, mat), looked up at call time, on
+        only the rows not repaired before in this search, in key order;
+        problem is the engine's copy, whose objective is this memo."""
+        keys = lattice_index(problem, mat)
+        unknown = np.flatnonzero(self.repaired[keys] < 0)
+        if unknown.size:
+            new, first = np.unique(keys[unknown], return_index=True)
+            fixed = greedy_repair_batch(problem, mat[unknown[first]])
+            self.repaired[new] = lattice_index(problem, fixed)
+        return lattice_rows(problem, self.repaired[keys])
+
 
 def _run_single(
-    problem: AllocationProblem, config: SwarmConfig, seed: int, repair: bool
+    problem: AllocationProblem, config: SwarmConfig, seed: int, repair: Optional[Callable]
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """(best, best cost, trace) of one restart."""
+    """(best, best cost, trace) of one restart; repair, if given, forces
+    each batch of positions under the budget (the repair swarm)."""
     rng = np.random.default_rng([_SEED_DOMAIN, int(seed)])
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     costs = (
@@ -316,7 +339,7 @@ def _run_single(
 
     pos, vel = init_swarm(problem, config.n_pop, rng)
     if repair:
-        pos = greedy_repair_batch(problem, pos)
+        pos = repair(problem, pos)
 
     cost = costs(pos)
     p_best = pos.copy()
@@ -335,7 +358,7 @@ def _run_single(
         r2 = rng.random(draw_shape)
         pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
         if repair:
-            pos = greedy_repair_batch(problem, pos)
+            pos = repair(problem, pos)
         cost = costs(pos)
         improved = cost < p_cost
         p_best[improved] = pos[improved]
@@ -357,10 +380,13 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
         objective_batch=objective,
         objective_step_down=objective.step_down if use_hook else None,
     )
+    fix = None
+    if repair:
+        fix = greedy_repair_batch if objective.table is None else objective.repair
     best: Optional[tuple] = None
     for r in range(config.restarts):
         seed = config.seed + r
-        result = _run_single(searched, config, seed, repair)
+        result = _run_single(searched, config, seed, fix)
         if best is None or result[1] < best[1]:
             best = (*result, seed)
     assert best is not None

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 
+from bitalloc.fir import CoefficientSet, FilterSpec, fir_problem
 from bitalloc.problem import AllocationProblem
+from bitalloc.qgd import gaussian_least_squares, qgd_problem
+from bitalloc.receiver import SystemConfig, receiver_problem
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -53,3 +56,37 @@ def assert_batch_composition_agrees(problem: AllocationProblem, n_rows=300, seed
             [problem.evaluate_objective_batch(mat[k : k + size]) for k in range(0, n_rows, size)]
         )
         np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0.0)
+
+
+# The criterion-01 toy families, toy i of each; perfbench/workloads.py
+# keeps a copy.
+
+
+def toy_fir_problem(i: int) -> AllocationProblem:
+    n_taps = (5, 7, 9)[i % 3]
+    half_n = (n_taps + 1) // 2
+    rng = np.random.default_rng([0x70F1, i])
+    mags = np.exp2(rng.uniform(-5.0, -0.2, size=half_n))
+    half = rng.choice([-1.0, 1.0], size=half_n) * mags
+    coeffs = CoefficientSet(h=np.concatenate([half, half[-2::-1]]))
+    spec = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], n_taps)
+    kind = "fixed" if i % 2 == 0 else "float"
+    return fir_problem(spec, coeffs, kind, budget_bits=2, exp_bits=5)
+
+
+def toy_receiver_problem(i: int) -> AllocationProblem:
+    cfg = SystemConfig(
+        m_antennas=3 + (i % 3),
+        k_users=1 + (i % 2),
+        budget_bits=1,
+        mc_channels=10,
+        seed=i,
+    )
+    return receiver_problem(cfg)
+
+
+def toy_qgd_problem(i: int) -> AllocationProblem:
+    task = gaussian_least_squares(
+        n_rows=30, n_cols=3 + (i % 3), eta=0.001, t_iter=1, budget_bits=2, seed=i
+    )
+    return qgd_problem(task, np.zeros(task.dimension))

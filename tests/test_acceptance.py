@@ -15,8 +15,6 @@ import scipy.optimize
 from bitalloc import cli
 from bitalloc.convergence import check_convergence_conditions, lyapunov_solution, state_matrix
 from bitalloc.fir import (
-    CoefficientSet,
-    FilterSpec,
     benchmark_spec,
     fir_problem,
     lc_fixed_alloc,
@@ -29,7 +27,6 @@ from bitalloc.qgd import (
     gaussian_least_squares,
     gradient,
     loss,
-    qgd_problem,
     synthetic_classification,
     train,
 )
@@ -44,40 +41,10 @@ from bitalloc.receiver import (
 )
 from bitalloc.swarm import SwarmConfig, run_gcpso, run_ppso
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, toy_fir_problem, toy_qgd_problem, toy_receiver_problem
 
 FIXED_BUDGETS = {"a": 8, "b": 9, "c": 8, "d": 8}
 FLOAT_BUDGETS = {"a": 4, "b": 5, "c": 4, "d": 4}
-
-
-def _toy_fir_problem(i: int):
-    n_taps = (5, 7, 9)[i % 3]
-    half_n = (n_taps + 1) // 2
-    rng = np.random.default_rng([0x70F1, i])
-    mags = np.exp2(rng.uniform(-5.0, -0.2, size=half_n))
-    half = rng.choice([-1.0, 1.0], size=half_n) * mags
-    coeffs = CoefficientSet(h=np.concatenate([half, half[-2::-1]]))
-    spec = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], n_taps)
-    kind = "fixed" if i % 2 == 0 else "float"
-    return fir_problem(spec, coeffs, kind, budget_bits=2, exp_bits=5)
-
-
-def _toy_receiver_problem(i: int):
-    cfg = SystemConfig(
-        m_antennas=3 + (i % 3),
-        k_users=1 + (i % 2),
-        budget_bits=1,
-        mc_channels=10,
-        seed=i,
-    )
-    return receiver_problem(cfg)
-
-
-def _toy_qgd_problem(i: int):
-    task = gaussian_least_squares(
-        n_rows=30, n_cols=3 + (i % 3), eta=0.001, t_iter=1, budget_bits=2, seed=i
-    )
-    return qgd_problem(task, np.zeros(task.dimension))
 
 
 def _oracle_match_count(make_problem, count=20):
@@ -95,7 +62,7 @@ def _oracle_match_count(make_problem, count=20):
 
 def test_criterion_01_repair_engine_matches_oracle_on_toys():
     t0 = time.perf_counter()
-    for family in (_toy_fir_problem, _toy_receiver_problem, _toy_qgd_problem):
+    for family in (toy_fir_problem, toy_receiver_problem, toy_qgd_problem):
         assert _oracle_match_count(family) >= 18, family.__name__
     assert time.perf_counter() - t0 < 120.0
 

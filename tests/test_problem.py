@@ -16,6 +16,7 @@ from bitalloc.problem import (
     InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
+    by_chunks,
     lattice_index,
     penalized_fitness_batch,
 )
@@ -224,6 +225,21 @@ class TestLatticeIndex:
         np.testing.assert_array_equal(memo(rows[::-1]), np.arange(len(rows))[::-1])
         np.testing.assert_array_equal(memo.table, np.arange(len(rows)))
         assert memo.rows == len(rows)
+
+
+def test_by_chunks_values_every_row_once_in_order():
+    mat = np.arange(14).reshape(7, 2)
+    blocks = []
+
+    def row_sums(block):
+        blocks.append(len(block))
+        return block.sum(axis=1)
+
+    for size in (1, 3, 7, 64):
+        np.testing.assert_array_equal(by_chunks(row_sums, mat, size), mat.sum(axis=1))
+    assert blocks == [1] * 7 + [3, 3, 1, 7, 7]
+    empty = by_chunks(row_sums, mat[:0], 3)
+    assert empty.shape == (0,) and blocks[-1] == 7
 
 
 class TestBruteForceOptimum:

@@ -16,6 +16,7 @@ from bitalloc.problem import (
     ContractViolation,
     InfeasibleBudgetError,
     brute_force_optimum,
+    lattice_index,
     penalized_fitness_batch,
 )
 from bitalloc.swarm import (
@@ -29,7 +30,13 @@ from bitalloc.swarm import (
     step_swarm,
 )
 
-from conftest import FIXTURE_DIR, weighted_msqe_problem
+from conftest import (
+    FIXTURE_DIR,
+    toy_fir_problem,
+    toy_qgd_problem,
+    toy_receiver_problem,
+    weighted_msqe_problem,
+)
 
 
 class TestSwarmConfig:
@@ -500,3 +507,60 @@ class TestObjectiveMemo:
         calls.clear()
         memo = runner(p, at)
         assert memo.objective_rows == sum(calls) <= 3**4
+
+    @pytest.mark.parametrize("make", [toy_fir_problem, toy_qgd_problem])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_toy_restarts_are_byte_identical_with_and_without_the_memos(self, make, i):
+        # FIR and qgd row values do not depend on the batch, so neither
+        # the objective memo nor the repair memo may move an answer.
+        p, cfg = make(i), SwarmConfig(seed=i, restarts=3)
+        assert swarm._memo_engages(p, cfg)
+        memo = run_gcpso(p, cfg)
+        with _without_memo():
+            plain = run_gcpso(p, cfg)
+        assert memo.best.tobytes() == plain.best.tobytes()
+        assert memo.best_cost == plain.best_cost
+        assert memo.trace.tobytes() == plain.trace.tobytes()
+        assert memo.seed == plain.seed
+
+    @pytest.mark.parametrize(
+        "make, rows", [(toy_fir_problem, 428), (toy_receiver_problem, 257), (toy_qgd_problem, 400)]
+    )
+    def test_toy_objective_rows_are_pinned(self, make, rows):
+        # The repair memo sends the objective exactly the rows that
+        # repairing every particle did: no extra row, none skipped.
+        assert run_gcpso(make(2), SwarmConfig(seed=2, restarts=1)).objective_rows == rows
+
+
+def _recording_repair(calls):
+    """greedy_repair_batch, recording the lattice keys of every batch it gets."""
+    repair = swarm.greedy_repair_batch
+
+    def recorder(problem, mat):
+        calls.append(lattice_index(problem, mat))
+        return repair(problem, mat)
+
+    return mock.patch.object(swarm, "greedy_repair_batch", recorder)
+
+
+class TestRepairMemo:
+    CFG = SwarmConfig(n_pop=40, i_iter=40, restarts=3, seed=7)
+
+    def test_each_distinct_row_is_repaired_once_per_search(self):
+        p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
+        assert swarm._memo_engages(p, self.CFG)
+        calls = []
+        with _recording_repair(calls):
+            result = run_gcpso(p, self.CFG)
+        assert 0 < len(calls) < self.CFG.restarts * (self.CFG.i_iter + 1)
+        keys = np.concatenate(calls)
+        assert np.unique(keys).size == keys.size
+        assert p.is_feasible(result.best)
+
+    def test_without_the_memo_every_engine_batch_is_repaired(self):
+        p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
+        calls = []
+        with _without_memo(), _recording_repair(calls):
+            run_gcpso(p, self.CFG)
+        assert len(calls) == self.CFG.restarts * (self.CFG.i_iter + 1)
+        assert all(keys.size == self.CFG.n_pop for keys in calls)
