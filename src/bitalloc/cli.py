@@ -206,7 +206,7 @@ def _fir_keys(section: _Section) -> tuple[str, ...]:
 
 def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
     coeff_path = config_dir / section.raw("coefficients")  # an absolute path stays as is
-    if not coeff_path.exists():
+    if not coeff_path.is_file():
         raise _fail("[fir] coefficients", f"file not found: {coeff_path}")
     coeffs = fir.load_coefficients(coeff_path)
     spec = _fir_spec_from(section, coeffs.n_taps)
@@ -268,10 +268,10 @@ def _qgd_task(section: _Section, seed: int, config_dir: Path) -> qgd.QgdTask:
     dataset = []
     if build is qgd.load_sparse_dataset:
         path = config_dir / section.raw("task")
-        if not path.exists():
+        if not path.is_file():
             raise _fail(
                 "[qgd] task",
-                f"expected 'least_squares', 'logistic' or a dataset path; {path} not found",
+                f"expected 'least_squares', 'logistic' or a dataset file; {path} is not a file",
             )
         dataset = [path]
     return section.build(build, *dataset, seed=seed)

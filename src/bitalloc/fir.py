@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks
+from .problem import (
+    AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks, read_text
+)
 from .quantizers import quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
@@ -139,7 +140,7 @@ class CoefficientSet:
 
 def load_coefficients(path) -> CoefficientSet:
     """Read one coefficient per line; '#' starts a comment."""
-    text = Path(path).read_text()
+    text = read_text(path)
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -9,8 +9,8 @@ one-row matrix, so every formula has exactly one implementation. A
 scalar function f lifts to the batch form with ``lambda mat:
 np.array([f(row) for row in mat])``. This module adds the penalty
 wrapper used by the penalized swarm, the row chunking of the batch
-kernels, the lattice index, and an exhaustive oracle for desk-scale
-instances.
+kernels, the reader of the applications' text files, the lattice index,
+and an exhaustive oracle for desk-scale instances.
 
 Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
@@ -39,6 +39,7 @@ memo, a tracer) keeps it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -182,6 +183,14 @@ def by_chunks(fn: BatchFunction, mat: np.ndarray, chunk_rows: int) -> np.ndarray
     return out
 
 
+def read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ContractViolation naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def penalized_fitness_batch(
     problem: AllocationProblem, mat, penalty_weight: float
 ) -> np.ndarray:
@@ -219,10 +228,13 @@ def brute_force_optimum(
     minimum is the first incumbent, even at F = +inf, and after it only
     strict improvements replace the incumbent, so ties resolve to the
     lexicographically smallest feasible vector. Single threaded by
-    contract (determinism over speed).
+    contract (determinism over speed). A lattice larger than numpy's
+    index type can count is refused whatever the cap.
     """
     base, n = len(problem.allowed_values), problem.dimension
     size = base**n
+    if size > np.iinfo(np.intp).max:
+        raise SearchSpaceTooLarge(f"{base}^{n} = {size} candidates are more than numpy can index")
     if size > cap:
         raise SearchSpaceTooLarge(
             f"{base}^{n} = {size} candidates "

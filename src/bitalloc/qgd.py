@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError
+from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError, read_text
 from .quantizers import quantize_fixed_bits
 from .swarm import RunResult, SwarmConfig, run_gcpso, run_ppso
 
@@ -369,7 +368,7 @@ def load_sparse_dataset(
     raw_labels: list[float] = []
     max_idx = 0
     saw_zero = False
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -35,16 +35,18 @@ candidates. It counts the rows sent to the problem
 the rows one restart evaluates, len(allowed) ** N <= n_pop * (i_iter + 1),
 rows must repeat, so it also memoizes: each row is keyed by its
 problem.lattice_index, and only rows whose key it has not seen reach
-the problem, one per distinct key. The objective is pure by contract,
-so this changes no value beyond pinning one per row for the whole
-search (a batch objective may otherwise differ in the last bits between
-batches). The repair swarm then also repairs each distinct row once per
-search and looks its result up afterwards. With every value pinned, the
-greedy repair is a pure function of the row, and each step-down
-candidate of a row repaired before is already known, so repairing only
-the new rows sends the objective the same new rows, in the same order,
-as repairing all of them: no value and no answer moves. Larger spaces
-bypass both memos.
+the problem, one per distinct key. An unseen key's value reads NaN:
+the contract forbids NaN values and the problem's batch evaluator
+rejects one before the memo stores it, so NaN never stands for a real
+value. The objective is pure by contract, so memoizing changes no value
+beyond pinning one per row for the whole search (a batch objective may
+otherwise differ in the last bits between batches). The repair swarm
+then also repairs each distinct row once per search and looks its
+result up afterwards. With every value pinned, the greedy repair is a
+pure function of the row, and each step-down candidate of a row
+repaired before is already known, so repairing only the new rows sends
+the objective the same new rows, in the same order, as repairing all
+of them: no value and no answer moves. Larger spaces bypass both memos.
 
 When the problem supplies objective_step_down and the memo does not
 engage, the repair's step-down values come from that hook, and
@@ -63,7 +65,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -277,10 +279,12 @@ class _Objective:
     _memo_engages, evaluates each distinct row once and repair repairs
     each distinct row once (see the module docstring). The tables are
     dense over the lattice, so each holds at most n_pop * (i_iter + 1)
-    entries; repaired holds the lattice index of each row's repair, -1
-    until it is known. It is the objective_batch of the engine's copy of
-    the problem, whose evaluate_objective_batch checks what it returns;
-    the rows the memo evaluates are checked before they are stored.
+    entries. table holds each row's value, NaN until it is known: the
+    rows the memo evaluates go through the problem's
+    evaluate_objective_batch, which rejects NaN before it is stored.
+    repaired holds the lattice index of each row's repair, -1 until it
+    is known. It is the objective_batch of the engine's copy of the
+    problem, whose evaluate_objective_batch checks what it returns.
     step_down counts the candidates of the problem's step-down hook,
     which the engine uses only when the memo is off."""
 
@@ -290,8 +294,7 @@ class _Objective:
         self.step_down_rows = 0
         self.table: Optional[np.ndarray] = None
         if _memo_engages(problem, config):
-            self.table = np.zeros(len(problem.allowed_values) ** problem.dimension)
-            self.known = np.zeros(self.table.size, dtype=bool)
+            self.table = np.full(len(problem.allowed_values) ** problem.dimension, np.nan)
             self.repaired = np.full(self.table.size, -1, dtype=np.int64)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
@@ -299,11 +302,10 @@ class _Objective:
             self.rows += mat.shape[0]
             return self.problem.objective_batch(mat)
         keys = lattice_index(self.problem, mat)
-        unknown = np.flatnonzero(~self.known[keys])
+        unknown = np.flatnonzero(np.isnan(self.table[keys]))
         if unknown.size:
             new, first = np.unique(keys[unknown], return_index=True)
             self.table[new] = self.problem.evaluate_objective_batch(mat[unknown[first]])
-            self.known[new] = True
             self.rows += new.size
         return self.table[keys]
 
@@ -324,81 +326,56 @@ class _Objective:
         return lattice_rows(problem, self.repaired[keys])
 
 
-def _run_single(
-    problem: AllocationProblem, config: SwarmConfig, seed: int, repair: Optional[Callable]
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(best, best cost, trace) of one restart; repair, if given, forces
-    each batch of positions under the budget (the repair swarm)."""
-    rng = np.random.default_rng([_SEED_DOMAIN, int(seed)])
-    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    costs = (
-        problem.evaluate_objective_batch
-        if repair
-        else partial(penalized_fitness_batch, problem, penalty_weight=config.penalty_weight)
-    )
-
-    pos, vel = init_swarm(problem, config.n_pop, rng)
-    if repair:
-        pos = repair(problem, pos)
-
-    cost = costs(pos)
-    p_best = pos.copy()
-    p_cost = cost.copy()
-    i = int(np.argmin(p_cost))
-    g_best = p_best[i].copy()
-    g_cost = float(p_cost[i])
-
-    trace = np.empty(config.i_iter + 1, dtype=float)
-    trace[0] = g_cost
-
-    draw_shape = (config.n_pop, problem.dimension)
-    for it in range(1, config.i_iter + 1):
-        w, c1, c2 = schedule_hyperparams(it, config.i_iter)
-        r1 = rng.random(draw_shape)
-        r2 = rng.random(draw_shape)
-        pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
-        if repair:
-            pos = repair(problem, pos)
-        cost = costs(pos)
-        improved = cost < p_cost
-        p_best[improved] = pos[improved]
-        p_cost[improved] = cost[improved]
-        i = int(np.argmin(p_cost))
-        if p_cost[i] < g_cost:
-            g_best = p_best[i].copy()
-            g_cost = float(p_cost[i])
-        trace[it] = g_cost
-
-    return g_best, g_cost, trace
-
-
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
+    """Run restarts seed .. seed + restarts - 1 one after another, each
+    with a fresh generator, and report the earliest restart with the
+    strictly smallest cost; repair selects the repair swarm, which
+    forces each batch of positions under the budget before valuing it."""
     objective = _Objective(problem, config)
-    use_hook = problem.objective_step_down is not None and objective.table is None
+    memo = objective.table is not None
+    use_hook = problem.objective_step_down is not None and not memo
     searched = replace(
         problem,
         objective_batch=objective,
         objective_step_down=objective.step_down if use_hook else None,
     )
-    fix = None
     if repair:
-        fix = greedy_repair_batch if objective.table is None else objective.repair
+        fix = objective.repair if memo else greedy_repair_batch
+        costs = searched.evaluate_objective_batch
+    else:
+        costs = partial(penalized_fitness_batch, searched, penalty_weight=config.penalty_weight)
+    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
+    draw_shape = (config.n_pop, problem.dimension)
     best: Optional[tuple] = None
-    for r in range(config.restarts):
-        seed = config.seed + r
-        result = _run_single(searched, config, seed, fix)
-        if best is None or result[1] < best[1]:
-            best = (*result, seed)
-    assert best is not None
-    g_best, g_cost, trace, seed = best
-    return RunResult(
-        best=g_best,
-        best_cost=g_cost,
-        trace=trace,
-        seed=seed,
-        objective_rows=objective.rows,
-        step_down_rows=objective.step_down_rows,
-    )
+    for seed in range(config.seed, config.seed + config.restarts):
+        rng = np.random.default_rng([_SEED_DOMAIN, seed])
+        pos, vel = init_swarm(searched, config.n_pop, rng)
+        if repair:
+            pos = fix(searched, pos)
+        p_best, p_cost = pos.copy(), costs(pos).copy()
+        i = int(np.argmin(p_cost))
+        g_best, g_cost = p_best[i].copy(), float(p_cost[i])
+        trace = np.empty(config.i_iter + 1)
+        trace[0] = g_cost
+        for it in range(1, config.i_iter + 1):
+            w, c1, c2 = schedule_hyperparams(it, config.i_iter)
+            r1 = rng.random(draw_shape)
+            r2 = rng.random(draw_shape)
+            pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
+            if repair:
+                pos = fix(searched, pos)
+            cost = costs(pos)
+            improved = cost < p_cost
+            p_best[improved] = pos[improved]
+            p_cost[improved] = cost[improved]
+            i = int(np.argmin(p_cost))
+            if p_cost[i] < g_cost:
+                g_best, g_cost = p_best[i].copy(), float(p_cost[i])
+            trace[it] = g_cost
+        if best is None or g_cost < best[1]:
+            best = (g_best, g_cost, trace, seed)
+    assert best is not None  # restarts >= 1
+    return RunResult(*best, objective_rows=objective.rows, step_down_rows=objective.step_down_rows)
 
 
 def run_ppso(problem: AllocationProblem, config: SwarmConfig = SwarmConfig()) -> RunResult:

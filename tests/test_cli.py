@@ -353,10 +353,35 @@ benchmark = a
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_missing_coefficient_file_reported(self, tmp_path, capsys, command):
-        text = FIR_TOY_CONFIG.format(coeffs="no_such_file.txt")
-        self.run_expecting_config_error(
-            tmp_path, text, "[fir] coefficients: file not found", capsys, command
-        )
+        # A directory used to raise IsADirectoryError.
+        for coeffs in ("no_such_file.txt", tmp_path):
+            text = FIR_TOY_CONFIG.format(coeffs=coeffs)
+            self.run_expecting_config_error(
+                tmp_path, text, "[fir] coefficients: file not found", capsys, command
+            )
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_coefficients_that_are_not_utf8_reported(self, tmp_path, capsys, command):
+        # They used to raise UnicodeDecodeError.
+        path = tmp_path / "h.txt"
+        path.write_bytes(TOY_COEFFS.read_bytes() + b"\xff\n")
+        text = FIR_TOY_CONFIG.format(coeffs=path)
+        self.run_expecting_config_error(tmp_path, text, f"{path}: not UTF-8 text", capsys, command)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_qgd_dataset_that_is_not_a_text_file_reported(self, tmp_path, capsys, command):
+        # A directory raised IsADirectoryError, and bytes that are not
+        # UTF-8 raised UnicodeDecodeError.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data.txt").write_bytes(b"1 1:1.0\n\xfe-1 1:2.0\n")
+        for task, fragment in (
+            ("data", "[qgd] task: expected 'least_squares', 'logistic' or a dataset file"),
+            ("data.txt", "data.txt: not UTF-8 text"),
+        ):
+            text = TestRunQgd.CONFIG.replace("task = least_squares", f"task = {task}")
+            text = re.sub(r"^(n_rows|n_cols) = .*\n", "", text, flags=re.M)
+            self.run_expecting_config_error(tmp_path, text, fragment, capsys, command)
 
     def test_oracle_reports_missing_application_section(self, tmp_path, capsys):
         text = "[experiment]\napplication = fir\nstrategies = naive\n"
@@ -555,3 +580,30 @@ mc_channels = 2
         config = write_config(tmp_path, text)
         assert cli.main(["oracle", str(config)]) == 1
         assert "oracle refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_lattice_beyond_numpy_index_refused_whatever_the_cap(self, tmp_path, capsys, command):
+        # 17^18 points: enumerating them raised "dimensions are too large".
+        text = f"""\
+[experiment]
+application = fir
+strategies = oracle
+output_dir = out
+oracle_cap = 100000000000000000000000000
+
+[fir]
+coefficients = {FIXTURE_DIR / "a35.txt"}
+benchmark = a
+kind = float
+budget_bits = 8
+"""
+        config = write_config(tmp_path, text)
+        assert cli.main([command, str(config)]) == (1 if command == "oracle" else 0)
+        err = capsys.readouterr().err
+        assert "17^18 = 14063084452067724991009 candidates are more than numpy can index" in err
+        if command == "oracle":
+            assert err.startswith("oracle refused: ")
+        else:
+            assert read_results(tmp_path / "out")[1] == [
+                {"strategy": "oracle", "minimax_error": "nan", "consumption": "nan", "bits": ""}
+            ]

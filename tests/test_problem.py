@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from bitalloc.problem import (
     by_chunks,
     lattice_index,
     penalized_fitness_batch,
+    read_text,
 )
 from bitalloc.swarm import SwarmConfig, _Objective
 
@@ -227,6 +229,15 @@ class TestLatticeIndex:
         assert memo.rows == len(rows)
 
 
+def test_text_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes("0.5\n".encode("utf-16"))
+    with pytest.raises(ContractViolation, match=re.escape(f"{path}: not UTF-8 text")):
+        read_text(path)
+    path.write_text("0.5 # µ\n", encoding="utf-8")
+    assert read_text(path) == "0.5 # µ\n"
+
+
 def test_by_chunks_values_every_row_once_in_order():
     mat = np.arange(14).reshape(7, 2)
     blocks = []
@@ -278,6 +289,19 @@ class TestBruteForceOptimum:
         p = linear_problem(8, tuple(range(1, 11)), 80.0, lambda b: 0.0)
         with pytest.raises(SearchSpaceTooLarge, match="10\\^8"):
             brute_force_optimum(p, cap=10**6)
+
+    def test_lattice_beyond_numpy_index_refused_whatever_the_cap(self):
+        # 17^18 and 2^63 lattice points are more than intp can count, so
+        # enumerating them raised "dimensions are too large" from numpy.
+        cap = 10**26
+        for n, allowed in ((18, tuple(range(17))), (63, (0, 1))):
+            p = linear_problem(n, allowed, float(n), lambda b: 0.0, budget_bits=1)
+            with pytest.raises(SearchSpaceTooLarge, match="more than numpy can index"):
+                brute_force_optimum(p, cap=cap)
+        # 2^62 fits an index, so the cap decides.
+        p = linear_problem(62, (0, 1), 62.0, lambda b: 0.0, budget_bits=1)
+        with pytest.raises(SearchSpaceTooLarge, match="exceeds the cap"):
+            brute_force_optimum(p, cap=2**62 - 1)
 
     def test_no_feasible_point_reported(self):
         # budget below the all-minimum consumption; budget_bits outside

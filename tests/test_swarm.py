@@ -329,7 +329,23 @@ class TestRuns:
         winner = next(s for s in singles if s.best_cost == combined.best_cost)
         assert combined.seed == winner.seed
         np.testing.assert_array_equal(combined.best, winner.best)
+        assert combined.trace.tobytes() == winner.trace.tobytes()
         assert base.seed == 5
+
+    def test_earliest_of_equal_best_restarts_wins(self):
+        # Seeds 19 and 20 end at the same cost with different answers,
+        # both below seed 18's; the earlier, 19, is reported whole.
+        p = weighted_msqe_problem([8.0, 3.0, 1.0, 0.5], budget=10.0, budget_bits=2)
+        first, tied, later = (
+            run_gcpso(p, SwarmConfig(n_pop=4, i_iter=3, restarts=1, seed=s)) for s in (18, 19, 20)
+        )
+        assert tied.best_cost == later.best_cost < first.best_cost
+        assert tied.best.tolist() != later.best.tolist()
+        combined = run_gcpso(p, SwarmConfig(n_pop=4, i_iter=3, restarts=3, seed=18))
+        assert combined.seed == 19
+        assert combined.best_cost == tied.best_cost
+        assert combined.best.tobytes() == tied.best.tobytes()
+        assert combined.trace.tobytes() == tied.trace.tobytes()
 
     def test_nan_at_uniform_start_rejected(self):
         # Otherwise no personal best ever improves on NaN and the result
