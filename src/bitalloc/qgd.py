@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, InfeasibleBudgetError, read_text
+from .problem import AllocationProblem, ContractViolation, read_text
 from .quantizers import quantize_fixed_bits
-from .swarm import RunResult, SwarmConfig, run_gcpso, run_ppso
+from .swarm import SwarmConfig, run_gcpso, run_ppso
 
 _DATA_DOMAIN = 0xDA7A
 
@@ -62,8 +62,8 @@ class QgdTask:
             raise ContractViolation("least squares requires at least as many rows as columns")
         if self.kind == "logistic" and not np.isin(targets, (-1.0, 1.0)).all():
             raise ContractViolation("logistic labels must be -1 or +1")
-        if not self.eta > 0:
-            raise ContractViolation(f"step size must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ContractViolation(f"step size must be positive and finite, got {self.eta}")
         if self.t_iter < 1 or self.budget_bits < 1:
             raise ContractViolation("t_iter and budget_bits must be >= 1")
         object.__setattr__(self, "features", features)
@@ -152,33 +152,28 @@ class _LeastSquaresStep:
     """
 
     # A descent run can keep every step's problem alive, so an instance
-    # holds only g and two numbers of its own; the Gram matrix is the
+    # holds only g and one number of its own; the Gram matrix is the
     # task's.
-    __slots__ = ("task", "g", "norm", "l0")
+    __slots__ = ("task", "g", "l0")
 
     def __init__(self, task: QgdTask, z: np.ndarray, g: np.ndarray):
         self.task = task
         self.g = g
-        self.norm = float(np.linalg.norm(g))
         self.l0 = loss(task, z)
-
-    def _step(self, mat: np.ndarray) -> np.ndarray:
-        # quantize_gradient with the norm computed once
-        return self.norm * quantize_fixed_bits(self.g / self.norm, mat)
 
     def _values(self, q: np.ndarray, gq: np.ndarray) -> np.ndarray:
         eta = self.task.eta
-        return self.l0 - eta * (q @ self.g) + 0.5 * eta**2 * (gq * q).sum(axis=1)
+        return self.l0 - eta * (q @ self.g) + 0.5 * (eta * eta) * (gq * q).sum(axis=1)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         """F of every row: the problem's objective_batch."""
-        q = self._step(mat)
+        q = quantize_gradient(self.g, mat)
         return self._values(q, q @ self.task._gram)
 
     def step_down(self, mat: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        q = self._step(mat)
+        q = quantize_gradient(self.g, mat)
         gq = q @ self.task._gram
-        d = self._step(lower) - q
+        d = quantize_gradient(self.g, lower) - q
         eta = self.task.eta
         change = d * (eta * eta * (gq + 0.5 * np.diag(self.task._gram) * d) - eta * self.g)
         return self._values(q, gq)[:, None] + change
@@ -256,8 +251,6 @@ def train(
     Strategies: 'uniform' spends budget_bits on every coordinate;
     'ppso' / 'gcpso' re-solve the per-step allocation problem with the
     corresponding engine, seeded per step so reruns are reproducible.
-    A step whose swarm answer spends more than the budget (a penalized
-    search whose penalty is too weak) raises InfeasibleBudgetError.
     """
     if strategy not in ("uniform", "ppso", "gcpso"):
         raise ContractViolation(
@@ -284,12 +277,7 @@ def train(
         else:
             problem = qgd_problem(task, z)
             cfg = replace(base_cfg, seed=base_cfg.seed + t)
-            result: RunResult = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, cfg)
-            bits = result.best
-            if bits.sum() > problem.budget:
-                raise InfeasibleBudgetError(
-                    f"step {t}: allocation {bits.tolist()} spends {bits.sum()} bits, "
-                    f"over the budget of {problem.budget:g}")
+            bits = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, cfg).best
         allocations[t] = bits
         z = z - task.eta * quantize_gradient(g, bits)
         metric_trace[t + 1] = _metric(task, z)

@@ -18,7 +18,8 @@ overflow saturates to the largest finite value
 smallest positive output 2**e_min flush to zero.
 
 Bit counts that name no grid (fractional bits below 0, exponent or
-significand bits below 1) raise ContractViolation.
+significand bits below 1) raise ContractViolation, and so do exponent
+widths above MAX_EXP_BITS, the float64 exponent the arithmetic works in.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .problem import ContractViolation
+
+MAX_EXP_BITS = 11
 
 
 def round_half_away(x):
@@ -56,8 +59,8 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     """
     x = np.asarray(x, dtype=float)
     m = np.asarray(mantissa_bits)
-    if exp_bits < 1:
-        raise ContractViolation(f"exponent bits must be >= 1, got {exp_bits}")
+    if not 1 <= exp_bits <= MAX_EXP_BITS:
+        raise ContractViolation(f"exponent bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
     if (m < 1).any():
         raise ContractViolation(f"significand bits must be >= 1, got {m.min()}")
     bias = 2 ** (exp_bits - 1) - 1

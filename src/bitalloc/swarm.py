@@ -125,19 +125,19 @@ class SwarmConfig:
 class RunResult:
     """Best allocation found by one search.
 
-    best_cost is the fitness the engine minimized: the penalized
-    fitness for the penalized variant (equal to the raw objective
-    whenever best is feasible) and the raw objective for the repair
-    variant. trace[k] is the incumbent cost after k iterations
-    (trace[0] follows the initial evaluation), so it has i_iter + 1
-    entries and is nonincreasing. When the search ran with restarts,
-    seed records which restart produced the winner. objective_rows
-    counts the rows sent to the problem's objective over all restarts;
-    it is deterministic, and below the rows the engine asked for when
-    the search memoized. step_down_rows counts the candidates valued by the
-    problem's objective_step_down hook, r * n per call for r rows of n
-    coordinates (0 without the hook), so objective_rows +
-    step_down_rows is all the valuation work of the search.
+    best is always within the budget, and best_cost is F(best) for both
+    engines, since the penalized fitness adds exactly 0.0 on a feasible
+    row. trace[k] is the minimized fitness of the incumbent after k
+    iterations (trace[0] follows the initial evaluation), so it has
+    i_iter + 1 entries, is nonincreasing and ends at best_cost. When
+    the search ran with restarts, seed records which restart produced
+    the winner. objective_rows counts the rows sent to the problem's
+    objective over all restarts; it is deterministic, and below the
+    rows the engine asked for when the search memoized. step_down_rows
+    counts the candidates valued by the problem's objective_step_down
+    hook, r * n per call for r rows of n coordinates (0 without the
+    hook), so objective_rows + step_down_rows is all the valuation work
+    of the search.
     """
 
     best: np.ndarray
@@ -275,18 +275,15 @@ def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
 
 
 class _Objective:
-    """F for one search: counts the rows sent to the problem and, when
-    _memo_engages, evaluates each distinct row once and repair repairs
-    each distinct row once (see the module docstring). The tables are
-    dense over the lattice, so each holds at most n_pop * (i_iter + 1)
-    entries. table holds each row's value, NaN until it is known: the
-    rows the memo evaluates go through the problem's
-    evaluate_objective_batch, which rejects NaN before it is stored.
-    repaired holds the lattice index of each row's repair, -1 until it
-    is known. It is the objective_batch of the engine's copy of the
-    problem, whose evaluate_objective_batch checks what it returns.
-    step_down counts the candidates of the problem's step-down hook,
-    which the engine uses only when the memo is off."""
+    """F for one search, the objective_batch of the engine's copy of the
+    problem: counts the rows sent to the problem and, when _memo_engages,
+    values and repairs each distinct row once, as the module docstring
+    explains. Both tables are dense over the lattice, so each holds at
+    most n_pop * (i_iter + 1) entries: table holds each row's value,
+    NaN until it is known, and repaired the lattice index of its repair,
+    -1 until it is known. step_down counts the candidates of the
+    problem's step-down hook, which the engine uses only when the memo
+    is off."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig):
         self.problem = problem
@@ -379,11 +376,17 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
 
 
 def run_ppso(problem: AllocationProblem, config: SwarmConfig = SwarmConfig()) -> RunResult:
-    """Penalized swarm search. The returned best may in principle be
-    infeasible if the penalty weight is set too low for the objective
-    scale; with the defaults every application here returns feasible
-    allocations."""
-    return _run_restarts(problem, config, repair=False)
+    """Penalized swarm search. The winning best is checked once against
+    the budget: over it, which only a penalty_weight too weak for the
+    objective's scale allows, raises InfeasibleBudgetError."""
+    result = _run_restarts(problem, config, repair=False)
+    cons = problem.evaluate_consumption(result.best)
+    if cons > problem.budget:
+        raise InfeasibleBudgetError(
+            f"allocation {result.best.tolist()} consumes {cons}, over the budget of "
+            f"{problem.budget}: penalty_weight {config.penalty_weight} is too weak"
+        )
+    return result
 
 
 def run_gcpso(problem: AllocationProblem, config: SwarmConfig = SwarmConfig()) -> RunResult:

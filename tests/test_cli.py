@@ -449,11 +449,25 @@ benchmark = a
         assert "unknown section" in err
 
     def test_impossible_exponent_width_rejected(self, tmp_path, capsys):
-        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
-            "kind = fixed", "kind = float\nexp_bits = 0"
-        )
-        self.run_expecting_config_error(tmp_path, text, "[fir]: exp_bits must be >= 1", capsys)
-        assert not (tmp_path / "out").exists()
+        # 2000 exponent bits overflowed a float inside the quantizer: a
+        # traceback with exit 1.
+        for command in ("run", "oracle"):
+            for width in (0, 2000):
+                text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+                    "kind = fixed", f"kind = float\nexp_bits = {width}"
+                )
+                message = f"[fir]: exp_bits must be >= 1 and <= 11, got {width}"
+                self.run_expecting_config_error(tmp_path, text, message, capsys, command)
+                assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_infinite_step_size_rejected(self, tmp_path, capsys, command):
+        # eta = inf wrote final_metric = nan for naive and failed a swarm
+        # step on a NaN objective that did not name eta.
+        text = TestRunQgd.CONFIG.replace("eta = 0.01", "eta = inf")
+        message = "[qgd]: step size must be positive and finite, got inf"
+        self.run_expecting_config_error(tmp_path, text, message, capsys, command)
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
@@ -496,9 +510,8 @@ def test_over_budget_penalized_answer_is_a_failed_row(tmp_path, capsys):
     )
     config = write_config(tmp_path, text)
     assert cli.main(["run", str(config)]) == 0
-    assert "strategy ppso: allocation 4 1 5 2 consumes 22.0, over the budget of 21.0" in (
-        capsys.readouterr().err
-    )
+    assert ("strategy ppso: allocation [4, 1, 5, 2] consumes 22.0, over the budget of 21.0: "
+            "penalty_weight 1e-09 is too weak") in capsys.readouterr().err
     _, rows = read_results(tmp_path / "out")
     by_strategy = {r["strategy"]: r for r in rows}
     assert by_strategy["ppso"] == {
@@ -535,8 +548,8 @@ penalty_weight = 1e-9
 """
     config = write_config(tmp_path, text)
     assert cli.main(["run", str(config)]) == 0
-    assert ("strategy ppso: step 0: allocation [1, 1, 1, 3, 1] spends 7 bits, "
-            "over the budget of 5") in capsys.readouterr().err
+    assert ("strategy ppso: allocation [1, 1, 1, 3, 1] consumes 7.0, over the budget of 5.0: "
+            "penalty_weight 1e-09 is too weak") in capsys.readouterr().err
     _, rows = read_results(tmp_path / "out")
     assert rows[1] == {"strategy": "ppso", "final_metric": "nan", "consumption": "nan", "bits": ""}
     assert rows[0]["strategy"] == "naive"

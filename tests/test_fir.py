@@ -301,8 +301,10 @@ class TestFirProblem:
             fir_problem(SPEC7, H7, "fixed", budget_bits=0)
 
     def test_bad_exponent_width_rejected(self):
-        with pytest.raises(ContractViolation, match="exp_bits must be >= 1"):
-            fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=0)
+        # Wider than float64's 11-bit exponent overflows the quantizer.
+        for width in (0, 12):
+            with pytest.raises(ContractViolation, match="exp_bits must be >= 1 and <= 11"):
+                fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=width)
 
 
 class TestLcFixedAlloc:

@@ -119,7 +119,7 @@ class TestTaskValidation:
             )
 
     def test_bad_hyperparameters_rejected(self):
-        for kwargs in ({"eta": 0.0}, {"t_iter": 0}, {"budget_bits": 0}):
+        for kwargs in ({"eta": 0.0}, {"eta": math.inf}, {"t_iter": 0}, {"budget_bits": 0}):
             base = dict(
                 kind="least_squares", features=np.eye(2), targets=np.ones(2),
                 eta=0.1, t_iter=1, budget_bits=2,
@@ -365,11 +365,12 @@ class TestTrain:
             np.testing.assert_allclose(a.metric_trace, b.metric_trace)
 
     def test_over_budget_step_raises(self):
-        # A penalty this weak lets the penalized search settle over budget;
-        # its steps would spend 7-12 bits against a budget of 5.
+        # A penalty this weak lets the penalized search settle over budget:
+        # step 0's allocation would spend 7 bits against a budget of 5.
         task = gaussian_least_squares(n_rows=50, n_cols=5, eta=0.01, t_iter=6, budget_bits=1)
         cfg = SwarmConfig(n_pop=20, i_iter=10, restarts=1, penalty_weight=1e-9, seed=0)
-        with pytest.raises(InfeasibleBudgetError, match="step 0: .* over the budget of 5"):
+        message = r"\[1, 1, 1, 3, 1\] consumes 7.0, over the budget of 5.0: penalty_weight 1e-09"
+        with pytest.raises(InfeasibleBudgetError, match=message):
             train(task, "ppso", swarm_config=cfg)
 
     def test_default_step_config_seeds_from_task(self):

@@ -194,6 +194,7 @@ class TestQuantizeFloat:
             (5, 0, "significand bits must be >= 1"),
             (5, np.array([3, 0, 2]), "significand bits must be >= 1"),
             (0, 3, "exponent bits must be >= 1"),
+            (12, 3, "exponent bits must be >= 1 and <= 11"),
         ],
     )
     def test_impossible_widths_rejected(self, exp_bits, mantissa_bits, message):

@@ -302,6 +302,14 @@ class TestRuns:
             penalized_fitness_batch(p, result.best[None, :], self.CFG.penalty_weight)[0]
         )
 
+    def test_over_budget_penalized_best_raises(self):
+        # A penalty this weak lets the penalized swarm settle at the top of
+        # the range, far over the budget of 9 bits.
+        cfg = replace(self.CFG, penalty_weight=1e-9)
+        message = r"\[7, 7, 7\] consumes 21.0, over the budget of 9.0: penalty_weight 1e-09"
+        with pytest.raises(InfeasibleBudgetError, match=message):
+            run_ppso(self.toy(), cfg)
+
     def test_repair_best_cost_is_raw_objective(self):
         p = self.toy()
         result = run_gcpso(p, self.CFG)
@@ -463,19 +471,19 @@ class TestEnginePostConditions:
         p, cfg = case
         optimum = brute_force_optimum(p)[1]
         for runner in (run_ppso, run_gcpso):
-            result = runner(p, cfg)
+            try:
+                result = runner(p, cfg)
+            except InfeasibleBudgetError as exc:
+                # Only the weak penalty lets the penalized swarm end over budget.
+                assert runner is run_ppso and cfg.penalty_weight < 1
+                assert f"over the budget of {p.budget}" in str(exc)
+                continue
             assert set(result.best.tolist()) <= set(p.allowed_values)
-            feasible = p.is_feasible(result.best)
-            if runner is run_gcpso:
-                assert feasible
+            assert p.is_feasible(result.best)
             assert np.all(np.diff(result.trace) <= 0)
             assert result.trace[-1] == result.best_cost
-            if feasible:
-                assert result.best_cost == p.evaluate_objective(result.best)
-                assert optimum <= result.best_cost
-            else:
-                fitness = penalized_fitness_batch(p, result.best[None, :], cfg.penalty_weight)
-                assert result.best_cost == fitness[0]
+            assert result.best_cost == p.evaluate_objective(result.best)
+            assert optimum <= result.best_cost
 
 
 def _without_memo():
