@@ -442,7 +442,7 @@ def run_oracle(config_path) -> int:
     problem = next(ex.cases()).problem
     try:
         bits, value = brute_force_optimum(problem, cap=ex.cap)
-    except (SearchSpaceTooLarge, InfeasibleBudgetError) as exc:
+    except SearchSpaceTooLarge as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return 1
     print(f"problem: {problem.name or ex.section.name} (dimension {problem.dimension}, "

@@ -59,9 +59,9 @@ class SearchSpaceTooLarge(RuntimeError):
 
 
 class InfeasibleBudgetError(RuntimeError):
-    """No allocation within the budget could be produced. Every answer
-    the engines return is within it: run_ppso raises this rather than
-    return a best that ended over it."""
+    """No allocation within the budget could be produced: run_ppso's
+    penalty was too weak, or fir.lc_float_map ran out of demotions. The
+    uniform start is feasible by contract, so nothing else raises it."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class AllocationProblem:
     dimension: number of allocation variables N.
     allowed_values: the contiguous integer range each b_n is drawn
         from; a set with a gap is a ContractViolation.
-    budget_bits: the per-variable average that defines the budget (the
-        uniform vector [budget_bits]*N is the canonical feasible start).
+    budget_bits: the budget's per-variable average, one of allowed_values;
+        the uniform start [budget_bits]*N must be feasible.
     budget: the consumption bound C(b) must not exceed. Stored as a
         number rather than recomputed so nonlinear budgets plug in.
     objective_batch / consumption_batch: F and C over a (rows, N)
@@ -104,8 +104,12 @@ class AllocationProblem:
         object.__setattr__(self, "allowed_values", allowed)
         if not np.isfinite(self.budget):
             raise ContractViolation(f"budget must be finite, got {self.budget}")
+        if self.budget_bits not in allowed:
+            raise ContractViolation(
+                f"budget_bits {self.budget_bits} is not in allowed_values {allowed}"
+            )
         uniform = np.full(self.dimension, self.budget_bits, dtype=np.int64)
-        if self.budget_bits in allowed and self.evaluate_consumption(uniform) > self.budget:
+        if self.evaluate_consumption(uniform) > self.budget:
             raise ContractViolation(
                 "the uniform budget_bits vector must be feasible: "
                 f"C={self.evaluate_consumption(uniform)} > budget={self.budget}"
@@ -255,9 +259,5 @@ def brute_force_optimum(
         if best_vec is None or vals[i] < best_val:
             best_val = float(vals[i])
             best_vec = rows[i].copy()
-    if best_vec is None:
-        raise InfeasibleBudgetError(
-            f"no allocation in {problem.allowed_values}^{problem.dimension} "
-            f"satisfies C(b) <= {problem.budget}"
-        )
+    assert best_vec is not None  # the uniform vector is feasible
     return best_vec, best_val

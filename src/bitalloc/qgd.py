@@ -251,6 +251,7 @@ def train(
     Strategies: 'uniform' spends budget_bits on every coordinate;
     'ppso' / 'gcpso' re-solve the per-step allocation problem with the
     corresponding engine, seeded per step so reruns are reproducible.
+    A step that overflows z or its metric raises ContractViolation.
     """
     if strategy not in ("uniform", "ppso", "gcpso"):
         raise ContractViolation(
@@ -279,8 +280,11 @@ def train(
             cfg = replace(base_cfg, seed=base_cfg.seed + t)
             bits = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, cfg).best
         allocations[t] = bits
-        z = z - task.eta * quantize_gradient(g, bits)
-        metric_trace[t + 1] = _metric(task, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = z - task.eta * quantize_gradient(g, bits)
+            metric_trace[t + 1] = _metric(task, z)
+        if not (np.isfinite(z).all() and np.isfinite(metric_trace[t + 1])):
+            raise ContractViolation(f"eta = {task.eta} overflowed descent step {t + 1}")
 
     return TrainResult(z=z, metric_trace=metric_trace, allocations=allocations)
 

@@ -78,8 +78,9 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     q = np.sign(x) * np.ldexp(k, np.asarray(e - m + 1, dtype=np.int64))
 
     over = e > e_max
-    max_fin = (np.exp2(m) - 1.0) * np.exp2(float(e_max) + 1 - m)
-    q = np.where(over, np.sign(x) * max_fin, q)
+    if over.any():  # never at MAX_EXP_BITS, where max_fin overflows float64
+        max_fin = (np.exp2(m) - 1.0) * np.exp2(float(e_max) + 1 - m)
+        q = np.where(over, np.sign(x) * max_fin, q)
     q = np.where(e < e_min, 0.0, q)  # flush to zero below the bottom exponent
     q = np.where(ax == 0.0, 0.0, q)
     return q, np.asarray(over & (ax > 0.0))

@@ -15,10 +15,10 @@ checks; a SwarmConfig sets only the swarm's size, the penalty weight
 and the seeding.
 
 All particles start from the uniform allocation at the budget average,
-which the problem contract guarantees to be feasible. The very first
-evaluated batch always provides the incumbent, even when every value in
-it is +inf, so the reported best can never be worse than the uniform
-baseline and the repair swarm's best is always feasible.
+which the problem contract makes allowed and feasible, so the repair
+swarm values it unrepaired. That first batch always provides the
+incumbent, even when all of it is +inf, so the best is never worse than
+the uniform baseline and the repair swarm's best is always feasible.
 
 Everything is vectorized over the population and works on bit values:
 the allowed values are one range lo..hi, so moves clip into it and a
@@ -62,7 +62,6 @@ full objective.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -188,8 +187,9 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     repeatedly step down by one bit the coordinate whose step increases
     the objective least (lowest index on ties) until the row is
     feasible. Rows that were feasible to begin with pass through
-    untouched. Assumes consumption is nondecreasing in every coordinate,
-    which all applications here satisfy.
+    untouched. Consumption must be nondecreasing in every coordinate, as
+    in all applications here, so the all-minimum row costs no more than
+    the uniform start; reaching it over budget is a ContractViolation.
     """
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
@@ -205,9 +205,10 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     while over.any():
         rows = mat[over]
         if (rows == lo).all(axis=1).any():
-            raise InfeasibleBudgetError(
-                "budget repair ran out of bits to remove: even the all-minimum "
-                f"allocation exceeds the budget of {problem.budget}"
+            raise ContractViolation(
+                "budget repair ran out of bits to remove: the all-minimum allocation "
+                f"exceeds the budget of {problem.budget}, so consumption is not "
+                "nondecreasing in every coordinate"
             )
         j = np.argmin(_step_down_values(problem, rows), axis=1)  # lowest index wins ties
         rows[np.arange(rows.shape[0]), j] -= 1
@@ -255,14 +256,7 @@ def init_swarm(
     sequence, so dropping it would change every answer. The engine takes
     its first global best from the first evaluated batch.
     """
-    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    if not lo <= problem.budget_bits <= hi:
-        warnings.warn(
-            f"budget average {problem.budget_bits} is not an allowed value; "
-            "starting from the nearest member instead",
-            stacklevel=2,
-        )
-    pos = np.full((n_pop, problem.dimension), np.clip(problem.budget_bits, lo, hi))
+    pos = np.full((n_pop, problem.dimension), problem.budget_bits, dtype=np.int64)
     vel = rng.uniform(-V_MAX, V_MAX, size=(n_pop, problem.dimension))
     rng.integers(0, len(problem.allowed_values), size=problem.dimension)
     return pos, vel
@@ -327,7 +321,7 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     """Run restarts seed .. seed + restarts - 1 one after another, each
     with a fresh generator, and report the earliest restart with the
     strictly smallest cost; repair selects the repair swarm, which
-    forces each batch of positions under the budget before valuing it."""
+    forces each moved swarm under the budget before valuing it."""
     objective = _Objective(problem, config)
     memo = objective.table is not None
     use_hook = problem.objective_step_down is not None and not memo
@@ -347,8 +341,6 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
         pos, vel = init_swarm(searched, config.n_pop, rng)
-        if repair:
-            pos = fix(searched, pos)
         p_best, p_cost = pos.copy(), costs(pos).copy()
         i = int(np.argmin(p_cost))
         g_best, g_cost = p_best[i].copy(), float(p_cost[i])

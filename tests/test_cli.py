@@ -469,6 +469,17 @@ benchmark = a
         self.run_expecting_config_error(tmp_path, text, message, capsys, command)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
+    @pytest.mark.parametrize("strategies", ["naive", "naive, gcpso"])
+    def test_overflowing_step_size_named(self, tmp_path, capsys, strategies):
+        # eta = 1e308 is finite, but the first step overflows. naive
+        # exited 0 with final_metric = nan; naive, gcpso wrote naive's
+        # trace of inf and nan, then failed gcpso on a NaN objective.
+        text = TestRunQgd.CONFIG.replace("eta = 0.01", "eta = 1e308")
+        text = text.replace("strategies = naive", f"strategies = {strategies}")
+        message = "error: eta = 1e+308 overflowed descent step 1"
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace("0:0.4,", "0:x,")

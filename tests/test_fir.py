@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ class TestFirProblem:
         for width in (0, 12):
             with pytest.raises(ContractViolation, match="exp_bits must be >= 1 and <= 11"):
                 fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=width)
+
+    def test_widest_exponent_quantizes_without_warnings(self):
+        # At 11 exponent bits the saturation value overflows float64; it
+        # was computed on every call, so each one warned about overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, over = quantize_float_bits([0.3], 11, 53)
+            assert q.tolist() == [0.3] and not over.any()
+            p = fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=11)
+            bits = np.array([2, 4, 3, 5])
+            assert p.evaluate_objective(bits) == pytest.approx(
+                direct_error(SPEC7, quantized_filter(H7, bits, "float", exp_bits=11)), rel=1e-12
+            )
 
 
 class TestLcFixedAlloc:

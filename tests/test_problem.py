@@ -14,7 +14,6 @@ from bitalloc.fir import CoefficientSet, FilterSpec, fir_problem
 from bitalloc.problem import (
     AllocationProblem,
     ContractViolation,
-    InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
     by_chunks,
@@ -56,6 +55,14 @@ class TestAllocationProblem:
         # budget_bits = 3 is in the set but 2 * 3 > 5.
         with pytest.raises(ContractViolation):
             linear_problem(2, (1, 2, 3), 5.0, lambda b: 0.0, budget_bits=3)
+
+    def test_budget_bits_outside_allowed_values_rejected(self):
+        # This problem used to build, and then each engine and the oracle
+        # failed late with a different message: run_ppso blamed its
+        # penalty weight, run_gcpso its repair, the oracle the budget.
+        message = r"budget_bits 0 is not in allowed_values \(1, 2\)"
+        with pytest.raises(ContractViolation, match=message):
+            weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget=1.5, budget_bits=0)
 
     def test_vector_shape_checked(self):
         p = linear_problem(3, (1, 2), 6.0, lambda b: 0.0)
@@ -197,14 +204,16 @@ class TestLatticeIndex:
             return np.zeros(mat.shape[0])
 
         position = {tuple(row): float(k) for k, row in enumerate(self.PRODUCT.tolist())}
-        return AllocationProblem(
+        p = AllocationProblem(
             dimension=7,
             allowed_values=self.ALLOWED,
-            budget_bits=0,  # outside the range: skips the uniform-start check
+            budget_bits=4,
             budget=0.0,
             objective_batch=lambda mat: np.array([position[tuple(r)] for r in mat.tolist()]),
             consumption_batch=consumption_batch,
         )
+        chunks.clear()  # drop the uniform-start check's row
+        return p
 
     def test_oracle_rows_are_the_product_in_order(self):
         chunks = []
@@ -304,11 +313,14 @@ class TestBruteForceOptimum:
             brute_force_optimum(p, cap=2**62 - 1)
 
     def test_no_feasible_point_reported(self):
-        # budget below the all-minimum consumption; budget_bits outside
-        # the set skips the uniform-start feasibility gate.
-        p = linear_problem(2, (2, 3), 3.0, lambda b: 0.0, budget_bits=1)
-        with pytest.raises(InfeasibleBudgetError):
-            brute_force_optimum(p)
+        # A budget below the all-minimum consumption leaves no feasible
+        # point, so no problem the oracle is given can have one: budget_bits
+        # is either outside the set or an infeasible uniform start.
+        with pytest.raises(ContractViolation, match="not in allowed_values"):
+            linear_problem(2, (2, 3), 3.0, lambda b: 0.0, budget_bits=1)
+        for budget_bits in (2, 3):
+            with pytest.raises(ContractViolation, match="must be feasible"):
+                linear_problem(2, (2, 3), 3.0, lambda b: 0.0, budget_bits=budget_bits)
 
     def test_infinite_objective_still_yields_the_first_feasible_vector(self):
         # Only strict improvements used to replace the inf incumbent, so

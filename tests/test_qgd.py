@@ -1,6 +1,7 @@
 """Quantized gradient descent: losses, gradient coding, training loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +373,15 @@ class TestTrain:
         message = r"\[1, 1, 1, 3, 1\] consumes 7.0, over the budget of 5.0: penalty_weight 1e-09"
         with pytest.raises(InfeasibleBudgetError, match=message):
             train(task, "ppso", swarm_config=cfg)
+
+    @pytest.mark.parametrize("eta", [1e308, 1e200])
+    def test_overflowing_step_raises_naming_eta(self, eta):
+        # Both are finite, so the task takes them. At 1e308 the first
+        # step overflows z, at 1e200 its distance to z_star; the run
+        # used to go on and report a nan metric.
+        message = re.escape(f"eta = {eta} overflowed descent step 1")
+        with pytest.raises(ContractViolation, match=message):
+            train(tiny_least_squares(eta=eta, t_iter=3), "uniform")
 
     def test_default_step_config_seeds_from_task(self):
         task = tiny_least_squares(t_iter=3, seed=11)

@@ -147,15 +147,38 @@ class TestInitSwarm:
         np.testing.assert_array_equal(pos_a, pos_b)
         assert not np.array_equal(vel_a, vel_b)
 
-    def test_budget_average_outside_set_warns_and_snaps(self):
-        # The nearest member of 3..5 is the nearer end of the range.
-        for budget_bits, start in [(1, 3), (9, 5)]:
-            p = weighted_msqe_problem(
-                [1.0, 1.0], allowed=(3, 4, 5), budget=10.0, budget_bits=budget_bits
-            )
-            with pytest.warns(UserWarning, match="not an allowed value"):
-                pos, _ = init_swarm(p, 4, np.random.default_rng(0))
-            np.testing.assert_array_equal(pos, np.full((4, 2), start))
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 0.5, 3.0]),
+        st.data(),
+    )
+    def test_uniform_start_passes_repair_without_objective_calls(self, n, lo, width, slack, data):
+        # Why the repair swarm values its start unrepaired: whatever
+        # in-range budget_bits the contract admits, the start is feasible.
+        allowed = tuple(range(lo, lo + width + 1))
+        budget_bits = data.draw(st.sampled_from(allowed))
+        weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+        p = weighted_msqe_problem(weights, allowed, n * budget_bits + slack, budget_bits)
+        calls = []
+
+        def objective(mat):
+            calls.append(len(mat))
+            return p.objective_batch(mat)
+
+        counted = replace(p, objective_batch=objective)
+        pos, _ = init_swarm(counted, 5, np.random.default_rng(0))
+        np.testing.assert_array_equal(greedy_repair_batch(counted, pos), pos)
+        assert calls == []
+
+    def test_budget_average_outside_set_rejected(self):
+        # Below and above 3..5: no swarm can start from either.
+        for budget_bits in (1, 9):
+            with pytest.raises(ContractViolation, match=f"budget_bits {budget_bits} is not in"):
+                weighted_msqe_problem(
+                    [1.0, 1.0], allowed=(3, 4, 5), budget=10.0, budget_bits=budget_bits
+                )
 
 
 def sensitivities(problem, b):
@@ -182,13 +205,17 @@ class TestSensitivity:
 @st.composite
 def step_down_cases(draw):
     """A weighted-MSQE toy on a range with floor 1 or 3, a row in that
-    range, and a budget exactly one unit below the row's consumption."""
+    range, and a budget exactly one unit below the row's consumption, or
+    at it for an all-floor row: the uniform start must meet the budget,
+    and none meets a lower one. budget_bits is any value whose uniform
+    start does."""
     allowed = draw(st.sampled_from([tuple(range(1, 8)), tuple(range(3, 8))]))
     n = draw(st.integers(2, 5))
     weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
     b = np.array(draw(st.lists(st.sampled_from(allowed), min_size=n, max_size=n)))
-    # budget_bits outside the set skips the uniform-start gate.
-    p = weighted_msqe_problem(weights, allowed=allowed, budget=b.sum() - 1.0, budget_bits=0)
+    budget = max(b.sum() - 1.0, n * allowed[0])
+    budget_bits = draw(st.integers(allowed[0], int(budget) // n))
+    p = weighted_msqe_problem(weights, allowed, budget=budget, budget_bits=budget_bits)
     return p, b
 
 
@@ -253,15 +280,23 @@ class TestGreedyRepair:
             np.testing.assert_array_equal(greedy_repair_batch(p, row_in[None, :]), [row_out])
         assert (p.evaluate_consumption_batch(batch) <= p.budget).all()
 
+    @staticmethod
+    def decreasing_problem():
+        """C(b) = b_0 - 3 b_1 + 6 on 1..2, falling in b_1: the uniform
+        [2, 2] costs 2 and meets the budget of 3, but the all-minimum
+        [1, 1] costs 4, so a repair that reaches it is stuck."""
+        p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget_bits=2)
+        return replace(p, budget=3.0, consumption_batch=lambda mat: mat @ [1.0, -3.0] + 6.0)
+
     def test_unreachable_budget_raises(self):
-        p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget=1.5, budget_bits=0)
-        with pytest.raises(InfeasibleBudgetError):
-            greedy_repair_batch(p, [[2, 2]])
+        # [2, 1] costs 5; rescaling rounds it to [1, 1], still over.
+        with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
+            greedy_repair_batch(self.decreasing_problem(), [[2, 1]])
 
     def test_stuck_row_detected_inside_mixed_batch(self):
-        p = weighted_msqe_problem([1.0, 1.0], allowed=(1, 2), budget=1.5, budget_bits=0)
-        with pytest.raises(InfeasibleBudgetError):
-            greedy_repair_batch(p, np.array([[2, 2], [1, 1]]))
+        # [1, 2] costs 1 and is feasible; the stuck [2, 1] still raises.
+        with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
+            greedy_repair_batch(self.decreasing_problem(), np.array([[1, 2], [2, 1]]))
 
 
 class TestRuns:
@@ -586,5 +621,7 @@ class TestRepairMemo:
         calls = []
         with _without_memo(), _recording_repair(calls):
             run_gcpso(p, self.CFG)
-        assert len(calls) == self.CFG.restarts * (self.CFG.i_iter + 1)
+        # Each iteration's moved swarm; the uniform start is feasible and
+        # is valued unrepaired.
+        assert len(calls) == self.CFG.restarts * self.CFG.i_iter
         assert all(keys.size == self.CFG.n_pop for keys in calls)
