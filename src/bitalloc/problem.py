@@ -101,7 +101,11 @@ class AllocationProblem:
             raise ContractViolation("allowed_values must be nonempty")
         if allowed[-1] - allowed[0] + 1 != len(allowed):
             raise ContractViolation(f"allowed_values must be a contiguous range, got {allowed}")
-        object.__setattr__(self, "allowed_values", allowed)
+        # A caller's tuple already in this form is kept, so the many
+        # problems a run builds from one task share that task's tuple.
+        given = self.allowed_values
+        if not (type(given) is tuple and given == allowed and {type(v) for v in given} == {int}):
+            object.__setattr__(self, "allowed_values", allowed)
         if not np.isfinite(self.budget):
             raise ContractViolation(f"budget must be finite, got {self.budget}")
         if self.budget_bits not in allowed:

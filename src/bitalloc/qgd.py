@@ -8,6 +8,13 @@ descent step uses the dequantized vector. The allocation can be the
 uniform baseline or re-optimized every iteration by one of the swarm
 engines, minimizing the post-step loss directly.
 
+A quantized gradient entry depends only on its coordinate and width,
+so a step's objective reads its rows from an (N, L) table of the
+gradient quantized at every allowed width, filled by the same
+elementwise arithmetic and so bit-identical. The task holds one table,
+for the step it last served: a run that keeps every step's problem
+keeps one table, and a displaced step rebuilds its own when called.
+
 Two tasks are built in: linear least squares (synthetic Gaussian
 design, known target) and binary logistic regression with a 1/(2m)
 ridge term (synthetic two-Gaussian data or a sparse text dataset).
@@ -68,6 +75,7 @@ class QgdTask:
             raise ContractViolation("t_iter and budget_bits must be >= 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "_table_slot", (None, None))
         if self.z_star is not None:
             z_star = np.asarray(self.z_star, dtype=float)
             if z_star.shape != (features.shape[1],):
@@ -78,7 +86,7 @@ class QgdTask:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @cached_property
     def allowed_values(self) -> tuple[int, ...]:
         return tuple(range(1, 2 * self.budget_bits + 2))
 
@@ -86,6 +94,43 @@ class QgdTask:
     def _gram(self) -> np.ndarray:
         """features^T features, shared by every step's least-squares problem."""
         return self.features.T @ self.features
+
+    @cached_property
+    def _half_gram_diag(self) -> np.ndarray:
+        return 0.5 * np.diag(self._gram)
+
+    @cached_property
+    def _gather_offsets(self) -> np.ndarray:
+        """b - lo + offsets[j] is the flat index of width b of coordinate j in a step table."""
+        return np.arange(self.dimension) * len(self.allowed_values)
+
+    def _quantized(self, g: np.ndarray, mat) -> np.ndarray:
+        """quantize_gradient(g, mat), read from g's table of every width.
+
+        The one table slot is keyed by g's identity and holds g itself,
+        so the key cannot be recycled while the slot serves it. A width
+        outside allowed_values would read another coordinate's entry (or
+        wrap around), so it is a ContractViolation naming the row.
+        """
+        mat = np.asarray(mat, dtype=np.int64)
+        if mat.shape[-1:] != (self.dimension,):
+            raise ContractViolation(
+                f"bit matrix has shape {mat.shape}, expected (rows, {self.dimension})"
+            )
+        lo, n_widths = self.allowed_values[0], len(self.allowed_values)
+        col = mat - lo  # a width below lo wraps to a huge unsigned column
+        if col.size and col.view(np.uint64).max() >= n_widths:
+            i = int(np.flatnonzero((col.view(np.uint64) >= n_widths).any(axis=-1))[0])
+            raise ContractViolation(
+                f"row {i} allocation {mat[i].tolist()} has a width outside "
+                f"{lo}..{self.allowed_values[-1]}"
+            )
+        key, table = self._table_slot
+        if key is not g:
+            widths = np.asarray(self.allowed_values)[:, None].repeat(self.dimension, axis=1)
+            table = quantize_gradient(g, widths).T.ravel()
+            object.__setattr__(self, "_table_slot", (g, table))
+        return table[col + self._gather_offsets]
 
 
 def loss(task: QgdTask, z) -> float:
@@ -136,6 +181,11 @@ def quantize_gradient(g, bits) -> np.ndarray:
     return norm * quantize_fixed_bits(g / norm, bits)
 
 
+# The step objectives run with overflow warnings off: _refuse_overflow
+# turns an overflow into one ContractViolation naming eta.
+_OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
+
+
 class _LeastSquaresStep:
     """Closed form of the post-step least-squares loss and its step downs.
 
@@ -152,8 +202,8 @@ class _LeastSquaresStep:
     """
 
     # A descent run can keep every step's problem alive, so an instance
-    # holds only g and one number of its own; the Gram matrix is the
-    # task's.
+    # holds only g and one number of its own; the Gram matrix, its
+    # halved diagonal and the one quantized-gradient table are the task's.
     __slots__ = ("task", "g", "l0")
 
     def __init__(self, task: QgdTask, z: np.ndarray, g: np.ndarray):
@@ -165,18 +215,28 @@ class _LeastSquaresStep:
         eta = self.task.eta
         return self.l0 - eta * (q @ self.g) + 0.5 * (eta * eta) * (gq * q).sum(axis=1)
 
+    @_OVERFLOW_CHECKED
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         """F of every row: the problem's objective_batch."""
-        q = quantize_gradient(self.g, mat)
-        return self._values(q, q @ self.task._gram)
+        q = self.task._quantized(self.g, mat)
+        return _refuse_overflow(self.task, self._values(q, q @ self.task._gram))
 
+    @_OVERFLOW_CHECKED
     def step_down(self, mat: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        q = quantize_gradient(self.g, mat)
+        q = self.task._quantized(self.g, mat)
         gq = q @ self.task._gram
-        d = quantize_gradient(self.g, lower) - q
+        d = self.task._quantized(self.g, lower) - q
         eta = self.task.eta
-        change = d * (eta * eta * (gq + 0.5 * np.diag(self.task._gram) * d) - eta * self.g)
-        return self._values(q, gq)[:, None] + change
+        change = d * (eta * eta * (gq + self.task._half_gram_diag * d) - eta * self.g)
+        return _refuse_overflow(self.task, self._values(q, gq)[:, None] + change)
+
+
+def _refuse_overflow(task: QgdTask, values: np.ndarray) -> np.ndarray:
+    """values, unless a step of size eta overflowed one of them: the
+    post-step loss is finite in exact arithmetic."""
+    if not np.isfinite(values).all():
+        raise ContractViolation(f"eta = {task.eta} overflowed the step objective")
+    return values
 
 
 def _bit_sum(mat: np.ndarray) -> np.ndarray:
@@ -191,7 +251,9 @@ def qgd_problem(task: QgdTask, z) -> AllocationProblem:
     budget dimension * budget_bits. Least squares evaluates F in the
     closed form of _LeastSquaresStep, which also supplies the
     objective_step_down hook; logistic regression evaluates the loss
-    directly and has no hook.
+    directly and has no hook. Both read the quantized gradient from the
+    task's table (see the module docstring), and a value that a step of
+    size eta overflowed is a ContractViolation naming eta.
     """
     z = np.asarray(z, dtype=float)
     g = gradient(task, z)
@@ -203,8 +265,10 @@ def qgd_problem(task: QgdTask, z) -> AllocationProblem:
         step_down = objective_batch.step_down
     else:
 
+        @_OVERFLOW_CHECKED
         def objective_batch(mat: np.ndarray) -> np.ndarray:
-            return _loss_batch(task, z[None, :] - task.eta * quantize_gradient(g, mat))
+            q = task._quantized(g, mat)
+            return _refuse_overflow(task, _loss_batch(task, z[None, :] - task.eta * q))
 
         step_down = None
 

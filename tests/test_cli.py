@@ -480,6 +480,20 @@ benchmark = a
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
+    @pytest.mark.parametrize("task", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("strategies", ["gcpso, naive", "ppso"])
+    def test_overflowing_step_objective_named(self, tmp_path, capsys, task, strategies):
+        # With a swarm first, the first step's objective overflowed:
+        # two RuntimeWarnings, then a NaN objective that did not name eta.
+        text = TestRunQgd.CONFIG.replace("eta = 0.01", "eta = 1e308")
+        text = text.replace("strategies = naive", f"strategies = {strategies}")
+        text = text.replace("task = least_squares", f"task = {task}")
+        if task == "logistic":
+            text = text.replace("n_rows", "n_samples").replace("n_cols", "n_features")
+        message = "error: eta = 1e+308 overflowed the step objective"
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace("0:0.4,", "0:x,")

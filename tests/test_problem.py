@@ -43,6 +43,14 @@ class TestAllocationProblem:
         p = linear_problem(2, (3, 1, 2, 3), 10.0, lambda b: 0.0)
         assert p.allowed_values == (1, 2, 3)
 
+    def test_normalized_allowed_values_tuple_kept(self):
+        # A run builds many problems from one tuple; each kept its own copy.
+        given = (1, 2, 3)
+        assert linear_problem(2, given, 10.0, lambda b: 0.0).allowed_values is given
+        for other in ([1, 2, 3], (np.int64(1), np.int64(2), np.int64(3)), (1.0, 2.0, 3.0)):
+            kept = linear_problem(2, other, 10.0, lambda b: 0.0).allowed_values
+            assert kept == given and {type(v) for v in kept} == {int}
+
     def test_empty_allowed_set_rejected(self):
         with pytest.raises(ContractViolation):
             linear_problem(2, (), 10.0, lambda b: 0.0)

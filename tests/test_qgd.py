@@ -1,7 +1,9 @@
 """Quantized gradient descent: losses, gradient coding, training loop."""
 
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalloc import swarm
+from bitalloc import qgd, swarm
 from bitalloc.problem import ContractViolation, InfeasibleBudgetError
 from bitalloc.qgd import (
     DEFAULT_STEP_SWARM,
@@ -209,6 +211,56 @@ class TestQgdProblem:
         task = gaussian_least_squares(n_rows=200, n_cols=20, eta=0.001, budget_bits=4, seed=0)
         assert_batch_composition_agrees(qgd_problem(task, np.zeros(task.dimension)))
 
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("past", [-1, 1])
+    def test_width_off_the_lattice_named(self, kind, past):
+        # An off-lattice width used to be quantized like any other; read
+        # from the step table, lo - 1 would wrap to hi and hi + 1 would
+        # read the next coordinate's entry.
+        if kind == "least_squares":
+            task = tiny_least_squares()
+        else:
+            task = synthetic_classification(40, 5, t_iter=1, seed=5)
+        p = qgd_problem(task, np.full(5, 0.3))
+        lo, hi = p.allowed_values[0], p.allowed_values[-1]
+        bad = np.full(5, 4)
+        bad[2] = hi + 1 if past > 0 else lo - 1
+        message = re.escape(f"row 0 allocation {bad.tolist()} has a width outside {lo}..{hi}")
+        with pytest.raises(ContractViolation, match=message):
+            p.evaluate_objective(bad)
+        mat = np.stack([np.full(5, 4), bad])
+        with pytest.raises(ContractViolation, match="row 1 allocation"):
+            p.evaluate_objective_batch(mat)
+        if p.objective_step_down is None:
+            return
+        with pytest.raises(ContractViolation, match="row 1 allocation"):
+            p.evaluate_step_down_batch(mat, np.maximum(mat - 1, lo))
+        lower = np.full((2, 5), lo)
+        lower[1, 2] = lo - 1 if past < 0 else hi + 1
+        with pytest.raises(ContractViolation, match="row 1 allocation"):
+            p.evaluate_step_down_batch(np.full((2, 5), lo), lower)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("eta", [1e308, 1e200])
+    def test_overflowing_step_objective_names_eta(self, kind, eta):
+        # At 1e308 the least-squares objective overflowed eta g.q and
+        # returned NaN, with two RuntimeWarnings, and the error named a
+        # row rather than eta; at 1e200 eta^2 overflowed to a value of inf.
+        if kind == "least_squares":
+            task = tiny_least_squares(eta=eta)
+        else:
+            task = synthetic_classification(40, 5, eta=eta, t_iter=1, seed=5)
+        p = qgd_problem(task, np.zeros(5))
+        message = re.escape(f"eta = {eta} overflowed the step objective")
+        with pytest.raises(ContractViolation, match=message):
+            p.evaluate_objective(np.full(5, 4))
+        if p.objective_step_down is not None:
+            with pytest.raises(ContractViolation, match=message):
+                p.evaluate_step_down_batch(np.full((1, 5), 4), np.full((1, 5), 3))
+        for strategy in ("ppso", "gcpso"):
+            with pytest.raises(ContractViolation, match=message):
+                train(task, strategy, SwarmConfig(n_pop=10, i_iter=5, restarts=1, seed=0))
+
 
 @st.composite
 def step_down_cases(draw):
@@ -324,6 +376,95 @@ class TestLeastSquaresStepDown:
         assert 0 < memo.objective_rows == plain.objective_rows <= 3**3
         assert memo.best.tobytes() == plain.best.tobytes()
         assert memo.trace.tobytes() == plain.trace.tobytes()
+
+
+@st.composite
+def table_cases(draw):
+    """A random small task of either kind, a random point z, and a batch
+    of allocations with at least one width at lo and one at hi, plus
+    every coordinate's one-step-down target."""
+    n = draw(st.integers(1, 6))
+    m = n + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["least_squares", "logistic"]))
+    targets = rng.standard_normal(m)
+    task = QgdTask(
+        kind=kind,
+        features=rng.standard_normal((m, n)),
+        targets=targets if kind == "least_squares" else np.where(targets < 0, -1.0, 1.0),
+        eta=draw(st.sampled_from([0.001, 0.01, 0.05, 0.5])),
+        t_iter=1,
+        budget_bits=draw(st.integers(1, 4)),
+    )
+    z = rng.standard_normal(n)
+    allowed = np.asarray(task.allowed_values)
+    mat = allowed[rng.integers(0, allowed.size, size=(draw(st.integers(1, 40)), n))]
+    mat.flat[rng.integers(0, mat.size)] = allowed[0]
+    mat.flat[rng.integers(0, mat.size)] = allowed[-1]
+    lower = np.maximum(mat - 1, allowed[0])
+    return task, z, mat, lower
+
+
+class TestStepTable:
+    """Each step reads its quantized gradient from one table per task,
+    bit for bit what per-row quantization gave."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_cases())
+    def test_gathered_rows_equal_quantize_gradient(self, case):
+        task, z, mat, lower = case
+        g = gradient(task, z)
+        for bits in (mat, lower, mat[:1]):
+            assert task._quantized(g, bits).tobytes() == quantize_gradient(g, bits).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_cases())
+    def test_objective_and_hook_equal_the_quantizing_formulas(self, case):
+        # The formulas as they were before the table, quantizing per call.
+        task, z, mat, lower = case
+        g = gradient(task, z)
+        p = qgd_problem(task, z)
+        q = quantize_gradient(g, mat)
+        if task.kind == "logistic":
+            expected = _loss_batch(task, z[None, :] - task.eta * q)
+            assert p.objective_batch(mat).tobytes() == expected.tobytes()
+            return
+        eta, gram = task.eta, task.features.T @ task.features
+        gq = q @ gram
+        values = loss(task, z) - eta * (q @ g) + 0.5 * (eta * eta) * (gq * q).sum(axis=1)
+        d = quantize_gradient(g, lower) - q
+        change = d * (eta * eta * (gq + 0.5 * np.diag(gram) * d) - eta * g)
+        assert p.objective_batch(mat).tobytes() == values.tobytes()
+        assert p.objective_step_down(mat, lower).tobytes() == (values[:, None] + change).tobytes()
+
+    def test_displaced_step_rebuilds_the_same_values(self):
+        task = tiny_least_squares()
+        first, second = (qgd_problem(task, np.full(5, v)) for v in (0.3, -0.2))
+        mat = np.array([[1, 9, 4, 4, 2], [4, 4, 4, 4, 4]])
+        before = first.evaluate_objective_batch(mat)
+        second.evaluate_objective_batch(mat)
+        assert first.evaluate_objective_batch(mat).tobytes() == before.tobytes()
+
+    def test_kept_step_problems_keep_no_table_alive(self, monkeypatch):
+        # A run that keeps every step's problem (as a benchmark pass
+        # does) must not keep every step's table: only the task's slot
+        # holds one, for the last step it served.
+        task = tiny_least_squares(t_iter=4)
+        problems, tables = [], []
+
+        def engine(problem, config):
+            result = run_gcpso(problem, config)
+            problems.append(problem)
+            tables.append(weakref.ref(task._table_slot[1]))
+            return result
+
+        monkeypatch.setattr(qgd, "run_gcpso", engine)
+        train(task, "gcpso", SwarmConfig(n_pop=10, i_iter=5, restarts=1, seed=0))
+        gc.collect()
+        assert len(problems) == 4
+        alive = [ref() for ref in tables if ref() is not None]
+        assert len(alive) == 1 and alive[0] is task._table_slot[1]
+        assert all(p.allowed_values is task.allowed_values for p in problems)
 
 
 class TestTrain:
