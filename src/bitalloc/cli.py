@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import fir, qgd, receiver
-from .convergence import check_convergence_conditions
+from .convergence import check_convergence_conditions, order2_stable_from
 from .problem import (
     DEFAULT_ORACLE_CAP,
     AllocationProblem,
@@ -464,6 +464,9 @@ def run_check_convergence(w: float, c1: float, c2: float) -> int:
     print(f"condition 1 (0 < w < c+1): {report.condition_1}")
     print(f"condition 2 (lambda_max(P) < threshold): {report.condition_2}")
     print(f"guaranteed: {report.guaranteed}")
+    i_iter = SwarmConfig.i_iter
+    print(f"shipped schedule order-2 stable (c1 + c2 < 24(1 - w^2)/(7 - 5w), Poli 2009) "
+          f"from iteration {order2_stable_from(i_iter)} of {i_iter}")
     return 0
 
 

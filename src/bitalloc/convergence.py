@@ -17,13 +17,15 @@ Condition (ii) bounds the perturbation the stochastic accelerations may
 inject before the quadratic Lyapunov argument breaks down, so the pair
 of conditions is sufficient rather than necessary: parameters that fail
 (ii) often still behave well in practice, including the fixed schedule
-the search engines here follow (check_schedule).
+the search engines here follow (check_schedule). order2_stable_from
+gives the other side, Poli's (2009) order-2 stability region.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -129,3 +131,18 @@ def check_schedule(iterations: int) -> ConvergenceReport:
             worst = report
     assert worst is not None
     return worst
+
+
+def order2_stable_from(iterations: int) -> Optional[int]:
+    """First iteration of an iterations-long run of the engines'
+    schedule, from schedule_hyperparams, in the order-2 stability region
+    c1 + c2 < 24 (1 - w^2) / (7 - 5 w), |w| < 1 (Poli 2009, IEEE TEC
+    13(4)); None if none is. w falls while c1 + c2 stays 3, so it then
+    holds to the end: from iteration 24 of 100."""
+    if iterations < 1:
+        raise ContractViolation(f"iterations must be >= 1, got {iterations}")
+    for it in range(1, iterations + 1):
+        w, c1, c2 = schedule_hyperparams(it, iterations)
+        if abs(w) < 1 and c1 + c2 < 24 * (1 - w * w) / (7 - 5 * w):
+            return it
+    return None

@@ -22,9 +22,9 @@ across batch compositions to rounding only; the swarm engine pins one
 value per distinct row for each search. A NaN value breaks the
 contract: the batch evaluators reject it and name the row.
 
-A problem may also supply objective_step_down(mat, lower), an (r, n)
-matrix whose entry [i, j] is F(row i of mat with coordinate j set to
-lower[i, j], one bit lower or, at the floor, unchanged). The greedy
+A problem may also supply objective_step_down(mat), an (r, n) matrix
+whose entry [i, j] is F(row i of mat with coordinate j one bit lower,
+or unchanged where b_j is already the lowest allowed value). The greedy
 repair then asks it for every one-coordinate step down at once instead
 of evaluating r * n candidate rows (a swarm search whose memo engages
 looks them up instead). Its values must agree with objective_batch on
@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 BatchFunction = Callable[[np.ndarray], np.ndarray]
-StepDownFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
+StepDownFunction = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -154,10 +154,10 @@ class AllocationProblem:
     def evaluate_objective_batch(self, mat) -> np.ndarray:
         return self._evaluate_batch(self.objective_batch, mat, "objective")
 
-    def evaluate_step_down_batch(self, mat, lower) -> np.ndarray:
-        """objective_step_down(mat, lower), checked like the batch evaluators."""
+    def evaluate_step_down_batch(self, mat) -> np.ndarray:
+        """objective_step_down(mat), checked like the batch evaluators."""
         mat = self._check_matrix(mat)
-        out = np.asarray(self.objective_step_down(mat, lower), dtype=float)
+        out = np.asarray(self.objective_step_down(mat), dtype=float)
         if out.shape != mat.shape:
             raise ContractViolation(
                 f"objective_step_down returned shape {out.shape} for {mat.shape[0]} rows, "
@@ -167,7 +167,8 @@ class AllocationProblem:
             i, j = (int(k) for k in np.argwhere(np.isnan(out))[0])
             raise ContractViolation(
                 f"objective_step_down returned NaN for row {i}, coordinate {j}: "
-                f"allocation {mat[i].tolist()} with b_{j} = {lower[i, j]}"
+                f"allocation {mat[i].tolist()} with b_{j} = "
+                f"{max(int(mat[i, j]) - 1, self.allowed_values[0])}"
             )
         return out
 

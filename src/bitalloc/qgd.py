@@ -11,9 +11,11 @@ engines, minimizing the post-step loss directly.
 A quantized gradient entry depends only on its coordinate and width,
 so a step's objective reads its rows from an (N, L) table of the
 gradient quantized at every allowed width, filled by the same
-elementwise arithmetic and so bit-identical. The task holds one table,
-for the step it last served: a run that keeps every step's problem
-keeps one table, and a displaced step rebuilds its own when called.
+elementwise arithmetic and so bit-identical; the step-down hook also
+reads each coordinate's change one bit lower from a second table, the
+same subtraction done once. The task holds one slot of tables, for the
+step it last served: a run that keeps every step's problem keeps one,
+and a displaced step rebuilds its own when called.
 
 Two tasks are built in: linear least squares (synthetic Gaussian
 design, known target) and binary logistic regression with a 1/(2m)
@@ -75,7 +77,7 @@ class QgdTask:
             raise ContractViolation("t_iter and budget_bits must be >= 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "_table_slot", (None, None))
+        object.__setattr__(self, "_table_slot", (None, None, None))
         if self.z_star is not None:
             z_star = np.asarray(self.z_star, dtype=float)
             if z_star.shape != (features.shape[1],):
@@ -104,8 +106,10 @@ class QgdTask:
         """b - lo + offsets[j] is the flat index of width b of coordinate j in a step table."""
         return np.arange(self.dimension) * len(self.allowed_values)
 
-    def _quantized(self, g: np.ndarray, mat) -> np.ndarray:
-        """quantize_gradient(g, mat), read from g's table of every width.
+    def _tables(self, g: np.ndarray, mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g's step tables, flat (N, L), and where each width of mat sits
+        in them: T[j, b - lo] = quantize_gradient(g, b)_j, and the
+        step-down change T[j, max(b - 1, lo) - lo] - T[j, b - lo].
 
         The one table slot is keyed by g's identity and holds g itself,
         so the key cannot be recycled while the slot serves it. A width
@@ -125,12 +129,19 @@ class QgdTask:
                 f"row {i} allocation {mat[i].tolist()} has a width outside "
                 f"{lo}..{self.allowed_values[-1]}"
             )
-        key, table = self._table_slot
+        key, table, down = self._table_slot
         if key is not g:
             widths = np.asarray(self.allowed_values)[:, None].repeat(self.dimension, axis=1)
-            table = quantize_gradient(g, widths).T.ravel()
-            object.__setattr__(self, "_table_slot", (g, table))
-        return table[col + self._gather_offsets]
+            square = quantize_gradient(g, widths).T
+            lower = np.maximum(np.arange(n_widths) - 1, 0)
+            table, down = square.ravel(), (square[:, lower] - square).ravel()
+            object.__setattr__(self, "_table_slot", (g, table, down))
+        return table, down, col + self._gather_offsets
+
+    def _quantized(self, g: np.ndarray, mat) -> np.ndarray:
+        """quantize_gradient(g, mat), read from g's table of every width."""
+        table, _, at = self._tables(g, mat)
+        return table[at]
 
 
 def loss(task: QgdTask, z) -> float:
@@ -197,13 +208,14 @@ class _LeastSquaresStep:
     which costs O(D^2) per row instead of a pass over the M samples.
     Changing coordinate j of q by d adds
     d (eta^2 (G q)_j + eta^2/2 G_jj d - eta g_j), so step_down values
-    every one-coordinate change of a row in O(D) each, and a change
-    that leaves q_j unchanged (d = 0) adds exactly zero.
+    every one-coordinate change of a row in O(D) each, reading d from
+    the task's step-down table, and a change that leaves q_j unchanged
+    (d = 0, always so at the floor) adds exactly zero.
     """
 
     # A descent run can keep every step's problem alive, so an instance
     # holds only g and one number of its own; the Gram matrix, its
-    # halved diagonal and the one quantized-gradient table are the task's.
+    # halved diagonal and the one slot of step tables are the task's.
     __slots__ = ("task", "g", "l0")
 
     def __init__(self, task: QgdTask, z: np.ndarray, g: np.ndarray):
@@ -222,10 +234,10 @@ class _LeastSquaresStep:
         return _refuse_overflow(self.task, self._values(q, q @ self.task._gram))
 
     @_OVERFLOW_CHECKED
-    def step_down(self, mat: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        q = self.task._quantized(self.g, mat)
+    def step_down(self, mat: np.ndarray) -> np.ndarray:
+        table, down, at = self.task._tables(self.g, mat)
+        q, d = table[at], down[at]
         gq = q @ self.task._gram
-        d = self.task._quantized(self.g, lower) - q
         eta = self.task.eta
         change = d * (eta * eta * (gq + self.task._half_gram_diag * d) - eta * self.g)
         return _refuse_overflow(self.task, self._values(q, gq)[:, None] + change)

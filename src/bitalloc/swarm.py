@@ -35,18 +35,20 @@ candidates. It counts the rows sent to the problem
 the rows one restart evaluates, len(allowed) ** N <= n_pop * (i_iter + 1),
 rows must repeat, so it also memoizes: each row is keyed by its
 problem.lattice_index, and only rows whose key it has not seen reach
-the problem, one per distinct key. An unseen key's value reads NaN:
-the contract forbids NaN values and the problem's batch evaluator
-rejects one before the memo stores it, so NaN never stands for a real
-value. The objective is pure by contract, so memoizing changes no value
-beyond pinning one per row for the whole search (a batch objective may
-otherwise differ in the last bits between batches). The repair swarm
-then also repairs each distinct row once per search and looks its
-result up afterwards. With every value pinned, the greedy repair is a
-pure function of the row, and each step-down candidate of a row
-repaired before is already known, so repairing only the new rows sends
-the objective the same new rows, in the same order, as repairing all
-of them: no value and no answer moves. Larger spaces bypass both memos.
+the problem, one per distinct key, in key order. An unseen key's value
+reads NaN: the contract forbids NaN values and the problem's batch
+evaluator rejects one before the memo stores it, so NaN never stands
+for a real value. The objective is pure by contract, so memoizing
+changes no value beyond pinning one per row for the whole search (a
+batch objective may otherwise differ in the last bits between batches).
+The repair swarm then also repairs each distinct row once per search:
+an iteration keys each moved particle once, repairs the keys it has
+not repaired before, and reads the repaired rows and their values from
+the memo. With every value pinned, the greedy repair is a pure function
+of the row, and each step-down candidate of a row repaired before is
+already known, so repairing only the new rows sends the objective the
+same new rows, in the same order, as repairing all of them: no value
+and no answer moves. Larger spaces bypass both memos.
 
 When the problem supplies objective_step_down and the memo does not
 engage, the repair's step-down values come from that hook, and
@@ -57,6 +59,9 @@ lookup costs less than the hook. Hook values are not memoized; they
 only rank candidates within one row, and every cost the swarm compares
 or reports (the particle costs, best_cost, the trace) comes from the
 full objective.
+
+step_swarm and greedy_repair_batch are module globals that the engine
+looks up at every call, so a tracer may swap them for timed wrappers.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from .problem import (
     ContractViolation,
     InfeasibleBudgetError,
     lattice_index,
-    lattice_rows,
     penalized_fitness_batch,
 )
 from .quantizers import round_half_away
@@ -159,21 +163,21 @@ def schedule_hyperparams(it: int, i_iter: int) -> tuple[float, float, float]:
 # -- greedy budget repair ----------------------------------------------------
 
 
-def _step_down_values(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
+def _step_down_values(
+    problem: AllocationProblem, mat: np.ndarray, floor: np.ndarray
+) -> np.ndarray:
     """(r, n) values F(row i of mat with coordinate j one bit lower),
-    +inf where b_j is already the lowest allowed value. They come from
-    the problem's objective_step_down hook when it has one; otherwise
-    the r * n candidates go to the objective as one batch. Either way
-    floor coordinates are valued unchanged, then masked."""
-    r, n = mat.shape
-    floor = mat == problem.allowed_values[0]
-    lower = np.where(floor, mat, mat - 1)
+    +inf where b_j is already the lowest allowed value (floor, the mask
+    mat == lo). They come from the problem's objective_step_down hook
+    when it has one; otherwise the r * n candidates go to the objective
+    as one batch, floor coordinates valued unchanged, then masked."""
     if problem.objective_step_down is not None:
-        values = problem.evaluate_step_down_batch(mat, lower)
+        values = problem.evaluate_step_down_batch(mat)
     else:
+        r, n = mat.shape
         diag = np.arange(n)
         candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
-        candidates[:, diag, diag] = lower
+        candidates[:, diag, diag] = np.where(floor, mat, mat - 1)
         values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
     values[floor] = np.inf
     return values
@@ -190,6 +194,7 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     untouched. Consumption must be nondecreasing in every coordinate, as
     in all applications here, so the all-minimum row costs no more than
     the uniform start; reaching it over budget is a ContractViolation.
+    Each greedy pass works on the rows still over budget, in row order.
     """
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
@@ -202,19 +207,21 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
         cons[over] = problem.evaluate_consumption_batch(mat[over])
         over = cons > problem.budget
 
-    while over.any():
-        rows = mat[over]
-        if (rows == lo).all(axis=1).any():
+    idx = np.flatnonzero(over)
+    rows = mat[idx]
+    while idx.size:
+        floor = rows == lo
+        if floor.all(axis=1).any():
             raise ContractViolation(
                 "budget repair ran out of bits to remove: the all-minimum allocation "
                 f"exceeds the budget of {problem.budget}, so consumption is not "
                 "nondecreasing in every coordinate"
             )
-        j = np.argmin(_step_down_values(problem, rows), axis=1)  # lowest index wins ties
-        rows[np.arange(rows.shape[0]), j] -= 1
-        mat[over] = rows
-        cons[over] = problem.evaluate_consumption_batch(rows)
-        over = cons > problem.budget
+        j = np.argmin(_step_down_values(problem, rows, floor), axis=1)  # lowest index wins ties
+        rows[np.arange(idx.size), j] -= 1
+        mat[idx] = rows
+        still = problem.evaluate_consumption_batch(rows) > problem.budget
+        idx, rows = idx[still], rows[still]
     return mat
 
 
@@ -238,11 +245,15 @@ def step_swarm(
 
     The new velocity is clamped to [-V_MAX, V_MAX] before the position
     move, the move rounds half away from zero, and the resulting
-    positions are clipped into the allowed range lo..hi.
+    positions are clipped into the allowed range lo..hi. The arrays
+    given are not modified.
     """
-    vel = w * vel + c1 * r1 * (p_best - pos) + c2 * r2 * (g_best[None, :] - pos)
-    np.clip(vel, -V_MAX, V_MAX, out=vel)
-    return np.clip(pos + round_half_away(vel).astype(np.int64), lo, hi), vel
+    new_vel = w * vel
+    new_vel += c1 * r1 * (p_best - pos)
+    new_vel += c2 * r2 * (g_best - pos)
+    np.minimum(np.maximum(new_vel, -V_MAX, out=new_vel), V_MAX, out=new_vel)
+    new_pos = pos + round_half_away(new_vel).astype(np.int64)
+    return np.minimum(np.maximum(new_pos, lo, out=new_pos), hi, out=new_pos), new_vel
 
 
 def init_swarm(
@@ -271,13 +282,15 @@ def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
 class _Objective:
     """F for one search, the objective_batch of the engine's copy of the
     problem: counts the rows sent to the problem and, when _memo_engages,
-    values and repairs each distinct row once, as the module docstring
-    explains. Both tables are dense over the lattice, so each holds at
-    most n_pop * (i_iter + 1) entries: table holds each row's value,
-    NaN until it is known, and repaired the lattice index of its repair,
-    -1 until it is known. step_down counts the candidates of the
-    problem's step-down hook, which the engine uses only when the memo
-    is off."""
+    values and repairs each distinct row once, in lattice keys, as the
+    module docstring explains. The tables are dense over the lattice, so
+    each holds at most n_pop * (i_iter + 1) entries (rows, for
+    repaired_rows): table holds each
+    row's value, NaN until it is known; repaired the lattice index of
+    its repair, -1 until it is known; and repaired_rows that repair's
+    row. They are dropped with the search. step_down counts the
+    candidates of the problem's step-down hook, which the engine uses
+    only when the memo is off."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig):
         self.problem = problem
@@ -287,34 +300,50 @@ class _Objective:
         if _memo_engages(problem, config):
             self.table = np.full(len(problem.allowed_values) ** problem.dimension, np.nan)
             self.repaired = np.full(self.table.size, -1, dtype=np.int64)
+            self.repaired_rows = np.empty((self.table.size, problem.dimension), dtype=np.int64)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         if self.table is None:
             self.rows += mat.shape[0]
             return self.problem.objective_batch(mat)
-        keys = lattice_index(self.problem, mat)
-        unknown = np.flatnonzero(np.isnan(self.table[keys]))
-        if unknown.size:
+        return self._values(lattice_index(self.problem, mat), mat)
+
+    def _values(self, keys: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """F of mat's rows, whose lattice indices are keys: the unknown
+        keys go to the problem once each, in key order."""
+        values = self.table[keys]
+        missing = np.isnan(values)
+        if missing.any():
+            unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
             self.table[new] = self.problem.evaluate_objective_batch(mat[unknown[first]])
             self.rows += new.size
-        return self.table[keys]
+            values = self.table[keys]
+        return values
 
-    def step_down(self, mat: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    def step_down(self, mat: np.ndarray) -> np.ndarray:
         self.step_down_rows += mat.size
-        return self.problem.objective_step_down(mat, lower)
+        return self.problem.objective_step_down(mat)
 
-    def repair(self, problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
-        """greedy_repair_batch(problem, mat), looked up at call time, on
-        only the rows not repaired before in this search, in key order;
-        problem is the engine's copy, whose objective is this memo."""
+    def repair_and_value(
+        self, problem: AllocationProblem, mat: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(greedy_repair_batch(problem, mat), F of its rows) with the
+        memo engaged. The repair, looked up at call time, gets only the
+        rows not repaired before in this search, in key order; problem
+        is the engine's copy, whose objective is this memo."""
         keys = lattice_index(problem, mat)
-        unknown = np.flatnonzero(self.repaired[keys] < 0)
-        if unknown.size:
+        fixed_keys = self.repaired[keys]
+        missing = fixed_keys < 0
+        if missing.any():
+            unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
             fixed = greedy_repair_batch(problem, mat[unknown[first]])
             self.repaired[new] = lattice_index(problem, fixed)
-        return lattice_rows(problem, self.repaired[keys])
+            self.repaired_rows[new] = fixed
+            fixed_keys = self.repaired[keys]
+        rows = self.repaired_rows[keys]
+        return rows, self._values(fixed_keys, rows)
 
 
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
@@ -330,13 +359,27 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
         objective_batch=objective,
         objective_step_down=objective.step_down if use_hook else None,
     )
+    # costs values the uniform start; settle turns each moved swarm into
+    # the positions and costs the swarm keeps.
     if repair:
-        fix = objective.repair if memo else greedy_repair_batch
         costs = searched.evaluate_objective_batch
+        if memo:
+            settle = partial(objective.repair_and_value, searched)
+        else:
+
+            def settle(pos):
+                pos = greedy_repair_batch(searched, pos)
+                return pos, costs(pos)
+
     else:
         costs = partial(penalized_fitness_batch, searched, penalty_weight=config.penalty_weight)
+
+        def settle(pos):
+            return pos, costs(pos)
+
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    draw_shape = (config.n_pop, problem.dimension)
+    draw_shape = (2, config.n_pop, problem.dimension)
+    schedule = [schedule_hyperparams(it, config.i_iter) for it in range(1, config.i_iter + 1)]
     best: Optional[tuple] = None
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
@@ -346,17 +389,13 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
         g_best, g_cost = p_best[i].copy(), float(p_cost[i])
         trace = np.empty(config.i_iter + 1)
         trace[0] = g_cost
-        for it in range(1, config.i_iter + 1):
-            w, c1, c2 = schedule_hyperparams(it, config.i_iter)
-            r1 = rng.random(draw_shape)
-            r2 = rng.random(draw_shape)
+        for it, (w, c1, c2) in enumerate(schedule, start=1):
+            r1, r2 = rng.random(draw_shape)  # the stream of two (n_pop, N) draws
             pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
-            if repair:
-                pos = fix(searched, pos)
-            cost = costs(pos)
+            pos, cost = settle(pos)
             improved = cost < p_cost
-            p_best[improved] = pos[improved]
-            p_cost[improved] = cost[improved]
+            np.copyto(p_best, pos, where=improved[:, None])
+            np.copyto(p_cost, cost, where=improved)
             i = int(np.argmin(p_cost))
             if p_cost[i] < g_cost:
                 g_best, g_cost = p_best[i].copy(), float(p_cost[i])

@@ -517,6 +517,12 @@ class TestCheckConvergence:
         assert "condition 2 (lambda_max(P) < threshold): False" in out
         assert "guaranteed: False" in out
 
+    def test_reports_where_the_shipped_schedule_turns_order2_stable(self, capsys):
+        assert cli.main(["check-convergence", "--w", "0.6", "--c1", "1", "--c2", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "c1 + c2 < 24(1 - w^2)/(7 - 5w)" in out
+        assert "from iteration 24 of 100" in out
+
     def test_runaway_inertia_fails_condition_1(self, capsys):
         assert cli.main(["check-convergence", "--w", "2.5", "--c1", "1", "--c2", "1"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from bitalloc.convergence import (
     check_convergence_conditions,
     check_schedule,
     lyapunov_solution,
+    order2_stable_from,
     state_matrix,
 )
 from bitalloc.problem import ContractViolation
@@ -138,3 +139,25 @@ class TestScheduleCheck:
     def test_bad_iteration_count_rejected(self):
         with pytest.raises(ContractViolation):
             check_schedule(0)
+
+
+class TestOrderTwoRegion:
+    """Poli (2009): c1 + c2 < 24 (1 - w^2) / (7 - 5 w) for |w| < 1."""
+
+    def test_shipped_schedule_is_order2_stable_from_iteration_24(self):
+        assert order2_stable_from(SwarmConfig().i_iter) == 24 == order2_stable_from(100)
+        # By hand: w = 0.785 at iteration 23 and 0.78 at iteration 24,
+        # against c1 + c2 = 3 throughout.
+        assert 24 * (1 - 0.785**2) / (7 - 5 * 0.785) == pytest.approx(2.99531, abs=1e-5)
+        assert 24 * (1 - 0.78**2) / (7 - 5 * 0.78) == pytest.approx(3.03174, abs=1e-5)
+
+    def test_short_runs_scale_the_same_schedule(self):
+        # Iteration it of i_iter has w = 0.9 - 0.5 it / i_iter, so the
+        # switch falls at the first it with it / i_iter > 0.2313 (w < 0.7844).
+        assert order2_stable_from(1) == 1
+        assert order2_stable_from(10) == 3
+        assert order2_stable_from(1000) == 232
+
+    def test_bad_iteration_count_rejected(self):
+        with pytest.raises(ContractViolation):
+            order2_stable_from(0)

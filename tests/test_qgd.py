@@ -234,11 +234,12 @@ class TestQgdProblem:
         if p.objective_step_down is None:
             return
         with pytest.raises(ContractViolation, match="row 1 allocation"):
-            p.evaluate_step_down_batch(mat, np.maximum(mat - 1, lo))
-        lower = np.full((2, 5), lo)
-        lower[1, 2] = lo - 1 if past < 0 else hi + 1
-        with pytest.raises(ContractViolation, match="row 1 allocation"):
-            p.evaluate_step_down_batch(np.full((2, 5), lo), lower)
+            p.evaluate_step_down_batch(mat)
+        # The hook reads each step down from the task's table, which
+        # holds no entry below lo: a floor coordinate is valued unchanged.
+        floor = np.full((1, 5), lo)
+        row_value = p.evaluate_objective_batch(floor)[0]
+        assert (p.evaluate_step_down_batch(floor) == row_value).all()
 
     @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
     @pytest.mark.parametrize("eta", [1e308, 1e200])
@@ -256,7 +257,7 @@ class TestQgdProblem:
             p.evaluate_objective(np.full(5, 4))
         if p.objective_step_down is not None:
             with pytest.raises(ContractViolation, match=message):
-                p.evaluate_step_down_batch(np.full((1, 5), 4), np.full((1, 5), 3))
+                p.evaluate_step_down_batch(np.full((1, 5), 4))
         for strategy in ("ppso", "gcpso"):
             with pytest.raises(ContractViolation, match=message):
                 train(task, strategy, SwarmConfig(n_pop=10, i_iter=5, restarts=1, seed=0))
@@ -297,7 +298,7 @@ class TestLeastSquaresStepDown:
         candidates = np.repeat(mat[:, None, :], n, axis=1)
         candidates[:, np.arange(n), np.arange(n)] = lower
         full = p.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
-        np.testing.assert_allclose(p.evaluate_step_down_batch(mat, lower), full, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(p.evaluate_step_down_batch(mat), full, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(step_down_cases())
@@ -308,23 +309,23 @@ class TestLeastSquaresStepDown:
         p, g, mat, lower = case
         same = quantize_gradient(g, mat) == quantize_gradient(g, lower)
         assert same.any()
-        values = p.evaluate_step_down_batch(mat, lower)
+        values = p.evaluate_step_down_batch(mat)
         row_values = np.broadcast_to(p.evaluate_objective_batch(mat)[:, None], mat.shape)
         assert (values[same] == row_values[same]).all()
         b = mat[0]
         zero = same[0] & (b > p.allowed_values[0])
-        stepped = swarm._step_down_values(p, b[None, :])[0]
+        stepped = swarm._step_down_values(p, b[None, :], b[None, :] == p.allowed_values[0])[0]
         assert (stepped[zero] == p.evaluate_objective(b)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(step_down_cases())
     def test_values_agree_across_batch_compositions(self, case):
-        p, _, mat, lower = case
-        whole = p.evaluate_step_down_batch(mat, lower)
+        p, _, mat, _ = case
+        whole = p.evaluate_step_down_batch(mat)
         for size in (1, 7, 64):
             parts = np.concatenate(
                 [
-                    p.evaluate_step_down_batch(mat[k : k + size], lower[k : k + size])
+                    p.evaluate_step_down_batch(mat[k : k + size])
                     for k in range(0, mat.shape[0], size)
                 ]
             )
@@ -334,8 +335,8 @@ class TestLeastSquaresStepDown:
         task = tiny_least_squares()
         p = qgd_problem(task, np.zeros(5))
 
-        def nan_hook(mat, lower):
-            out = p.objective_step_down(mat, lower)
+        def nan_hook(mat):
+            out = p.objective_step_down(mat)
             out[0, 2] = math.nan
             return out
 
@@ -343,7 +344,7 @@ class TestLeastSquaresStepDown:
         over = np.array([[5, 4, 4, 4, 4]])
         with pytest.raises(ContractViolation, match="NaN for row 0, coordinate 2"):
             greedy_repair_batch(replace(p, objective_step_down=nan_hook), over)
-        flat = replace(p, objective_step_down=lambda mat, lower: np.zeros(mat.shape[0]))
+        flat = replace(p, objective_step_down=lambda mat: np.zeros(mat.shape[0]))
         with pytest.raises(ContractViolation, match="objective_step_down returned shape"):
             greedy_repair_batch(flat, over)
 
@@ -435,7 +436,7 @@ class TestStepTable:
         d = quantize_gradient(g, lower) - q
         change = d * (eta * eta * (gq + 0.5 * np.diag(gram) * d) - eta * g)
         assert p.objective_batch(mat).tobytes() == values.tobytes()
-        assert p.objective_step_down(mat, lower).tobytes() == (values[:, None] + change).tobytes()
+        assert p.objective_step_down(mat).tobytes() == (values[:, None] + change).tobytes()
 
     def test_displaced_step_rebuilds_the_same_values(self):
         task = tiny_least_squares()

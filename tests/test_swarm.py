@@ -19,6 +19,7 @@ from bitalloc.problem import (
     lattice_index,
     penalized_fitness_batch,
 )
+from bitalloc.quantizers import round_half_away
 from bitalloc.swarm import (
     V_MAX,
     SwarmConfig,
@@ -84,6 +85,39 @@ class TestSchedule:
             schedule_hyperparams(101, 100)
 
 
+def clip_step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi):
+    """step_swarm as it was, with np.clip; the reference for its rewrite."""
+    vel = w * vel + c1 * r1 * (p_best - pos) + c2 * r2 * (g_best[None, :] - pos)
+    np.clip(vel, -V_MAX, V_MAX, out=vel)
+    return np.clip(pos + round_half_away(vel).astype(np.int64), lo, hi), vel
+
+
+# Velocities at the rounding ties and at the clamp, and just past them.
+_EDGE_VELOCITIES = [-V_MAX, -0.5, 0.5, V_MAX, -V_MAX - 0.5, V_MAX + 0.5, -2.5, 1.5, 0.0, -0.0]
+
+
+@st.composite
+def step_cases(draw):
+    """step_swarm arguments on a range lo..hi. With w = 1 and zero
+    acceleration factors the new velocity is the old one exactly, so the
+    edge velocities reach the clamp and the rounding as they are."""
+    n_pop, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    lo = draw(st.integers(-2, 3))
+    hi = lo + draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.integers(lo, hi + 1, size=(n_pop, n))
+    p_best = rng.integers(lo, hi + 1, size=(n_pop, n))
+    g_best = rng.integers(lo, hi + 1, size=n)
+    vel = rng.uniform(-2 * V_MAX, 2 * V_MAX, size=(n_pop, n))
+    edges = rng.random((n_pop, n)) < 0.5
+    vel[edges] = rng.choice(_EDGE_VELOCITIES, size=int(edges.sum()))
+    exact = draw(st.booleans())
+    w = 1.0 if exact else draw(st.floats(0.0, 1.0))
+    c1, c2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    r1, r2 = (np.zeros((n_pop, n)) if exact else rng.random((n_pop, n)) for _ in "12")
+    return (pos, vel, p_best, g_best, w, c1, c2, r1, r2), lo, hi
+
+
 class TestStepSwarm:
     def test_converged_swarm_is_a_fixed_point(self):
         pos = np.array([[3, 4], [3, 4]])
@@ -130,6 +164,29 @@ class TestStepSwarm:
         free, _ = step_swarm(*args, -100, 100)
         assert free.min() < 3 and free.max() > 6
         np.testing.assert_array_equal(new_pos, np.clip(free, 3, 6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_equals_the_clip_formula_byte_for_byte(self, case):
+        args, lo, hi = case
+        kept = [np.copy(a) for a in args]
+        new_pos, new_vel = step_swarm(*args, lo, hi)
+        old_pos, old_vel = clip_step_swarm(*kept, lo, hi)
+        assert new_pos.dtype == old_pos.dtype and new_vel.dtype == old_vel.dtype
+        assert new_pos.tobytes() == old_pos.tobytes()
+        assert new_vel.tobytes() == old_vel.tobytes()
+        # The arrays given are not modified.
+        assert all(np.asarray(a).tobytes() == k.tobytes() for a, k in zip(args, kept))
+
+    def test_one_draw_of_two_is_the_stream_of_two_draws(self):
+        # The engine draws r1 and r2 as one (2, n_pop, N) array.
+        for seed in range(5):
+            for shape in ((550, 5), (7, 3), (1, 1)):
+                one, two = (np.random.default_rng([swarm._SEED_DOMAIN, seed]) for _ in "ab")
+                for _ in range(3):
+                    r1, r2 = one.random((2, *shape))
+                    assert r1.tobytes() == two.random(shape).tobytes()
+                    assert r2.tobytes() == two.random(shape).tobytes()
 
 
 class TestInitSwarm:
@@ -183,8 +240,9 @@ class TestInitSwarm:
 
 def sensitivities(problem, b):
     """F of b with each coordinate one bit lower, less F(b); +inf at the floor."""
-    b = np.asarray(b)
-    return swarm._step_down_values(problem, b[None, :])[0] - problem.evaluate_objective(b)
+    mat = np.asarray(b)[None, :]
+    floor = mat == problem.allowed_values[0]
+    return swarm._step_down_values(problem, mat, floor)[0] - problem.evaluate_objective(mat[0])
 
 
 class TestSensitivity:
@@ -246,6 +304,69 @@ class TestSharedStepDown:
         np.testing.assert_array_equal(greedy_repair_batch(p, b[None, :]), [expected])
 
 
+def previous_greedy_repair(problem, mat):
+    """greedy_repair_batch as it was, re-indexing mat with the over mask
+    on every pass; the reference for its working-set loop."""
+    lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
+    mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
+    cons = problem.evaluate_consumption_batch(mat)
+    over = cons > problem.budget
+    if over.any():
+        scale = problem.budget / cons[over]
+        mat[over] = np.clip(round_half_away(mat[over] * scale[:, None]), lo, hi)
+        cons[over] = problem.evaluate_consumption_batch(mat[over])
+        over = cons > problem.budget
+    while over.any():
+        rows = mat[over]
+        assert not (rows == lo).all(axis=1).any()
+        j = np.argmin(swarm._step_down_values(problem, rows, rows == lo), axis=1)
+        rows[np.arange(rows.shape[0]), j] -= 1
+        mat[over] = rows
+        cons[over] = problem.evaluate_consumption_batch(rows)
+        over = cons > problem.budget
+    return mat
+
+
+def recording(problem, log):
+    """problem with every batch its callables get appended to log as
+    (callable name, copy of the batch)."""
+
+    def record(name, fn):
+        def recorded(mat):
+            log.append((name, np.array(mat)))
+            return fn(mat)
+
+        return recorded
+
+    hook = problem.objective_step_down
+    copy = replace(
+        problem,
+        objective_batch=record("objective", problem.objective_batch),
+        consumption_batch=record("consumption", problem.consumption_batch),
+        objective_step_down=None if hook is None else record("step_down", hook),
+    )
+    log.clear()  # the uniform check of the copy's construction
+    return copy
+
+
+@st.composite
+def repair_cases(draw):
+    """A problem with or without a step-down hook and a batch of rows
+    that reaches past both ends of its range, so rows get clipped,
+    rescaled and stepped down."""
+    i = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["msqe", "fir", "qgd"]))
+    if kind == "msqe":
+        n = draw(st.integers(1, 5))
+        weights = draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]), min_size=n, max_size=n))
+        p = weighted_msqe_problem(weights, budget=n * 3 + draw(st.sampled_from([0.0, 0.5, 2.0])))
+    else:
+        p = (toy_fir_problem if kind == "fir" else toy_qgd_problem)(i)
+    lo, hi = p.allowed_values[0], p.allowed_values[-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, rng.integers(lo - 1, hi + 2, size=(draw(st.integers(1, 30)), p.dimension))
+
+
 class TestGreedyRepair:
     def test_feasible_rows_untouched(self):
         p = weighted_msqe_problem([1.0, 1.0], budget=8.0, budget_bits=4)
@@ -297,6 +418,17 @@ class TestGreedyRepair:
         # [1, 2] costs 1 and is feasible; the stuck [2, 1] still raises.
         with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
             greedy_repair_batch(self.decreasing_problem(), np.array([[1, 2], [2, 1]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(repair_cases())
+    def test_hands_the_problem_the_batches_of_the_previous_loop(self, case):
+        p, mat = case
+        log, previous_log = [], []
+        fixed = greedy_repair_batch(recording(p, log), mat)
+        expected = previous_greedy_repair(recording(p, previous_log), mat)
+        assert fixed.tobytes() == expected.tobytes()
+        assert [name for name, _ in log] == [name for name, _ in previous_log]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(log, previous_log))
 
 
 class TestRuns:
@@ -604,6 +736,25 @@ def _recording_repair(calls):
 
 class TestRepairMemo:
     CFG = SwarmConfig(n_pop=40, i_iter=40, restarts=3, seed=7)
+
+    @pytest.mark.parametrize("make", [toy_fir_problem, toy_receiver_problem, toy_qgd_problem])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_key_space_path_gives_each_particles_repair_and_its_memo_value(self, make, i):
+        p = make(i)
+        objective = swarm._Objective(p, SwarmConfig(seed=i, restarts=1))
+        assert objective.table is not None
+        searched = replace(p, objective_batch=objective, objective_step_down=None)
+        lo, hi = p.allowed_values[0], p.allowed_values[-1]
+        rng = np.random.default_rng(i)
+        first, fresh = rng.integers(lo, hi + 1, size=(2, 30, p.dimension))
+        # The second batch repeats the first: those keys are known.
+        for mat in (first, np.concatenate([first[::-1], fresh])):
+            rows, costs = objective.repair_and_value(searched, mat)
+            for particle, row in zip(mat, rows):
+                assert greedy_repair_batch(searched, particle[None, :]).tobytes() == row.tobytes()
+            assert costs.tobytes() == objective.table[lattice_index(p, rows)].tobytes()
+            assert not np.isnan(costs).any()
+            assert (p.evaluate_consumption_batch(rows) <= p.budget).all()
 
     def test_each_distinct_row_is_repaired_once_per_search(self):
         p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
