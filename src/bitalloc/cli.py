@@ -40,6 +40,7 @@ from .problem import (
     InfeasibleBudgetError,
     SearchSpaceTooLarge,
     brute_force_optimum,
+    read_text,
 )
 from .swarm import SwarmConfig, run_gcpso, run_ppso
 
@@ -124,10 +125,13 @@ class _Section:
 def _load_parser(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
+        parser.read_string(read_text(path), source=str(path))
     except FileNotFoundError:
         raise _fail("config", f"file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise _fail("config", f"cannot read {path}: {exc.strerror}") from None
+    except ContractViolation as exc:
+        raise _fail("config", str(exc)) from None
     except configparser.Error as exc:
         raise _fail("config", f"parse error: {exc}") from None
     return parser

@@ -22,18 +22,20 @@ across batch compositions to rounding only; the swarm engine pins one
 value per distinct row for each search. A NaN value breaks the
 contract: the batch evaluators reject it and name the row.
 
-A problem may also supply objective_step_down(mat), an (r, n) matrix
-whose entry [i, j] is F(row i of mat with coordinate j one bit lower,
-or unchanged where b_j is already the lowest allowed value). The greedy
-repair then asks it for every one-coordinate step down at once instead
-of evaluating r * n candidate rows (a swarm search whose memo engages
-looks them up instead). Its values must agree with objective_batch on
-those rows to rounding, and equal F(row i) exactly where a coordinate's
-change leaves F's inputs unchanged, so exact ties stay ties. The hook
-belongs to its F: a copy made with dataclasses.replace that swaps
-objective_batch for a different F must drop it (objective_step_down=
-None); a copy whose new objective_batch wraps the same F (a counter, a
-memo, a tracer) keeps it.
+evaluate_step_down_batch(mat) values every one-coordinate step down
+of every row at once, for any problem: an (r, n) matrix whose entry
+[i, j] is F(row i of mat with coordinate j one bit lower, or unchanged
+where b_j is already the lowest allowed value). The greedy repair asks
+it for each pass. Without a hook it sends the r * n candidate rows
+through objective_batch as one batch (a swarm search whose memo engages
+looks them up there). A problem may supply objective_step_down(mat),
+which returns the same matrix faster; it only makes the method cheaper.
+Its values must agree with objective_batch on those rows to rounding,
+and equal F(row i) exactly where a coordinate's change leaves F's
+inputs unchanged, so exact ties stay ties. The hook belongs to its F:
+a copy made with dataclasses.replace that swaps objective_batch for a
+different F must drop it (objective_step_down=None); a copy whose new
+objective_batch wraps the same F (a counter, a memo, a tracer) keeps it.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ class AllocationProblem:
         integer matrix, returning one value per row. They are the only
         callables; evaluate_objective / evaluate_consumption pass one
         vector through them as a one-row matrix.
-    objective_step_down: optional F of every one-coordinate change of
-        each row at once (see the module docstring); None evaluates the
-        candidate rows through objective_batch.
+    objective_step_down: optional faster form of evaluate_step_down_batch
+        (see the module docstring); None values the candidate rows
+        through objective_batch.
     """
 
     dimension: int
@@ -155,8 +157,17 @@ class AllocationProblem:
         return self._evaluate_batch(self.objective_batch, mat, "objective")
 
     def evaluate_step_down_batch(self, mat) -> np.ndarray:
-        """objective_step_down(mat), checked like the batch evaluators."""
+        """The (r, n) values F(row i of mat with coordinate j one bit
+        lower), F(row i) where b_j is already the lowest allowed value:
+        objective_step_down(mat) checked like the batch evaluators, or,
+        without the hook, the r * n candidate rows as one objective batch."""
         mat = self._check_matrix(mat)
+        if self.objective_step_down is None:
+            r, n = mat.shape
+            diag = np.arange(n)
+            candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
+            candidates[:, diag, diag] = np.where(mat == self.allowed_values[0], mat, mat - 1)
+            return self.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
         out = np.asarray(self.objective_step_down(mat), dtype=float)
         if out.shape != mat.shape:
             raise ContractViolation(

@@ -63,10 +63,20 @@ class QgdTask:
             )
         features = np.asarray(self.features, dtype=float)
         targets = np.asarray(self.targets, dtype=float)
+        z_star = None if self.z_star is None else np.asarray(self.z_star, dtype=float)
         if features.ndim != 2 or targets.shape != (features.shape[0],):
             raise ContractViolation(
                 f"features {features.shape} and targets {targets.shape} do not line up"
             )
+        if 0 in features.shape:
+            raise ContractViolation(
+                f"features have shape {features.shape}; need at least one row and one column"
+            )
+        if z_star is not None and z_star.shape != (features.shape[1],):
+            raise ContractViolation(f"z_star has shape {z_star.shape}, expected ({features.shape[1]},)")
+        for name, value in (("features", features), ("targets", targets), ("z_star", z_star)):
+            if value is not None and not np.isfinite(value).all():
+                raise ContractViolation(f"{name} has a non-finite entry")
         if self.kind == "least_squares" and features.shape[0] < features.shape[1]:
             raise ContractViolation("least squares requires at least as many rows as columns")
         if self.kind == "logistic" and not np.isin(targets, (-1.0, 1.0)).all():
@@ -77,12 +87,8 @@ class QgdTask:
             raise ContractViolation("t_iter and budget_bits must be >= 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "z_star", z_star)
         object.__setattr__(self, "_table_slot", (None, None, None))
-        if self.z_star is not None:
-            z_star = np.asarray(self.z_star, dtype=float)
-            if z_star.shape != (features.shape[1],):
-                raise ContractViolation(f"z_star has shape {z_star.shape}, expected ({features.shape[1]},)")
-            object.__setattr__(self, "z_star", z_star)
 
     @property
     def dimension(self) -> int:
@@ -455,6 +461,8 @@ def load_sparse_dataset(
             rows.append(entries)
         except (ValueError, IndexError):
             raise ContractViolation(f"{path}:{lineno}: malformed sparse row: {line!r}") from None
+        if not np.isfinite([raw_labels[-1], *entries.values()]).all():
+            raise ContractViolation(f"{path}:{lineno}: non-finite label or value: {line!r}")
     if not rows:
         raise ContractViolation(f"{path}: no samples found")
     uniq = sorted(set(raw_labels))

@@ -84,6 +84,13 @@ class SystemConfig:
             raise ContractViolation(f"p_u must be positive and finite, got {self.p_u}")
         if self.budget_bits < 1:
             raise ContractViolation(f"budget_bits must be >= 1, got {self.budget_bits}")
+        try:
+            math.ldexp(self.m_antennas, self.budget_bits)  # the budget, m_antennas * 2^budget_bits
+        except OverflowError:
+            raise ContractViolation(
+                f"budget_bits = {self.budget_bits} gives a budget m_antennas * 2^budget_bits "
+                "that overflows a float"
+            ) from None
         if self.mc_channels < 1:
             raise ContractViolation(f"mc_channels must be >= 1, got {self.mc_channels}")
 

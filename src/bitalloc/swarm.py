@@ -50,15 +50,16 @@ already known, so repairing only the new rows sends the objective the
 same new rows, in the same order, as repairing all of them: no value
 and no answer moves. Larger spaces bypass both memos.
 
-When the problem supplies objective_step_down and the memo does not
-engage, the repair's step-down values come from that hook, and
+The repair takes its step-down values from the problem's
+evaluate_step_down_batch. When the problem supplies objective_step_down
+and the memo does not engage, the copy keeps the hook, and
 RunResult.step_down_rows counts the candidates it valued. When the
-memo engages, the candidates go through it like every other row:
-on a lattice that small they are mostly known already, and a table
-lookup costs less than the hook. Hook values are not memoized; they
-only rank candidates within one row, and every cost the swarm compares
-or reports (the particle costs, best_cost, the trace) comes from the
-full objective.
+memo engages, the copy drops the hook, so the candidates go through the
+memo like every other row: on a lattice that small they are mostly
+known already, and a table lookup costs less than the hook. Hook values
+are not memoized; they only rank candidates within one row, and every
+cost the swarm compares or reports (the particle costs, best_cost, the
+trace) comes from the full objective.
 
 step_swarm and greedy_repair_batch are module globals that the engine
 looks up at every call, so a tracer may swap them for timed wrappers.
@@ -163,26 +164,6 @@ def schedule_hyperparams(it: int, i_iter: int) -> tuple[float, float, float]:
 # -- greedy budget repair ----------------------------------------------------
 
 
-def _step_down_values(
-    problem: AllocationProblem, mat: np.ndarray, floor: np.ndarray
-) -> np.ndarray:
-    """(r, n) values F(row i of mat with coordinate j one bit lower),
-    +inf where b_j is already the lowest allowed value (floor, the mask
-    mat == lo). They come from the problem's objective_step_down hook
-    when it has one; otherwise the r * n candidates go to the objective
-    as one batch, floor coordinates valued unchanged, then masked."""
-    if problem.objective_step_down is not None:
-        values = problem.evaluate_step_down_batch(mat)
-    else:
-        r, n = mat.shape
-        diag = np.arange(n)
-        candidates = np.repeat(mat[:, None, :], n, axis=1)  # (r, n, n)
-        candidates[:, diag, diag] = np.where(floor, mat, mat - 1)
-        values = problem.evaluate_objective_batch(candidates.reshape(r * n, n)).reshape(r, n)
-    values[floor] = np.inf
-    return values
-
-
 def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
     """Force every row of an allocation matrix under the budget.
 
@@ -197,7 +178,7 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     Each greedy pass works on the rows still over budget, in row order.
     """
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
+    mat = np.clip(mat, lo, hi).astype(np.int64)
 
     cons = problem.evaluate_consumption_batch(mat)
     over = cons > problem.budget
@@ -217,7 +198,9 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
                 f"exceeds the budget of {problem.budget}, so consumption is not "
                 "nondecreasing in every coordinate"
             )
-        j = np.argmin(_step_down_values(problem, rows, floor), axis=1)  # lowest index wins ties
+        values = problem.evaluate_step_down_batch(rows)
+        values[floor] = np.inf
+        j = np.argmin(values, axis=1)  # lowest index wins ties
         rows[np.arange(idx.size), j] -= 1
         mat[idx] = rows
         still = problem.evaluate_consumption_batch(rows) > problem.budget

@@ -506,6 +506,47 @@ benchmark = a
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_config_that_is_not_a_text_file_reported(self, tmp_path, capsys, command):
+        # A directory raised IsADirectoryError, and bytes that are not
+        # UTF-8 raised UnicodeDecodeError.
+        (tmp_path / "dir.ini").mkdir()
+        (tmp_path / "bytes.ini").write_bytes(RECEIVER_CONFIG.encode() + b"# \xff\n")
+        for name, fragment in (("dir.ini", "cannot read {}"), ("bytes.ini", "{}: not UTF-8 text")):
+            path = tmp_path / name
+            assert cli.main([command, str(path)]) == 2
+            assert f"error: config: {fragment.format(path)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_receiver_budget_overflowing_a_float_rejected(self, tmp_path, capsys, command):
+        # float(m_antennas * 2**budget_bits) raised OverflowError.
+        text = RECEIVER_CONFIG + "budget_bits = 1100\n"
+        self.run_expecting_config_error(
+            tmp_path, text, "[receiver]: budget_bits = 1100 gives a budget", capsys, command
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
+    @pytest.mark.parametrize(
+        "task, fragment",
+        [
+            ("task = logistic\nn_samples = 0", "features have shape (0, 30)"),
+            ("task = least_squares\nn_cols = 0", "features have shape (30, 0)"),
+            ("task = data.txt", "data.txt:2: non-finite label or value"),
+        ],
+    )
+    def test_qgd_data_it_cannot_train_on_rejected(self, tmp_path, capsys, task, fragment):
+        # These printed RuntimeWarnings and an overflow blamed on eta, or
+        # exited 0 with rows of empty bits.
+        (tmp_path / "data.txt").write_text("1 1:1.0\n-1 1:nan\n")
+        text = TestRunQgd.CONFIG.replace("task = least_squares", task)
+        if "n_cols" in task:
+            text = text.replace("n_cols = 4\n", "")
+        else:
+            text = re.sub(r"^(n_rows|n_cols) = .*\n", "", text, flags=re.M)
+        err = self.run_expecting_config_error(tmp_path, text, fragment, capsys)
+        assert err.startswith("error: [qgd]: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckConvergence:
     def test_reference_point_report(self, capsys):
@@ -595,7 +636,11 @@ def test_shipped_config_builds(config):
     assert (ex.swarm is not None) == ex.exp.parser.has_section("swarm")
     problem = next(ex.cases()).problem
     assert problem.dimension > 0
-    assert problem.is_feasible(np.full(problem.dimension, problem.budget_bits))
+    uniform = np.full((1, problem.dimension), problem.budget_bits)
+    assert problem.is_feasible(uniform[0])
+    # The repair's step-down values, with or without the problem's hook.
+    values = problem.evaluate_step_down_batch(uniform)
+    assert values.shape == uniform.shape and np.isfinite(values).all()
 
 
 class TestOracleCommand:

@@ -23,7 +23,9 @@ from bitalloc.problem import (
 )
 from bitalloc.swarm import SwarmConfig, _Objective
 
-from conftest import weighted_msqe_problem
+from bitalloc.qgd import qgd_problem, synthetic_classification
+
+from conftest import toy_fir_problem, toy_receiver_problem, weighted_msqe_problem
 
 
 def linear_problem(dimension, allowed, budget, objective, budget_bits=1):
@@ -133,6 +135,40 @@ class TestAllocationProblem:
         wrong = replace(p, objective_step_down=lambda mat: np.zeros(mat.shape[0]))
         with pytest.raises(ContractViolation, match=r"objective_step_down returned shape \(2,\)"):
             wrong.evaluate_step_down_batch(mat)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: toy_fir_problem(0), id="fir-fixed"),
+            pytest.param(lambda: toy_fir_problem(1), id="fir-float"),
+            pytest.param(lambda: toy_receiver_problem(2), id="receiver"),
+            pytest.param(
+                lambda: qgd_problem(synthetic_classification(40, 4, t_iter=1, seed=5), np.zeros(4)),
+                id="qgd-logistic",
+            ),
+            pytest.param(
+                lambda: linear_problem(3, (2, 3, 4, 5), 12.0, lambda b: float(b @ [3, -1, 2]), 4),
+                id="row-loop",
+            ),
+            pytest.param(lambda: weighted_msqe_problem([2.0, 0.5, 1.0]), id="msqe"),
+        ],
+    )
+    def test_step_downs_without_a_hook_are_one_batch_of_candidate_rows(self, make):
+        p = make()
+        assert p.objective_step_down is None
+        lo, n = p.allowed_values[0], p.dimension
+        rng = np.random.default_rng(3)
+        mat = rng.integers(lo, p.allowed_values[-1] + 1, size=(6, n))
+        mat[0] = lo  # an all-floor row
+        mat[1, 0] = lo
+        candidates = []
+        for row in mat:
+            for j in range(n):
+                stepped = row.copy()
+                stepped[j] = max(row[j] - 1, lo)  # a floor coordinate is valued unchanged
+                candidates.append(stepped)
+        expected = p.evaluate_objective_batch(np.array(candidates)).reshape(mat.shape)
+        assert p.evaluate_step_down_batch(mat).tobytes() == expected.tobytes()
 
     def test_feasibility_boundary_inclusive(self):
         p = linear_problem(2, (1, 2, 3), 4.0, lambda b: 0.0)

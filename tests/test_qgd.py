@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalloc import qgd, swarm
+from bitalloc import qgd
 from bitalloc.problem import ContractViolation, InfeasibleBudgetError
 from bitalloc.qgd import (
     DEFAULT_STEP_SWARM,
@@ -140,6 +140,29 @@ class TestTaskValidation:
 
     def test_allowed_values_span_double_the_average(self):
         assert tiny_least_squares().allowed_values == tuple(range(1, 10))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # They trained into "Mean of empty slice" warnings and an
+            # overflow blamed on eta, or wrote rows with empty bits.
+            (lambda: synthetic_classification(n_samples=0, t_iter=2), r"shape \(0, 30\)"),
+            (lambda: gaussian_least_squares(n_cols=0, t_iter=2), r"shape \(200, 0\)"),
+        ],
+    )
+    def test_features_without_rows_or_columns_rejected(self, build, message):
+        for strategy in ("uniform", "gcpso"):
+            with pytest.raises(ContractViolation, match=message):
+                train(build(), strategy, SwarmConfig(n_pop=5, i_iter=2, restarts=1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["features", "targets", "z_star"])
+    def test_non_finite_data_rejected_by_name(self, name, bad):
+        data = dict(features=np.eye(3), targets=np.ones(3), z_star=np.ones(3))
+        data[name] = data[name].copy()
+        data[name].flat[1] = bad
+        with pytest.raises(ContractViolation, match=f"{name} has a non-finite entry"):
+            QgdTask(kind="least_squares", eta=0.1, t_iter=1, budget_bits=2, **data)
 
 
 class TestQuantizeGradient:
@@ -302,6 +325,22 @@ class TestLeastSquaresStepDown:
 
     @settings(max_examples=60, deadline=None)
     @given(step_down_cases())
+    def test_hook_matches_the_method_without_it(self, case):
+        # The hook only makes evaluate_step_down_batch faster: the
+        # hookless method values the candidate rows through the objective.
+        # At the floor each gives the row's value exactly, as valued in
+        # its own batch; the batches differ in size, and a one-row batch
+        # can round apart from a larger one, so the two agree to rounding.
+        p, _, mat, _ = case
+        hooked = p.evaluate_step_down_batch(mat)
+        plain = replace(p, objective_step_down=None).evaluate_step_down_batch(mat)
+        np.testing.assert_allclose(hooked, plain, rtol=1e-12, atol=0.0)
+        floor = mat == p.allowed_values[0]
+        rows = np.broadcast_to(p.evaluate_objective_batch(mat)[:, None], mat.shape)
+        assert (hooked[floor] == rows[floor]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_down_cases())
     def test_unchanged_step_gives_exactly_the_row_value(self, case):
         # Floor coordinates (lower == b) and coordinates whose quantized
         # gradient entry is the same one bit lower value exactly F(b),
@@ -314,7 +353,7 @@ class TestLeastSquaresStepDown:
         assert (values[same] == row_values[same]).all()
         b = mat[0]
         zero = same[0] & (b > p.allowed_values[0])
-        stepped = swarm._step_down_values(p, b[None, :], b[None, :] == p.allowed_values[0])[0]
+        stepped = p.evaluate_step_down_batch(b[None, :])[0]
         assert (stepped[zero] == p.evaluate_objective(b)).all()
 
     @settings(max_examples=30, deadline=None)
@@ -608,6 +647,16 @@ class TestSparseLoader:
         path.write_text("1 1:1.0\n2 oops\n")
         with pytest.raises(ContractViolation, match=":2:"):
             load_sparse_dataset(path)
+
+    @pytest.mark.parametrize("row", ["-1 1:nan 2:1.0", "-1 2:-inf", "nan 1:1.0", "inf 1:1.0"])
+    def test_non_finite_value_or_label_reported_with_line(self, tmp_path, row):
+        # A nan value used to train into a RuntimeWarning and an overflow blamed on eta.
+        path = tmp_path / "data.txt"
+        path.write_text(f"1 1:1.0 2:0.5\n{row}\n")
+        message = re.escape(f"{path}:2: non-finite label or value")
+        for strategy in ("uniform", "gcpso"):
+            with pytest.raises(ContractViolation, match=message):
+                train(load_sparse_dataset(path, t_iter=2), strategy)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "data.txt"

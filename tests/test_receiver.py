@@ -81,6 +81,13 @@ class TestSystemConfig:
         with pytest.raises(ContractViolation):
             SystemConfig(**kwargs)
 
+    def test_budget_that_overflows_a_float_rejected(self):
+        # receiver_problem raised OverflowError turning m_antennas * 2^budget_bits into a float.
+        for m, budget_bits in ((64, 1100), (2, 1023)):
+            with pytest.raises(ContractViolation, match="overflows a float"):
+                SystemConfig(m_antennas=m, k_users=1, budget_bits=budget_bits)
+        assert SystemConfig(m_antennas=1, k_users=1, budget_bits=1023).budget_bits == 1023
+
 
 class TestGeometry:
     def test_positions_stay_inside_hexagon_outside_exclusion(self):

@@ -240,9 +240,10 @@ class TestInitSwarm:
 
 def sensitivities(problem, b):
     """F of b with each coordinate one bit lower, less F(b); +inf at the floor."""
-    mat = np.asarray(b)[None, :]
-    floor = mat == problem.allowed_values[0]
-    return swarm._step_down_values(problem, mat, floor)[0] - problem.evaluate_objective(mat[0])
+    b = np.asarray(b)
+    values = problem.evaluate_step_down_batch(b[None, :])[0] - problem.evaluate_objective(b)
+    values[b == problem.allowed_values[0]] = np.inf
+    return values
 
 
 class TestSensitivity:
@@ -308,7 +309,7 @@ def previous_greedy_repair(problem, mat):
     """greedy_repair_batch as it was, re-indexing mat with the over mask
     on every pass; the reference for its working-set loop."""
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    mat = np.clip(problem._check_matrix(mat), lo, hi).astype(np.int64)
+    mat = np.clip(mat, lo, hi).astype(np.int64)
     cons = problem.evaluate_consumption_batch(mat)
     over = cons > problem.budget
     if over.any():
@@ -319,7 +320,9 @@ def previous_greedy_repair(problem, mat):
     while over.any():
         rows = mat[over]
         assert not (rows == lo).all(axis=1).any()
-        j = np.argmin(swarm._step_down_values(problem, rows, rows == lo), axis=1)
+        values = problem.evaluate_step_down_batch(rows)
+        values[rows == lo] = np.inf
+        j = np.argmin(values, axis=1)
         rows[np.arange(rows.shape[0]), j] -= 1
         mat[over] = rows
         cons[over] = problem.evaluate_consumption_batch(rows)
