@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -133,16 +132,17 @@ def check_schedule(iterations: int) -> ConvergenceReport:
     return worst
 
 
-def order2_stable_from(iterations: int) -> Optional[int]:
+def order2_stable_from(iterations: int) -> int:
     """First iteration of an iterations-long run of the engines'
     schedule, from schedule_hyperparams, in the order-2 stability region
     c1 + c2 < 24 (1 - w^2) / (7 - 5 w), |w| < 1 (Poli 2009, IEEE TEC
-    13(4)); None if none is. w falls while c1 + c2 stays 3, so it then
-    holds to the end: from iteration 24 of 100."""
+    13(4)). w falls while c1 + c2 stays 3, so it then holds to the end:
+    from iteration 24 of 100. The last iteration always qualifies, since
+    there w = 0.4 and 3 < 24 (1 - 0.16) / 5, about 4.03."""
     if iterations < 1:
         raise ContractViolation(f"iterations must be >= 1, got {iterations}")
-    for it in range(1, iterations + 1):
+    for it in range(1, iterations):
         w, c1, c2 = schedule_hyperparams(it, iterations)
         if abs(w) < 1 and c1 + c2 < 24 * (1 - w * w) / (7 - 5 * w):
             return it
-    return None
+    return iterations

@@ -65,8 +65,10 @@ class FilterSpec:
             if lo < prev_hi:
                 raise ContractViolation("bands must be ascending and disjoint")
             prev_hi = hi
-        if any(w <= 0 for w in self.weights):
-            raise ContractViolation("band weights must be positive")
+        if not all(math.isfinite(d) for d in self.desired):
+            raise ContractViolation(f"desired must be finite, got {self.desired}")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise ContractViolation(f"weights must be positive and finite, got {self.weights}")
         if self.n_taps < 3 or self.n_taps % 2 == 0:
             raise ContractViolation(f"n_taps must be odd and >= 3, got {self.n_taps}")
 

@@ -158,12 +158,14 @@ class _RateEvaluator:
         self.d = p_u * self.U.sum(axis=2) + 1.0  # (R, M)
         self.dU = self.d[:, :, None] * self.U
 
-    def mean_rates(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    def mean_rates(self, beta: np.ndarray) -> np.ndarray:
         """Sum over users of log2(1 + SINR_k), averaged over realizations.
 
-        alpha and beta are (rows, M) per-antenna gains and distortions;
+        beta is (rows, M) per-antenna distortions, and the gains are
+        alpha = 1 - beta, as in alpha_of_bits;
         A[r, k, i] = g_k^H D_alpha g_i for realization r.
         """
+        alpha = 1.0 - beta
         A = np.einsum("bm,rmki->brki", alpha, self.T, optimize=True)
         diag = np.einsum("brkk->brk", A)
         signal = self.p_u * np.abs(diag) ** 2
@@ -177,9 +179,7 @@ class _RateEvaluator:
 
     def ergodic_rates(self, bits: np.ndarray) -> np.ndarray:
         """Mean sum rate per allocation row, averaged over realizations."""
-        return by_chunks(
-            lambda c: self.mean_rates(alpha_of_bits(c), beta_of_bits(c)), bits, _CHUNK_ROWS
-        )
+        return by_chunks(lambda c: self.mean_rates(beta_of_bits(c)), bits, _CHUNK_ROWS)
 
 
 def sum_rate(channel: ChannelRealization, bits, p_u: float) -> float:
@@ -231,5 +231,4 @@ def unquantized_reference(cfg: SystemConfig) -> float:
     """Ergodic sum rate at infinite resolution (alpha = 1, beta = 0) over
     the same pinned channel set."""
     ev = _RateEvaluator(draw_realizations(cfg), cfg.p_u)
-    m = cfg.m_antennas
-    return float(ev.mean_rates(np.ones((1, m)), np.zeros((1, m)))[0])
+    return float(ev.mean_rates(np.zeros((1, cfg.m_antennas)))[0])

@@ -15,10 +15,10 @@ checks; a SwarmConfig sets only the swarm's size, the penalty weight
 and the seeding.
 
 All particles start from the uniform allocation at the budget average,
-which the problem contract makes allowed and feasible, so the repair
-swarm values it unrepaired. That first batch always provides the
-incumbent, even when all of it is +inf, so the best is never worse than
-the uniform baseline and the repair swarm's best is always feasible.
+which the problem contract makes allowed and feasible, so both swarms
+value it by F alone. That first batch always provides the incumbent,
+even when all of it is +inf, so the best is never worse than the
+uniform baseline and the repair swarm's best is always feasible.
 
 Everything is vectorized over the population and works on bit values:
 the allowed values are one range lo..hi, so moves clip into it and a
@@ -42,13 +42,13 @@ for a real value. The objective is pure by contract, so memoizing
 changes no value beyond pinning one per row for the whole search (a
 batch objective may otherwise differ in the last bits between batches).
 The repair swarm then also repairs each distinct row once per search:
-an iteration keys each moved particle once, repairs the keys it has
-not repaired before, and reads the repaired rows and their values from
-the memo. With every value pinned, the greedy repair is a pure function
-of the row, and each step-down candidate of a row repaired before is
-already known, so repairing only the new rows sends the objective the
-same new rows, in the same order, as repairing all of them: no value
-and no answer moves. Larger spaces bypass both memos.
+the memo maps a key to its repaired row and that row's cost, and an
+iteration repairs and values only the keys it has not repaired before.
+With every value pinned, the greedy repair is a pure function of the
+row, and each step-down candidate of a row repaired before is already
+known, so repairing only the new rows sends the objective the same new
+rows, in the same order, as repairing all of them: no value and no
+answer moves. Larger spaces bypass both memos.
 
 The repair takes its step-down values from the problem's
 evaluate_step_down_batch. When the problem supplies objective_step_down
@@ -169,13 +169,14 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
 
     Per row: clip into the allowed range; if over budget, rescale by
     budget / C(b), round half away from zero and clip again; then
-    repeatedly step down by one bit the coordinate whose step increases
-    the objective least (lowest index on ties) until the row is
-    feasible. Rows that were feasible to begin with pass through
-    untouched. Consumption must be nondecreasing in every coordinate, as
-    in all applications here, so the all-minimum row costs no more than
-    the uniform start; reaching it over budget is a ContractViolation.
-    Each greedy pass works on the rows still over budget, in row order.
+    repeatedly step down by one bit the coordinate above the floor whose
+    step increases the objective least (lowest index on ties, +inf
+    included) until the row is feasible. Rows that were feasible to
+    begin with pass through untouched. Consumption must be nondecreasing
+    in every coordinate, as in all applications here, so the all-minimum
+    row costs no more than the uniform start; reaching it over budget is
+    a ContractViolation. Each greedy pass works on the rows still over
+    budget, in row order.
     """
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     mat = np.clip(mat, lo, hi).astype(np.int64)
@@ -200,8 +201,12 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
             )
         values = problem.evaluate_step_down_batch(rows)
         values[floor] = np.inf
+        at = np.arange(idx.size)
         j = np.argmin(values, axis=1)  # lowest index wins ties
-        rows[np.arange(idx.size), j] -= 1
+        stuck = floor[at, j]  # every candidate above the floor is +inf
+        if stuck.any():
+            j[stuck] = np.argmin(floor[stuck], axis=1)
+        rows[at, j] -= 1
         mat[idx] = rows
         still = problem.evaluate_consumption_batch(rows) > problem.budget
         idx, rows = idx[still], rows[still]
@@ -265,15 +270,12 @@ def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
 class _Objective:
     """F for one search, the objective_batch of the engine's copy of the
     problem: counts the rows sent to the problem and, when _memo_engages,
-    values and repairs each distinct row once, in lattice keys, as the
-    module docstring explains. The tables are dense over the lattice, so
-    each holds at most n_pop * (i_iter + 1) entries (rows, for
-    repaired_rows): table holds each
-    row's value, NaN until it is known; repaired the lattice index of
-    its repair, -1 until it is known; and repaired_rows that repair's
-    row. They are dropped with the search. step_down counts the
-    candidates of the problem's step-down hook, which the engine uses
-    only when the memo is off."""
+    holds the memos of the module docstring, dense over the lattice (at
+    most n_pop * (i_iter + 1) keys) and dropped with the search: table,
+    each key's value; repaired_rows and repaired_cost, its repair and
+    that repair's value; a value reads NaN until it is known. step_down
+    counts the candidates of the problem's step-down hook, which the
+    engine uses only when the memo is off."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig):
         self.problem = problem
@@ -282,7 +284,7 @@ class _Objective:
         self.table: Optional[np.ndarray] = None
         if _memo_engages(problem, config):
             self.table = np.full(len(problem.allowed_values) ** problem.dimension, np.nan)
-            self.repaired = np.full(self.table.size, -1, dtype=np.int64)
+            self.repaired_cost = self.table.copy()
             self.repaired_rows = np.empty((self.table.size, problem.dimension), dtype=np.int64)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
@@ -311,22 +313,25 @@ class _Objective:
     def repair_and_value(
         self, problem: AllocationProblem, mat: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(greedy_repair_batch(problem, mat), F of its rows) with the
-        memo engaged. The repair, looked up at call time, gets only the
-        rows not repaired before in this search, in key order; problem
-        is the engine's copy, whose objective is this memo."""
+        """(greedy_repair_batch(problem, mat), F of its rows), the repair
+        swarm's settle; problem is the engine's copy, whose objective is
+        this memo. With the memo engaged, the repair, looked up at call
+        time, gets only the rows not repaired before in this search, in
+        key order, and their repairs are valued right after it."""
+        if self.table is None:
+            rows = greedy_repair_batch(problem, mat)
+            return rows, problem.evaluate_objective_batch(rows)
         keys = lattice_index(problem, mat)
-        fixed_keys = self.repaired[keys]
-        missing = fixed_keys < 0
+        cost = self.repaired_cost[keys]
+        missing = np.isnan(cost)
         if missing.any():
             unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
             fixed = greedy_repair_batch(problem, mat[unknown[first]])
-            self.repaired[new] = lattice_index(problem, fixed)
             self.repaired_rows[new] = fixed
-            fixed_keys = self.repaired[keys]
-        rows = self.repaired_rows[keys]
-        return rows, self._values(fixed_keys, rows)
+            self.repaired_cost[new] = self._values(lattice_index(problem, fixed), fixed)
+            cost = self.repaired_cost[keys]
+        return self.repaired_rows[keys], cost
 
 
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
@@ -335,30 +340,20 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     strictly smallest cost; repair selects the repair swarm, which
     forces each moved swarm under the budget before valuing it."""
     objective = _Objective(problem, config)
-    memo = objective.table is not None
-    use_hook = problem.objective_step_down is not None and not memo
+    use_hook = problem.objective_step_down is not None and objective.table is None
     searched = replace(
         problem,
         objective_batch=objective,
         objective_step_down=objective.step_down if use_hook else None,
     )
-    # costs values the uniform start; settle turns each moved swarm into
-    # the positions and costs the swarm keeps.
+    # settle turns each moved swarm into the positions and costs the
+    # swarm keeps; the uniform start is valued by F alone.
     if repair:
-        costs = searched.evaluate_objective_batch
-        if memo:
-            settle = partial(objective.repair_and_value, searched)
-        else:
-
-            def settle(pos):
-                pos = greedy_repair_batch(searched, pos)
-                return pos, costs(pos)
-
+        settle = partial(objective.repair_and_value, searched)
     else:
-        costs = partial(penalized_fitness_batch, searched, penalty_weight=config.penalty_weight)
 
         def settle(pos):
-            return pos, costs(pos)
+            return pos, penalized_fitness_batch(searched, pos, config.penalty_weight)
 
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     draw_shape = (2, config.n_pop, problem.dimension)
@@ -367,7 +362,7 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
         pos, vel = init_swarm(searched, config.n_pop, rng)
-        p_best, p_cost = pos.copy(), costs(pos).copy()
+        p_best, p_cost = pos.copy(), searched.evaluate_objective_batch(pos).copy()
         i = int(np.argmin(p_cost))
         g_best, g_cost = p_best[i].copy(), float(p_cost[i])
         trace = np.empty(config.i_iter + 1)

@@ -494,6 +494,39 @@ benchmark = a
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
+    @pytest.mark.parametrize(
+        "base, old, new, fragment",
+        [
+            ("fir", "seed = 7", "seed = 1.5",
+             "[experiment] seed: expected an integer, got '1.5'"),
+            ("fir", "[swarm]\n", "[swarm]\nn_pop\n", "config: parse error"),
+            ("fir", "bands = 0:0.4, 0.6:1\n", "",
+             "[fir] bands: required when no benchmark letter is given"),
+            ("fir", "bands = 0:0.4, 0.6:1", "bands = 0:0.6, 0.4:1",
+             "[fir]: bands must be ascending and disjoint"),
+            # An infinite weight exited 0 with every error inf.
+            ("fir", "weights = 1, 1", "weights = 1, inf",
+             "[fir]: weights must be positive and finite"),
+            # A NaN desired value exited 2 blaming the objective.
+            ("fir", "desired = 1, 0", "desired = 1, nan", "[fir]: desired must be finite"),
+            ("receiver", "mc_channels = 2\n", "mc_channels = 2\np_u_db =\n",
+             "[receiver] p_u_db: at least one power is required"),
+            ("receiver", "application = receiver", "application = radar",
+             "[experiment] application: must be one of"),
+            ("fir", "strategies = naive, lc, ppso, gcpso, oracle", "strategies =",
+             "[experiment] strategies: at least one strategy is required"),
+        ],
+        ids=["seed", "ini", "bands", "spec", "weights", "desired", "powers", "application",
+             "strategies"],
+    )
+    def test_bad_config_value_named(self, tmp_path, capsys, base, old, new, fragment):
+        text = BASE_CONFIGS[base].replace(old, new)
+        assert text != BASE_CONFIGS[base]
+        # The oracle reads no strategies.
+        for command in ("run",) if "strategies" in old else ("run", "oracle"):
+            self.run_expecting_config_error(tmp_path, text, fragment, capsys, command)
+            assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace("0:0.4,", "0:x,")

@@ -14,7 +14,7 @@ from bitalloc.convergence import (
     state_matrix,
 )
 from bitalloc.problem import ContractViolation
-from bitalloc.swarm import SwarmConfig
+from bitalloc.swarm import SwarmConfig, schedule_hyperparams
 
 
 class TestWorkedExample:
@@ -157,6 +157,14 @@ class TestOrderTwoRegion:
         assert order2_stable_from(1) == 1
         assert order2_stable_from(10) == 3
         assert order2_stable_from(1000) == 232
+
+    def test_last_iteration_always_qualifies(self):
+        # So order2_stable_from needs no answer for "never".
+        for iterations in range(1, 301):
+            w, c1, c2 = schedule_hyperparams(iterations, iterations)
+            assert (w, c1 + c2) == (0.4, 3.0)
+            assert c1 + c2 < 24 * (1 - w * w) / (7 - 5 * w)
+            assert order2_stable_from(iterations) <= iterations
 
     def test_bad_iteration_count_rejected(self):
         with pytest.raises(ContractViolation):

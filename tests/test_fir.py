@@ -69,6 +69,21 @@ class TestFilterSpec:
         with pytest.raises(ContractViolation):
             FilterSpec.of_pi([(0.0, 0.4)], [1.0], [0.0], 7)
 
+    @pytest.mark.parametrize(
+        "desired, weights, message",
+        [
+            ([1.0, 0.0], [1.0, math.inf], "weights must be positive and finite"),
+            ([1.0, 0.0], [math.nan, 1.0], "weights must be positive and finite"),
+            ([1.0, math.nan], [1.0, 1.0], "desired must be finite"),
+            ([-math.inf, 0.0], [1.0, 1.0], "desired must be finite"),
+        ],
+    )
+    def test_non_finite_desired_or_weight_rejected(self, desired, weights, message):
+        # An infinite weight made every error inf, so every strategy tied;
+        # a NaN desired value failed later, blaming the objective.
+        with pytest.raises(ContractViolation, match=message):
+            FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], desired, weights, 7)
+
     def test_even_tap_count_rejected(self):
         with pytest.raises(ContractViolation):
             FilterSpec.of_pi([(0.0, 0.4)], [1.0], [1.0], 8)

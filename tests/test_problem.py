@@ -18,6 +18,7 @@ from bitalloc.problem import (
     brute_force_optimum,
     by_chunks,
     lattice_index,
+    lattice_rows,
     penalized_fitness_batch,
     read_text,
 )
@@ -381,6 +382,32 @@ class TestBruteForceOptimum:
         )
         with pytest.raises(ContractViolation, match=r"allocation \[1, 1, 1\]"):
             brute_force_optimum(p)
+
+    def test_wholly_infeasible_chunk_is_skipped(self):
+        # 5^7 = 78,125 rows make two chunks. C = 10 b_0 + the rest's sum
+        # is at least 40 in the second, where b_0 = 4 throughout, so only
+        # the first chunk's feasible rows reach the objective.
+        sizes = []
+
+        def objective_batch(mat):
+            sizes.append(len(mat))
+            return -(mat @ np.arange(1.0, 8.0))
+
+        p = AllocationProblem(
+            dimension=7,
+            allowed_values=tuple(range(5)),
+            budget_bits=2,
+            budget=32.0,
+            objective_batch=objective_batch,
+            consumption_batch=lambda mat: mat @ np.array([10.0, 1, 1, 1, 1, 1, 1]),
+        )
+        best, value = brute_force_optimum(p)
+        rows = lattice_rows(p, np.arange(5**7))
+        feasible = rows[p.evaluate_consumption_batch(rows) <= p.budget]
+        assert (feasible[:, 0] < 4).all()
+        assert sizes == [len(feasible)]
+        np.testing.assert_array_equal(best, [0, 4, 4, 4, 4, 4, 4])
+        assert value == -(feasible @ np.arange(1.0, 8.0)).max() == -108.0
 
     def test_oracle_seeds_engine_reference(self):
         # The documented role of the oracle: give the swarm a target.

@@ -477,6 +477,16 @@ class TestStepTable:
         assert p.objective_batch(mat).tobytes() == values.tobytes()
         assert p.objective_step_down(mat).tobytes() == (values[:, None] + change).tobytes()
 
+    @pytest.mark.parametrize("columns", [1, 4, 6])
+    def test_wrong_column_count_rejected(self, columns):
+        # One column would broadcast across every coordinate's table.
+        p = qgd_problem(tiny_least_squares(), np.full(5, 0.3))
+        mat = np.full((2, columns), 4)
+        message = re.escape(f"bit matrix has shape (2, {columns}), expected (rows, 5)")
+        for evaluate in (p.objective_batch, p.objective_step_down):
+            with pytest.raises(ContractViolation, match=message):
+                evaluate(mat)
+
     def test_displaced_step_rebuilds_the_same_values(self):
         task = tiny_least_squares()
         first, second = (qgd_problem(task, np.full(5, v)) for v in (0.3, -0.2))

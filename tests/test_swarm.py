@@ -422,6 +422,25 @@ class TestGreedyRepair:
         with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
             greedy_repair_batch(self.decreasing_problem(), np.array([[1, 2], [2, 1]]))
 
+    @staticmethod
+    def infinite_problem():
+        """F = +inf everywhere, which the contract allows, and C = the
+        row sum on 1..3 with a budget of 2: every step down ties at +inf."""
+        return AllocationProblem(
+            dimension=2,
+            allowed_values=(1, 2, 3),
+            budget_bits=1,
+            budget=2.0,
+            objective_batch=lambda mat: np.full(len(mat), math.inf),
+            consumption_batch=lambda mat: mat.sum(axis=1).astype(float),
+        )
+
+    def test_all_infinite_candidates_step_down_above_the_floor(self):
+        # [1, 3] rescales to [1, 2], still over. The argmin over two +inf
+        # candidates picked the floor coordinate 0: [0, 2], off the lattice.
+        p = self.infinite_problem()
+        np.testing.assert_array_equal(greedy_repair_batch(p, [[1, 3]]), [[1, 1]])
+
     @settings(max_examples=60, deadline=None)
     @given(repair_cases())
     def test_hands_the_problem_the_batches_of_the_previous_loop(self, case):
@@ -554,6 +573,14 @@ class TestRuns:
             np.testing.assert_array_equal(result.best, [2, 2])
             assert result.best_cost == math.inf
             assert result.seed == seed
+
+    def test_repair_swarm_keeps_an_all_infinite_search_on_the_lattice(self):
+        # The repair stepped below the floor, so keying its row in the
+        # memo raised numpy's "invalid entry in coordinates array".
+        p = TestGreedyRepair.infinite_problem()
+        result = run_gcpso(p, SwarmConfig(n_pop=50, i_iter=10, restarts=1))
+        np.testing.assert_array_equal(result.best, [1, 1])
+        assert result.best_cost == math.inf
 
     def test_objective_rows_drop_when_the_memo_engages(self):
         # 7 ** 3 = 343 allocations, far fewer than the 40 * 41 rows of
