@@ -72,7 +72,8 @@ class AllocationProblem:
 
     dimension: number of allocation variables N.
     allowed_values: the contiguous integer range each b_n is drawn
-        from; a set with a gap is a ContractViolation.
+        from, within +-2**53 so that float64 holds every value exactly;
+        a set with a gap or beyond that is a ContractViolation.
     budget_bits: the budget's per-variable average, one of allowed_values;
         the uniform start [budget_bits]*N must be feasible.
     budget: the consumption bound C(b) must not exceed. Stored as a
@@ -103,6 +104,8 @@ class AllocationProblem:
             raise ContractViolation("allowed_values must be nonempty")
         if allowed[-1] - allowed[0] + 1 != len(allowed):
             raise ContractViolation(f"allowed_values must be a contiguous range, got {allowed}")
+        if max(-allowed[0], allowed[-1]) > 2**53:
+            raise ContractViolation(f"allowed_values beyond +-2**53: {allowed[0]}..{allowed[-1]}")
         # A caller's tuple already in this form is kept, so the many
         # problems a run builds from one task share that task's tuple.
         given = self.allowed_values
@@ -228,8 +231,9 @@ def penalized_fitness_batch(
 def lattice_index(problem: AllocationProblem, mat) -> np.ndarray:
     """Each row's index in the lattice of allowed allocations: b - lo in
     mixed radix len(allowed_values), first coordinate most significant,
-    so index order is lexicographic. The swarm's memos key rows by it
-    and brute_force_optimum enumerates it; lattice_rows is its inverse."""
+    so index order is lexicographic. The swarm's memo tables are laid
+    out in its order and brute_force_optimum enumerates it; lattice_rows
+    is its inverse."""
     shape = (len(problem.allowed_values),) * problem.dimension
     return np.ravel_multi_index(tuple((np.asarray(mat) - problem.allowed_values[0]).T), shape)
 

@@ -34,7 +34,7 @@ MAX_EXP_BITS = 11
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (as floats)."""
     x = np.asarray(x, dtype=float)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 def quantize_fixed_bits(x, frac_bits):

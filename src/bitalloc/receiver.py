@@ -52,11 +52,6 @@ def beta_of_bits(bits) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def alpha_of_bits(bits) -> np.ndarray:
-    """Quantization gain alpha = 1 - beta; alpha(0) = 0 (antenna off)."""
-    return 1.0 - beta_of_bits(bits)
-
-
 def adc_consumption(bits) -> np.ndarray:
     """Per-antenna consumption 2^b, with deactivated antennas free."""
     bits = np.asarray(bits, dtype=np.int64)
@@ -161,8 +156,8 @@ class _RateEvaluator:
     def mean_rates(self, beta: np.ndarray) -> np.ndarray:
         """Sum over users of log2(1 + SINR_k), averaged over realizations.
 
-        beta is (rows, M) per-antenna distortions, and the gains are
-        alpha = 1 - beta, as in alpha_of_bits;
+        beta is (rows, M) per-antenna distortions, and the quantization
+        gains are alpha = 1 - beta, so alpha = 0 for an antenna that is off;
         A[r, k, i] = g_k^H D_alpha g_i for realization r.
         """
         alpha = 1.0 - beta

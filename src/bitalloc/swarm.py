@@ -22,9 +22,9 @@ uniform baseline and the repair swarm's best is always feasible.
 
 Everything is vectorized over the population and works on bit values:
 the allowed values are one range lo..hi, so moves clip into it and a
-step down is b - 1 wherever b > lo. Objectives are evaluated through
-the problem's batch interface on (rows, N) integer matrices, and
-best-reduction happens in particle-index order so results do not depend
+step down is b - 1 wherever b > lo. The swarm's own state is float64
+holding integers exactly; problems and the repair get int64 rows. The
+best-reduction runs in particle-index order, so results do not depend
 on evaluation scheduling. Runs are deterministic for a given seed.
 
 A search (all its restarts) runs on a copy of the problem whose
@@ -68,6 +68,7 @@ looks up at every call, so a tracer may swap them for timed wrappers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -119,8 +120,10 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pop < 1 or self.i_iter < 1 or self.restarts < 1:
-            raise ContractViolation("n_pop, i_iter and restarts must all be >= 1")
+        for name, least in (("n_pop", 1), ("i_iter", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.penalty_weight < math.inf:
             raise ContractViolation(f"need a finite penalty_weight > 0, got {self.penalty_weight}")
 
@@ -217,30 +220,23 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
 
 
 def step_swarm(
-    pos: np.ndarray,
-    vel: np.ndarray,
-    p_best: np.ndarray,
-    g_best: np.ndarray,
-    w: float,
-    c1: float,
-    c2: float,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    lo: int,
-    hi: int,
+    pos: np.ndarray, vel: np.ndarray, bests: np.ndarray, r: np.ndarray, w: float, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous position/velocity update for the whole swarm.
 
-    The new velocity is clamped to [-V_MAX, V_MAX] before the position
-    move, the move rounds half away from zero, and the resulting
-    positions are clipped into the allowed range lo..hi. The arrays
-    given are not modified.
+    bests stacks p_best over g_best broadcast; r holds their acceleration
+    factors times c1 and c2. The velocity is clamped to [-V_MAX, V_MAX]
+    before the move, which rounds half away from zero; the float64
+    positions are then clipped into lo..hi. No argument is modified.
     """
-    new_vel = w * vel
-    new_vel += c1 * r1 * (p_best - pos)
-    new_vel += c2 * r2 * (g_best - pos)
+    pull = bests - pos
+    pull *= r
+    new_vel = vel * w
+    new_vel += pull[0]
+    new_vel += pull[1]
     np.minimum(np.maximum(new_vel, -V_MAX, out=new_vel), V_MAX, out=new_vel)
-    new_pos = pos + round_half_away(new_vel).astype(np.int64)
+    new_pos = round_half_away(new_vel)
+    new_pos += pos
     return np.minimum(np.maximum(new_pos, lo, out=new_pos), hi, out=new_pos), new_vel
 
 
@@ -255,7 +251,7 @@ def init_swarm(
     sequence, so dropping it would change every answer. The engine takes
     its first global best from the first evaluated batch.
     """
-    pos = np.full((n_pop, problem.dimension), problem.budget_bits, dtype=np.int64)
+    pos = np.full((n_pop, problem.dimension), float(problem.budget_bits))
     vel = rng.uniform(-V_MAX, V_MAX, size=(n_pop, problem.dimension))
     rng.integers(0, len(problem.allowed_values), size=problem.dimension)
     return pos, vel
@@ -283,9 +279,11 @@ class _Objective:
         self.step_down_rows = 0
         self.table: Optional[np.ndarray] = None
         if _memo_engages(problem, config):
-            self.table = np.full(len(problem.allowed_values) ** problem.dimension, np.nan)
+            base, n = len(problem.allowed_values), problem.dimension
+            self.table = np.full(base**n, np.nan)
             self.repaired_cost = self.table.copy()
-            self.repaired_rows = np.empty((self.table.size, problem.dimension), dtype=np.int64)
+            self.repaired_rows = np.empty((self.table.size, n))
+            self.radix = (base ** np.arange(n - 1, -1, -1)).astype(float)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
         if self.table is None:
@@ -315,23 +313,26 @@ class _Objective:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(greedy_repair_batch(problem, mat), F of its rows), the repair
         swarm's settle; problem is the engine's copy, whose objective is
-        this memo. With the memo engaged, the repair, looked up at call
-        time, gets only the rows not repaired before in this search, in
-        key order, and their repairs are valued right after it."""
+        this memo. With the memo engaged, mat's rows, which the move
+        clamped into lo..hi, are keyed as (mat - lo) @ radix, their
+        lattice_index exactly: each term and partial sum is an integer
+        below the table size. The repair, looked up at call time, gets
+        only the rows not repaired before in this search, in key order,
+        and their repairs are valued right after it."""
         if self.table is None:
-            rows = greedy_repair_batch(problem, mat)
-            return rows, problem.evaluate_objective_batch(rows)
-        keys = lattice_index(problem, mat)
+            rows = greedy_repair_batch(problem, mat.astype(np.int64))
+            return rows.astype(float), problem.evaluate_objective_batch(rows)
+        keys = ((mat - problem.allowed_values[0]) @ self.radix).astype(np.intp)
         cost = self.repaired_cost[keys]
         missing = np.isnan(cost)
         if missing.any():
             unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
-            fixed = greedy_repair_batch(problem, mat[unknown[first]])
+            fixed = greedy_repair_batch(problem, mat[unknown[first]].astype(np.int64))
             self.repaired_rows[new] = fixed
             self.repaired_cost[new] = self._values(lattice_index(problem, fixed), fixed)
             cost = self.repaired_cost[keys]
-        return self.repaired_rows[keys], cost
+        return self.repaired_rows.take(keys, axis=0), cost
 
 
 def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool) -> RunResult:
@@ -353,33 +354,35 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     else:
 
         def settle(pos):
-            return pos, penalized_fitness_batch(searched, pos, config.penalty_weight)
+            cost = penalized_fitness_batch(searched, pos.astype(np.int64), config.penalty_weight)
+            return pos, cost
 
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    draw_shape = (2, config.n_pop, problem.dimension)
     schedule = [schedule_hyperparams(it, config.i_iter) for it in range(1, config.i_iter + 1)]
     best: Optional[tuple] = None
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
         pos, vel = init_swarm(searched, config.n_pop, rng)
-        p_best, p_cost = pos.copy(), searched.evaluate_objective_batch(pos).copy()
-        i = int(np.argmin(p_cost))
-        g_best, g_cost = p_best[i].copy(), float(p_cost[i])
-        trace = np.empty(config.i_iter + 1)
-        trace[0] = g_cost
+        bests = np.stack([pos, pos])  # p_best over g_best broadcast, all uniform
+        p_best, p_cost = bests[0], searched.evaluate_objective_batch(pos.astype(np.int64)).copy()
+        g_cost = float(p_cost[p_cost.argmin()])
+        trace = np.full(config.i_iter + 1, g_cost)
         for it, (w, c1, c2) in enumerate(schedule, start=1):
-            r1, r2 = rng.random(draw_shape)  # the stream of two (n_pop, N) draws
-            pos, vel = step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi)
+            r = rng.random(bests.shape)  # the stream of two (n_pop, N) draws
+            r[0] *= c1
+            r[1] *= c2
+            pos, vel = step_swarm(pos, vel, bests, r, w, lo, hi)
             pos, cost = settle(pos)
             improved = cost < p_cost
-            np.copyto(p_best, pos, where=improved[:, None])
+            # A full-shape mask copies faster than one broadcast along rows.
+            np.copyto(p_best, pos, where=improved.repeat(problem.dimension).reshape(pos.shape))
             np.copyto(p_cost, cost, where=improved)
-            i = int(np.argmin(p_cost))
+            i = p_cost.argmin()
             if p_cost[i] < g_cost:
-                g_best, g_cost = p_best[i].copy(), float(p_cost[i])
+                bests[1], g_cost = p_best[i], float(p_cost[i])
             trace[it] = g_cost
         if best is None or g_cost < best[1]:
-            best = (g_best, g_cost, trace, seed)
+            best = (bests[1, 0].astype(np.int64), g_cost, trace, seed)
     assert best is not None  # restarts >= 1
     return RunResult(*best, objective_rows=objective.rows, step_down_rows=objective.step_down_rows)
 

@@ -62,6 +62,14 @@ class TestAllocationProblem:
         with pytest.raises(ContractViolation, match=r"contiguous range, got \(1, 2, 4\)"):
             linear_problem(2, (4, 1, 2), 10.0, lambda b: 0.0)
 
+    def test_values_float64_cannot_hold_exactly_rejected(self):
+        # The swarm keeps its positions in float64, where 2**53 + 1 rounds.
+        for allowed in ((2**53, 2**53 + 1), (-(2**53) - 1, -(2**53))):
+            with pytest.raises(ContractViolation, match=r"beyond \+-2\*\*53"):
+                linear_problem(1, allowed, 2.0**60, lambda b: 0.0, budget_bits=allowed[-1])
+        edge = linear_problem(1, (2**53 - 1, 2**53), 2.0**60, lambda b: 0.0, budget_bits=2**53)
+        assert edge.allowed_values == (2**53 - 1, 2**53)
+
     def test_infeasible_uniform_start_rejected(self):
         # budget_bits = 3 is in the set but 2 * 3 > 5.
         with pytest.raises(ContractViolation):

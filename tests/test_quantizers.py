@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitalloc.problem import ContractViolation
@@ -16,7 +16,40 @@ def quantize_float_in_range(x, exp_bits, mantissa_bits):
     return q
 
 
+def floor_round_half_away(x):
+    """round_half_away as it was, with floor; the reference for its rewrite."""
+    x = np.asarray(x, dtype=float)
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+def _around(x):
+    return st.sampled_from([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+# Ties k + 0.5 (exact below 2**52) and their neighbours, signed zeros,
+# infinities, NaN, subnormals, magnitudes 2**52..2**53 where the ulp
+# reaches 1, and arbitrary bit patterns.
+_ROUNDING_INPUTS = st.one_of(
+    st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k + 0.5).flatmap(_around),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
+    st.floats(-2.3e-308, 2.3e-308).flatmap(_around),
+    st.floats(2.0**52, 2.0**53).flatmap(_around).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.integers(0, 2**64 - 1).map(lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)),
+)
+
+
 class TestRoundHalfAway:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ROUNDING_INPUTS, min_size=1, max_size=40))
+    @example([0.5, -0.5, 2.5, -2.5, 0.49999999999999994, 2.0**52 + 1, -(2.0**53) + 1])
+    def test_equals_the_floor_formula_bit_for_bit(self, xs):
+        x = np.array(xs, dtype=float)
+        with np.errstate(invalid="ignore"):  # signalling NaN bit patterns
+            assert round_half_away(x).tobytes() == floor_round_half_away(x).tobytes()
+            # Scalars too: both return a float64 scalar.
+            new, old = round_half_away(x[0]), floor_round_half_away(x[0])
+        assert type(new) is type(old) and new.tobytes() == old.tobytes()
+
     def test_ties_go_away_from_zero(self):
         assert round_half_away(2.5) == 3.0
         assert round_half_away(-2.5) == -3.0

@@ -13,7 +13,6 @@ from bitalloc.receiver import (
     SystemConfig,
     _sample_cell_positions,
     adc_consumption,
-    alpha_of_bits,
     beta_of_bits,
     draw_realizations,
     generate_channel,
@@ -36,7 +35,6 @@ class TestDistortionModel:
 
     def test_zero_bits_pass_nothing(self):
         assert beta_of_bits(0) == 1.0
-        assert alpha_of_bits(0) == 0.0
 
     def test_asymptotic_tail(self):
         expected = (math.pi * math.sqrt(3.0) / 2.0) * 2.0**-12
@@ -46,10 +44,6 @@ class TestDistortionModel:
     def test_strictly_decreasing(self):
         betas = beta_of_bits(np.arange(0, 12))
         assert (np.diff(betas) < 0).all()
-
-    def test_alpha_complements_beta(self):
-        bits = np.arange(0, 9)
-        np.testing.assert_allclose(alpha_of_bits(bits), 1.0 - beta_of_bits(bits))
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ContractViolation):

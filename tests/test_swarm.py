@@ -64,6 +64,30 @@ class TestSwarmConfig:
         with pytest.raises(ContractViolation):
             SwarmConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("seed", 1.5),
+            ("n_pop", 2.5),
+            ("i_iter", 2.5),
+            ("restarts", 1.5),
+            ("n_pop", True),
+            ("restarts", np.True_),
+            ("i_iter", "3"),
+        ],
+    )
+    def test_sizes_and_seeds_must_be_integers_named_when_not(self, field, value):
+        # Each used to pass the config and crash the run inside numpy.
+        with pytest.raises(ContractViolation, match=f"^{field} must be an integer"):
+            SwarmConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SwarmConfig(
+            n_pop=np.int64(3), i_iter=np.int32(2), restarts=np.uint8(1), seed=np.int64(4)
+        )
+        assert run_gcpso(weighted_msqe_problem([1.0, 2.0]), cfg).seed == 4
+
 
 class TestSchedule:
     def test_final_iteration_hits_extremes(self):
@@ -90,6 +114,20 @@ def clip_step_swarm(pos, vel, p_best, g_best, w, c1, c2, r1, r2, lo, hi):
     vel = w * vel + c1 * r1 * (p_best - pos) + c2 * r2 * (g_best[None, :] - pos)
     np.clip(vel, -V_MAX, V_MAX, out=vel)
     return np.clip(pos + round_half_away(vel).astype(np.int64), lo, hi), vel
+
+
+def stacked(pos, vel, p_best, g_best, w, c1, c2, r1, r2):
+    """The old step_swarm arguments as the engine passes them now:
+    float64 positions, bests stacked over g_best broadcast, and one r
+    scaled by (c1, c2)."""
+    pos = np.asarray(pos, dtype=float)
+    bests = np.stack([p_best, np.broadcast_to(g_best, pos.shape)]).astype(float)
+    r = np.stack([r1, r2]) * np.array([c1, c2])[:, None, None]
+    return pos, vel, bests, r, w
+
+
+def assert_integral_float64(pos):
+    assert pos.dtype == np.float64 and (pos == np.trunc(pos)).all()
 
 
 # Velocities at the rounding ties and at the clamp, and just past them.
@@ -123,10 +161,11 @@ class TestStepSwarm:
         pos = np.array([[3, 4], [3, 4]])
         vel = np.zeros((2, 2))
         new_pos, new_vel = step_swarm(
-            pos, vel, pos.copy(), pos[0], 0.8, 1.2, 1.7,
-            np.full((2, 2), 0.5), np.full((2, 2), 0.5), 1, 7,
+            *stacked(pos, vel, pos.copy(), pos[0], 0.8, 1.2, 1.7,
+                     np.full((2, 2), 0.5), np.full((2, 2), 0.5)), 1, 7,
         )
         np.testing.assert_array_equal(new_pos, pos)
+        assert_integral_float64(new_pos)
         np.testing.assert_array_equal(new_vel, 0.0)
 
     def test_position_move_rounds_half_away_from_zero(self):
@@ -135,21 +174,23 @@ class TestStepSwarm:
         pos = np.array([[2, 2]])
         vel = np.array([[2.6, 2.5]])
         new_pos, new_vel = step_swarm(
-            pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), 1, 7,
+            *stacked(pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
+                     np.zeros((1, 2)), np.zeros((1, 2))), 1, 7,
         )
         np.testing.assert_array_equal(new_pos, [[5, 5]])
+        assert_integral_float64(new_pos)
         np.testing.assert_allclose(new_vel, vel)
 
     def test_velocity_clamped_before_move(self):
         pos = np.array([[2, 4]])
         vel = np.array([[10.0, -10.0]])
         new_pos, new_vel = step_swarm(
-            pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
-            np.zeros((1, 2)), np.zeros((1, 2)), 1, 7,
+            *stacked(pos, vel, pos.copy(), pos[0], 1.0, 1.0, 1.0,
+                     np.zeros((1, 2)), np.zeros((1, 2))), 1, 7,
         )
         np.testing.assert_allclose(new_vel, [[3.0, -3.0]])
         np.testing.assert_array_equal(new_pos, [[5, 1]])
+        assert_integral_float64(new_pos)
 
     def test_positions_stay_in_allowed_set(self):
         rng = np.random.default_rng(11)
@@ -157,9 +198,12 @@ class TestStepSwarm:
         vel = rng.uniform(-3, 3, size=(8, 4))
         p_best = rng.integers(3, 7, size=(8, 4))
         g_best = rng.integers(3, 7, size=4)
-        args = (pos, vel, p_best, g_best, 0.9, 2.0, 2.0, rng.random((8, 4)), rng.random((8, 4)))
+        args = stacked(
+            pos, vel, p_best, g_best, 0.9, 2.0, 2.0, rng.random((8, 4)), rng.random((8, 4))
+        )
         new_pos, _ = step_swarm(*args, 3, 6)
-        assert ((new_pos >= 3) & (new_pos <= 6)).all() and new_pos.dtype == np.int64
+        assert ((new_pos >= 3) & (new_pos <= 6)).all()
+        assert_integral_float64(new_pos)
         # Unclipped, the same move leaves the range 3..6 on both sides.
         free, _ = step_swarm(*args, -100, 100)
         assert free.min() < 3 and free.max() > 6
@@ -169,14 +213,17 @@ class TestStepSwarm:
     @given(step_cases())
     def test_equals_the_clip_formula_byte_for_byte(self, case):
         args, lo, hi = case
-        kept = [np.copy(a) for a in args]
-        new_pos, new_vel = step_swarm(*args, lo, hi)
-        old_pos, old_vel = clip_step_swarm(*kept, lo, hi)
-        assert new_pos.dtype == old_pos.dtype and new_vel.dtype == old_vel.dtype
-        assert new_pos.tobytes() == old_pos.tobytes()
+        new_args = stacked(*args)
+        kept = [np.copy(a) for a in new_args]
+        new_pos, new_vel = step_swarm(*new_args, lo, hi)
+        old_pos, old_vel = clip_step_swarm(*args, lo, hi)
+        assert new_vel.dtype == old_vel.dtype
         assert new_vel.tobytes() == old_vel.tobytes()
+        # The same integers, held exactly in float64.
+        assert_integral_float64(new_pos)
+        np.testing.assert_array_equal(new_pos, old_pos)
         # The arrays given are not modified.
-        assert all(np.asarray(a).tobytes() == k.tobytes() for a, k in zip(args, kept))
+        assert all(np.asarray(a).tobytes() == k.tobytes() for a, k in zip(new_args, kept))
 
     def test_one_draw_of_two_is_the_stream_of_two_draws(self):
         # The engine draws r1 and r2 as one (2, n_pop, N) array.
@@ -780,11 +827,45 @@ class TestRepairMemo:
         # The second batch repeats the first: those keys are known.
         for mat in (first, np.concatenate([first[::-1], fresh])):
             rows, costs = objective.repair_and_value(searched, mat)
+            assert rows.dtype == np.float64
+            rows = rows.astype(np.int64)
             for particle, row in zip(mat, rows):
                 assert greedy_repair_batch(searched, particle[None, :]).tobytes() == row.tobytes()
             assert costs.tobytes() == objective.table[lattice_index(p, rows)].tobytes()
             assert not np.isnan(costs).any()
             assert (p.evaluate_consumption_batch(rows) <= p.budget).all()
+
+    # Every lattice the default SwarmConfig memoizes, for base 2..9.
+    @pytest.mark.parametrize(
+        "base, n",
+        [(b, n) for b in range(2, 10) for n in range(1, 17) if b**n <= 550 * 101],
+    )
+    def test_engine_key_is_the_lattice_index(self, base, n):
+        # F is each row's lattice_index and every row is feasible, so the
+        # repair is the identity: the memo must store each of the engine's
+        # float64 rows, and its value, at that row's lattice_index.
+        lo = int(np.random.default_rng(base * 100 + n).integers(-3, 4))
+        allowed = tuple(range(lo, lo + base))
+        p = AllocationProblem(
+            dimension=n,
+            allowed_values=allowed,
+            budget_bits=lo,
+            budget=0.0,
+            objective_batch=lambda mat: lattice_index(p, mat).astype(float),
+            consumption_batch=lambda mat: np.zeros(len(mat)),
+        )
+        objective = swarm._Objective(p, SwarmConfig())
+        assert objective.table is not None
+        searched = replace(p, objective_batch=objective)
+        rng = np.random.default_rng(n)
+        rows = rng.integers(lo, lo + base, size=(300, n)).astype(float)
+        rows[:2] = [lo], [lo + base - 1]  # the first and the last key
+        index = lattice_index(p, rows.astype(np.int64))
+        repaired, costs = objective.repair_and_value(searched, rows)
+        assert repaired.tobytes() == rows.tobytes()
+        assert costs.tobytes() == index.astype(float).tobytes()
+        assert objective.repaired_cost[index].tobytes() == index.astype(float).tobytes()
+        assert np.isnan(np.delete(objective.repaired_cost, index)).all()
 
     def test_each_distinct_row_is_repaired_once_per_search(self):
         p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
