@@ -14,7 +14,6 @@ byte-identical result files.
 Subcommands:
   run <config>               execute the experiment, write CSV results
   check-convergence          print the stability report for (w, c1, c2)
-  oracle <config>            brute-force the configured problem
 """
 
 from __future__ import annotations
@@ -255,44 +254,27 @@ def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[
         yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
 
 
+_QGD_TASKS = {"least_squares": qgd.gaussian_least_squares, "logistic": qgd.synthetic_classification}
+
+
 def _qgd_builder(section: _Section) -> Callable[..., qgd.QgdTask]:
-    """The task constructor that task selects: least_squares, logistic or a dataset path."""
-    return {
-        "least_squares": qgd.gaussian_least_squares,
-        "logistic": qgd.synthetic_classification,
-    }.get(section.get("task", "least_squares"), qgd.load_sparse_dataset)
+    """The task constructor that task selects."""
+    task = section.get("task", "least_squares")
+    if task not in _QGD_TASKS:
+        raise _fail("[qgd] task", f"expected 'least_squares' or 'logistic', got {task!r}")
+    return _QGD_TASKS[task]
 
 
 def _qgd_keys(section: _Section) -> tuple[str, ...]:
     return ("task", *_defaults(_qgd_builder(section), ("seed",)))
 
 
-def _qgd_task(section: _Section, seed: int, config_dir: Path) -> qgd.QgdTask:
-    build = _qgd_builder(section)
-    dataset = []
-    if build is qgd.load_sparse_dataset:
-        path = config_dir / section.raw("task")
-        if not path.is_file():
-            raise _fail(
-                "[qgd] task",
-                f"expected 'least_squares', 'logistic' or a dataset file; {path} is not a file",
-            )
-        dataset = [path]
-    return section.build(build, *dataset, seed=seed)
-
-
-def _qgd_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
-    """The first descent step's allocation problem, at the zero start."""
-    task = _qgd_task(section, seed, config_dir)
-    yield _Case(qgd.qgd_problem(task, np.zeros(task.dimension)))
-
-
 # -- runners ---------------------------------------------------------------------
 
 
 class _Experiment:
-    """A config checked as far as run and oracle share: every section and
-    key, [experiment], [swarm], and the application's section."""
+    """A config checked section by section: every section and key,
+    [experiment], [swarm], and the application's section."""
 
     def __init__(self, config_path: Path):
         parser = _load_parser(config_path)
@@ -326,15 +308,12 @@ class _Experiment:
             self.swarm = _Section(parser, "swarm").build(SwarmConfig, seed=self.seed)
         self.config_dir = config_path.resolve().parent
 
-    def cases(self) -> Iterator[_Case]:
-        return self.app.cases(self.section, self.seed, self.config_dir)
-
 
 def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
     """Solve every case with every strategy and score each allocation."""
     swarm_cfg = ex.swarm or SwarmConfig(seed=ex.seed)
     rows, traces, summary = [], {}, []
-    for case in ex.cases():
+    for case in ex.app.cases(ex.section, ex.seed, ex.config_dir):
         problem = case.problem
         for strategy in strategies:
             trace = None
@@ -367,7 +346,7 @@ def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
 
 def _run_qgd(ex: _Experiment, strategies, out_dir: Path) -> list:
     """Train once per strategy; without [swarm] the engines use qgd's per-step default."""
-    task = _qgd_task(ex.section, ex.seed, ex.config_dir)
+    task = ex.section.build(_qgd_builder(ex.section), seed=ex.seed)
     metric_name = "error" if task.z_star is not None else "loss"
     rows, summary = [], []
     for strategy in strategies:
@@ -394,24 +373,25 @@ def _run_qgd(ex: _Experiment, strategies, out_dir: Path) -> list:
 class _Application(NamedTuple):
     """How one application builds its problems and runs its strategies."""
 
-    cases: Callable[[_Section, int, Path], Iterator[_Case]]  # the oracle solves the first
     keys: Callable[[_Section], tuple[str, ...]]  # the keys its section may set
     strategies: tuple[str, ...]
     run: Callable[[_Experiment, list, Path], list]
+    # The problems _run_allocations solves; qgd builds one per descent step.
+    cases: Optional[Callable[[_Section, int, Path], Iterator[_Case]]] = None
     value: str = ""  # results column of the reported objective
     sign: float = 1.0  # the reported value is sign * objective
 
 
 _APPLICATIONS = {
     "fir": _Application(
-        _fir_cases, _fir_keys, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations,
+        _fir_keys, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations, _fir_cases,
         "minimax_error",
     ),
     "receiver": _Application(
-        _receiver_cases, _receiver_keys, ("naive", "ppso", "gcpso", "oracle"), _run_allocations,
+        _receiver_keys, ("naive", "ppso", "gcpso", "oracle"), _run_allocations, _receiver_cases,
         "sum_rate_bps_hz", -1.0,
     ),
-    "qgd": _Application(_qgd_cases, _qgd_keys, ("naive", "ppso", "gcpso"), _run_qgd),
+    "qgd": _Application(_qgd_keys, ("naive", "ppso", "gcpso"), _run_qgd),
 }
 
 
@@ -438,22 +418,6 @@ def run_experiment(config_path) -> int:
     if ex.exp.get("json_summary", False):
         payload = {"application": application, "seed": ex.seed, "results": summary}
         (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-def run_oracle(config_path) -> int:
-    ex = _Experiment(Path(config_path))
-    problem = next(ex.cases()).problem
-    try:
-        bits, value = brute_force_optimum(problem, cap=ex.cap)
-    except SearchSpaceTooLarge as exc:
-        print(f"oracle refused: {exc}", file=sys.stderr)
-        return 1
-    print(f"problem: {problem.name or ex.section.name} (dimension {problem.dimension}, "
-          f"{len(problem.allowed_values)} allowed values)")
-    print(f"bits = {_bits_str(bits)}")
-    print(f"objective = {_fmt(value)}")
-    print(f"consumption = {_fmt(problem.evaluate_consumption(bits))} (budget {_fmt(problem.budget)})")
     return 0
 
 
@@ -485,16 +449,12 @@ def main(argv=None) -> int:
     p_conv.add_argument("--w", type=float, required=True)
     p_conv.add_argument("--c1", type=float, required=True)
     p_conv.add_argument("--c2", type=float, required=True)
-    p_oracle = sub.add_parser("oracle", help="brute-force the configured problem")
-    p_oracle.add_argument("config", help="path to the experiment config file")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "run":
             return run_experiment(args.config)
-        if args.command == "check-convergence":
-            return run_check_convergence(args.w, args.c1, args.c2)
-        return run_oracle(args.config)
+        return run_check_convergence(args.w, args.c1, args.c2)
     except (ConfigError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

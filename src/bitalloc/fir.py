@@ -33,6 +33,9 @@ from .quantizers import MAX_EXP_BITS, quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
 DEFAULT_EXP_BITS = 5
+# The top allowed width, 2 * 511 + 1 = 1023, is the widest that both
+# quantizers value without overflowing float64.
+MAX_BUDGET_BITS = 511
 _CHUNK_ROWS = 4096
 
 
@@ -251,8 +254,11 @@ def fir_problem(
     """
     if kind not in ("fixed", "float"):
         raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
-    if budget_bits < 1:
-        raise ContractViolation(f"budget_bits must be >= 1, got {budget_bits}")
+    if not 1 <= budget_bits <= MAX_BUDGET_BITS:
+        raise ContractViolation(
+            f"budget_bits must be >= 1 and <= {MAX_BUDGET_BITS}, got {budget_bits}; "
+            "the top width 2 * budget_bits + 1 must stay <= 1023, or the quantizers overflow"
+        )
     if not 1 <= exp_bits <= MAX_EXP_BITS:
         raise ContractViolation(f"exp_bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
     ev = _MinimaxEvaluator(spec, coeffs)

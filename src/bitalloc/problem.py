@@ -225,7 +225,9 @@ def penalized_fitness_batch(
     if not 0 < penalty_weight < np.inf:
         raise ContractViolation(f"need a finite penalty_weight > 0, got {penalty_weight}")
     excess = problem.evaluate_consumption_batch(mat) - problem.budget
-    return problem.evaluate_objective_batch(mat) + penalty_weight * np.maximum(0.0, excess)
+    with np.errstate(over="ignore"):  # a product past the float range is +inf, the right cost
+        penalty = penalty_weight * np.maximum(0.0, excess)
+    return problem.evaluate_objective_batch(mat) + penalty
 
 
 def lattice_index(problem: AllocationProblem, mat) -> np.ndarray:

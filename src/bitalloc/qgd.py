@@ -19,7 +19,7 @@ and a displaced step rebuilds its own when called.
 
 Two tasks are built in: linear least squares (synthetic Gaussian
 design, known target) and binary logistic regression with a 1/(2m)
-ridge term (synthetic two-Gaussian data or a sparse text dataset).
+ridge term (synthetic two-Gaussian data).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, read_text
+from .problem import AllocationProblem, ContractViolation
 from .quantizers import quantize_fixed_bits
 from .swarm import SwarmConfig, run_gcpso, run_ppso
 
@@ -374,6 +374,13 @@ def train(
 # -- task constructors ---------------------------------------------------------
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Reject a size below 1 by name, before a draw of that shape."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ContractViolation(f"{name} must be >= 1, got {size}")
+
+
 def gaussian_least_squares(
     n_rows: int = 200,
     n_cols: int = 20,
@@ -383,6 +390,7 @@ def gaussian_least_squares(
     seed: int = 0,
 ) -> QgdTask:
     """Random Gaussian design with a known planted target, noiseless."""
+    _check_sizes(n_rows=n_rows, n_cols=n_cols)
     rng = np.random.default_rng([_DATA_DOMAIN, seed])
     A = rng.standard_normal((n_rows, n_cols))
     z_star = rng.standard_normal(n_cols)
@@ -408,73 +416,13 @@ def synthetic_classification(
 ) -> QgdTask:
     """Two unit-variance Gaussian clouds with opposite labels, centred at
     -u and +u for a random unit vector u; linearly separable-ish."""
+    _check_sizes(n_samples=n_samples, n_features=n_features)
     rng = np.random.default_rng([_DATA_DOMAIN, seed, 1])
     direction = rng.standard_normal(n_features)
     direction /= np.linalg.norm(direction)
     labels = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
     features = rng.standard_normal((n_samples, n_features))
     features += labels[:, None] * direction[None, :]
-    return QgdTask(
-        kind="logistic",
-        features=features,
-        targets=labels,
-        eta=eta,
-        t_iter=t_iter,
-        budget_bits=budget_bits,
-        seed=seed,
-    )
-
-
-def load_sparse_dataset(
-    path,
-    eta: float = 0.05,
-    t_iter: int = 100,
-    budget_bits: int = 4,
-    seed: int = 0,
-) -> QgdTask:
-    """Read 'label idx:val ...' sparse text rows into a logistic task.
-
-    Feature indices are treated as 1-based unless an index 0 appears.
-    Exactly two distinct label values are required; the smaller maps to
-    -1 and the larger to +1.
-    """
-    rows: list[dict[int, float]] = []
-    raw_labels: list[float] = []
-    max_idx = 0
-    saw_zero = False
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            raw_labels.append(float(parts[0]))
-            entries = {}
-            for item in parts[1:]:
-                idx_s, val_s = item.split(":", 1)
-                idx = int(idx_s)
-                if idx < 0:
-                    raise ValueError("negative index")
-                saw_zero = saw_zero or idx == 0
-                max_idx = max(max_idx, idx)
-                entries[idx] = float(val_s)
-            rows.append(entries)
-        except (ValueError, IndexError):
-            raise ContractViolation(f"{path}:{lineno}: malformed sparse row: {line!r}") from None
-        if not np.isfinite([raw_labels[-1], *entries.values()]).all():
-            raise ContractViolation(f"{path}:{lineno}: non-finite label or value: {line!r}")
-    if not rows:
-        raise ContractViolation(f"{path}: no samples found")
-    uniq = sorted(set(raw_labels))
-    if len(uniq) != 2:
-        raise ContractViolation(f"{path}: need exactly two label values, found {uniq}")
-    offset = 0 if saw_zero else 1
-    dim = max_idx + 1 - offset
-    features = np.zeros((len(rows), dim))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            features[i, idx - offset] = val
-    labels = np.where(np.asarray(raw_labels) == uniq[0], -1.0, 1.0)
     return QgdTask(
         kind="logistic",
         features=features,

@@ -62,16 +62,19 @@ def assert_batch_composition_agrees(problem: AllocationProblem, n_rows=300, seed
 # keeps a copy.
 
 
-def toy_fir_problem(i: int) -> AllocationProblem:
-    n_taps = (5, 7, 9)[i % 3]
+def toy_fir_problem(
+    i: int, n_taps: int = 0, kind: str = "", budget_bits: int = 2
+) -> AllocationProblem:
+    """Toy i, or with the tap count, kind or budget given its recipe at that size."""
+    n_taps = n_taps or (5, 7, 9)[i % 3]
     half_n = (n_taps + 1) // 2
     rng = np.random.default_rng([0x70F1, i])
     mags = np.exp2(rng.uniform(-5.0, -0.2, size=half_n))
     half = rng.choice([-1.0, 1.0], size=half_n) * mags
     coeffs = CoefficientSet(h=np.concatenate([half, half[-2::-1]]))
     spec = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], n_taps)
-    kind = "fixed" if i % 2 == 0 else "float"
-    return fir_problem(spec, coeffs, kind, budget_bits=2, exp_bits=5)
+    kind = kind or ("fixed" if i % 2 == 0 else "float")
+    return fir_problem(spec, coeffs, kind, budget_bits=budget_bits, exp_bits=5)
 
 
 def toy_receiver_problem(i: int) -> AllocationProblem:

@@ -1,4 +1,4 @@
-"""Command-line interface: run, oracle and check-convergence."""
+"""Command-line interface: run and check-convergence."""
 
 import configparser
 import csv
@@ -11,7 +11,7 @@ import pytest
 from bitalloc import cli
 from bitalloc.fir import FilterSpec, fir_problem, load_coefficients
 from bitalloc.problem import brute_force_optimum
-from bitalloc.qgd import synthetic_classification, train
+from bitalloc.qgd import qgd_problem, synthetic_classification, train
 
 from conftest import FIXTURE_DIR
 
@@ -254,10 +254,44 @@ BASE_CONFIGS = {
 }
 
 
+def listing(text, strategies):
+    """text with its strategies line set to strategies, or as written."""
+    if strategies == "as listed":
+        return text
+    new = re.sub(r"^strategies = .*$", f"strategies = {strategies}", text, flags=re.M)
+    assert new != text
+    return new
+
+
+# A config is checked in full before any strategy runs, also when the
+# brute force is the only strategy listed.
+AS_LISTED_OR_ORACLE = pytest.mark.parametrize("strategies", ["as listed", "oracle"])
+ORACLE_TOO = {"fir": ("as listed", "oracle"), "receiver": ("as listed", "oracle"),
+              "qgd": ("as listed",)}  # qgd has no oracle strategy
+
+
+UNKNOWN_KEYS = [
+    ("fir", "experiment", "seeed = 3"),
+    ("fir", "fir", "budget_bitz = 5"),
+    ("receiver", "receiver", "m_antenna = 8"),
+    ("qgd", "qgd", "n_row = 30"),
+    ("qgd", "qgd", "n_samples = 30"),  # a logistic key under task = least_squares
+    ("qgd", "qgd", "noise_std = 0.5"),
+    # model constants, not options
+    ("fir", "fir", "points_per_tap = 8"),
+    ("receiver", "receiver", "cell_radius = 500"),
+    ("receiver", "receiver", "r_min = 50"),
+    ("receiver", "receiver", "path_loss_exponent = 3"),
+    ("receiver", "receiver", "shadowing_db = 6"),
+    ("receiver", "receiver", "redraw_large_scale = false"),
+]
+
+
 class TestRunValidation:
-    def run_expecting_config_error(self, tmp_path, text, fragment, capsys, command="run"):
-        config = write_config(tmp_path, text)
-        assert cli.main([command, str(config)]) == 2
+    def run_expecting_config_error(self, tmp_path, text, fragment, capsys,
+                                   strategies="as listed"):
+        config = write_config(tmp_path, listing(text, strategies))
+        assert cli.main(["run", str(config)]) == 2
         err = capsys.readouterr().err
         assert fragment in err
         return err
@@ -281,29 +315,29 @@ class TestRunValidation:
         assert "'ppso' is listed more than once" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @AS_LISTED_OR_ORACLE
     @pytest.mark.parametrize("powers", ["10, 10.0", "0, 1.0000001, 1.0000002", "0, -0"])
-    def test_powers_sharing_a_trace_file_named(self, tmp_path, capsys, command, powers):
+    def test_powers_sharing_a_trace_file_named(self, tmp_path, capsys, powers, strategies):
         # Powers that format alike would write one trace_*_pu<p>dB.csv.
         text = RECEIVER_CONFIG.replace("strategies = naive", "strategies = naive, ppso")
         text += f"p_u_db = {powers}\n"
         err = self.run_expecting_config_error(
-            tmp_path, text, "[receiver] p_u_db", capsys, command
+            tmp_path, text, "[receiver] p_u_db", capsys, strategies
         )
         assert "would share trace files" in err
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_infinite_power_rejected(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_infinite_power_rejected(self, tmp_path, capsys, strategies):
         # An infinite p_u made every SINR NaN, which the rate read as 0, and
-        # 4000 dB overflowed on the way to a linear power.
-        # The oracle solves only the first power, so every power is checked first.
+        # 4000 dB overflowed on the way to a linear power. Every power is
+        # checked before the first is solved.
         for powers, message in [
             ("0, inf", "[receiver]: p_u must be positive and finite, got inf"),
             ("0, 4000", "[receiver] p_u_db: powers above about 3082 dB overflow a float"),
         ]:
             text = RECEIVER_CONFIG + f"p_u_db = {powers}\n"
-            self.run_expecting_config_error(tmp_path, text, message, capsys, command)
+            self.run_expecting_config_error(tmp_path, text, message, capsys, strategies)
             assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     @pytest.mark.parametrize("output_dir", ["out", "out/sub"])
@@ -351,43 +385,44 @@ benchmark = a
             tmp_path, text, "[fir] coefficients", capsys
         )
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_missing_coefficient_file_reported(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_missing_coefficient_file_reported(self, tmp_path, capsys, strategies):
         # A directory used to raise IsADirectoryError.
         for coeffs in ("no_such_file.txt", tmp_path):
             text = FIR_TOY_CONFIG.format(coeffs=coeffs)
             self.run_expecting_config_error(
-                tmp_path, text, "[fir] coefficients: file not found", capsys, command
+                tmp_path, text, "[fir] coefficients: file not found", capsys, strategies
             )
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_coefficients_that_are_not_utf8_reported(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_coefficients_that_are_not_utf8_reported(self, tmp_path, capsys, strategies):
         # They used to raise UnicodeDecodeError.
         path = tmp_path / "h.txt"
         path.write_bytes(TOY_COEFFS.read_bytes() + b"\xff\n")
         text = FIR_TOY_CONFIG.format(coeffs=path)
-        self.run_expecting_config_error(tmp_path, text, f"{path}: not UTF-8 text", capsys, command)
+        self.run_expecting_config_error(
+            tmp_path, text, f"{path}: not UTF-8 text", capsys, strategies
+        )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_qgd_dataset_that_is_not_a_text_file_reported(self, tmp_path, capsys, command):
-        # A directory raised IsADirectoryError, and bytes that are not
-        # UTF-8 raised UnicodeDecodeError.
-        (tmp_path / "data").mkdir()
-        (tmp_path / "data.txt").write_bytes(b"1 1:1.0\n\xfe-1 1:2.0\n")
-        for task, fragment in (
-            ("data", "[qgd] task: expected 'least_squares', 'logistic' or a dataset file"),
-            ("data.txt", "data.txt: not UTF-8 text"),
-        ):
-            text = TestRunQgd.CONFIG.replace("task = least_squares", f"task = {task}")
-            text = re.sub(r"^(n_rows|n_cols) = .*\n", "", text, flags=re.M)
-            self.run_expecting_config_error(tmp_path, text, fragment, capsys, command)
+    def test_unknown_qgd_task_named(self, tmp_path, capsys):
+        # A name other than the two tasks used to be read as a dataset path.
+        text = TestRunQgd.CONFIG.replace("task = least_squares", "task = data")
+        err = self.run_expecting_config_error(tmp_path, text, "[qgd] task", capsys)
+        assert "expected 'least_squares' or 'logistic', got 'data'" in err
+        assert not (tmp_path / "out").exists()
 
-    def test_oracle_reports_missing_application_section(self, tmp_path, capsys):
+    def test_qgd_task_naming_a_file_is_not_read(self, tmp_path, capsys):
+        # A dataset file beside the config used to be loaded as the task.
+        (tmp_path / "data.txt").write_text("1 1:0.5\n-1 2:1.0\n")
+        text = TestRunQgd.CONFIG.replace("task = least_squares", "task = data.txt")
+        err = self.run_expecting_config_error(tmp_path, text, "[qgd] task", capsys)
+        assert "expected 'least_squares' or 'logistic', got 'data.txt'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "experiment.ini"]
+
+    def test_missing_application_section_named(self, tmp_path, capsys):
         text = "[experiment]\napplication = fir\nstrategies = naive\n"
-        self.run_expecting_config_error(
-            tmp_path, text, "[fir]: section is missing", capsys, "oracle"
-        )
+        self.run_expecting_config_error(tmp_path, text, "[fir]: section is missing", capsys)
 
     def test_invalid_swarm_setting_rejected(self, tmp_path, capsys):
         base = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS)
@@ -404,69 +439,64 @@ benchmark = a
         err = self.run_expecting_config_error(tmp_path, text, f"[swarm] {key}", capsys)
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
     @pytest.mark.parametrize(
-        "base, section, line",
-        [
-            ("fir", "experiment", "seeed = 3"),
-            ("fir", "fir", "budget_bitz = 5"),
-            ("receiver", "receiver", "m_antenna = 8"),
-            ("qgd", "qgd", "n_row = 30"),
-            ("qgd", "qgd", "n_samples = 30"),  # a logistic key under task = least_squares
-            ("qgd", "qgd", "noise_std = 0.5"),
-            # model constants, not options
-            ("fir", "fir", "points_per_tap = 8"),
-            ("receiver", "receiver", "cell_radius = 500"),
-            ("receiver", "receiver", "r_min = 50"),
-            ("receiver", "receiver", "path_loss_exponent = 3"),
-            ("receiver", "receiver", "shadowing_db = 6"),
-            ("receiver", "receiver", "redraw_large_scale = false"),
-        ],
+        "base, section, line, strategies",
+        [(*case, s) for case in UNKNOWN_KEYS for s in ORACLE_TOO[case[0]]],
     )
-    def test_unknown_key_named(self, tmp_path, capsys, command, base, section, line):
+    def test_unknown_key_named(self, tmp_path, capsys, base, section, line, strategies):
         text = BASE_CONFIGS[base].replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         key = line.split()[0]
         err = self.run_expecting_config_error(
-            tmp_path, text, f"[{section}] {key}", capsys, command
+            tmp_path, text, f"[{section}] {key}", capsys, strategies
         )
         assert "unknown key; valid:" in err
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    @pytest.mark.parametrize("base", ["fir", "receiver", "qgd"])
-    def test_negative_seed_named(self, tmp_path, capsys, base, command):
+    @pytest.mark.parametrize(
+        "base, strategies", [(base, s) for base in BASE_CONFIGS for s in ORACLE_TOO[base]]
+    )
+    def test_negative_seed_named(self, tmp_path, capsys, base, strategies):
         text = re.sub(r"^seed = .*\n", "", BASE_CONFIGS[base], flags=re.M)
         text = text.replace("[experiment]\n", "[experiment]\nseed = -1\n")
         err = self.run_expecting_config_error(
-            tmp_path, text, "[experiment] seed", capsys, command
+            tmp_path, text, "[experiment] seed", capsys, strategies
         )
         assert "must be >= 0, got -1" in err
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_unknown_section_named(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_unknown_section_named(self, tmp_path, capsys, strategies):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS) + "\n[swarms]\nn_pop = 5\n"
-        err = self.run_expecting_config_error(tmp_path, text, "[swarms]", capsys, command)
+        err = self.run_expecting_config_error(tmp_path, text, "[swarms]", capsys, strategies)
         assert "unknown section" in err
 
     def test_impossible_exponent_width_rejected(self, tmp_path, capsys):
         # 2000 exponent bits overflowed a float inside the quantizer: a
         # traceback with exit 1.
-        for command in ("run", "oracle"):
-            for width in (0, 2000):
-                text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
-                    "kind = fixed", f"kind = float\nexp_bits = {width}"
-                )
-                message = f"[fir]: exp_bits must be >= 1 and <= 11, got {width}"
-                self.run_expecting_config_error(tmp_path, text, message, capsys, command)
-                assert not (tmp_path / "out").exists()
+        for width in (0, 2000):
+            text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+                "kind = fixed", f"kind = float\nexp_bits = {width}"
+            )
+            message = f"[fir]: exp_bits must be >= 1 and <= 11, got {width}"
+            self.run_expecting_config_error(tmp_path, text, message, capsys)
+            assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_infinite_step_size_rejected(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_budget_beyond_the_quantizers_named(self, tmp_path, capsys, strategies):
+        # 1100 bits made the uniform start a NaN objective, after
+        # RuntimeWarnings, with nothing naming budget_bits.
+        text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace(
+            "budget_bits = 3", "budget_bits = 1100"
+        )
+        message = "[fir]: budget_bits must be >= 1 and <= 511, got 1100"
+        self.run_expecting_config_error(tmp_path, text, message, capsys, strategies)
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_step_size_rejected(self, tmp_path, capsys):
         # eta = inf wrote final_metric = nan for naive and failed a swarm
         # step on a NaN objective that did not name eta.
         text = TestRunQgd.CONFIG.replace("eta = 0.01", "eta = inf")
         message = "[qgd]: step size must be positive and finite, got inf"
-        self.run_expecting_config_error(tmp_path, text, message, capsys, command)
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     @pytest.mark.parametrize("strategies", ["naive", "naive, gcpso"])
@@ -522,16 +552,14 @@ benchmark = a
     def test_bad_config_value_named(self, tmp_path, capsys, base, old, new, fragment):
         text = BASE_CONFIGS[base].replace(old, new)
         assert text != BASE_CONFIGS[base]
-        # The oracle reads no strategies.
-        for command in ("run",) if "strategies" in old else ("run", "oracle"):
-            self.run_expecting_config_error(tmp_path, text, fragment, capsys, command)
-            assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+        self.run_expecting_config_error(tmp_path, text, fragment, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_non_numeric_band_edge_named(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_non_numeric_band_edge_named(self, tmp_path, capsys, strategies):
         text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS).replace("0:0.4,", "0:x,")
         self.run_expecting_config_error(
-            tmp_path, text, "[fir] bands: expected low:high pairs, got '0:x'", capsys, command
+            tmp_path, text, "[fir] bands: expected low:high pairs, got '0:x'", capsys, strategies
         )
         assert not (tmp_path / "out").exists()
 
@@ -539,45 +567,45 @@ benchmark = a
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
         assert "file not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_config_that_is_not_a_text_file_reported(self, tmp_path, capsys, command):
+    def test_config_that_is_not_a_text_file_reported(self, tmp_path, capsys):
         # A directory raised IsADirectoryError, and bytes that are not
         # UTF-8 raised UnicodeDecodeError.
         (tmp_path / "dir.ini").mkdir()
         (tmp_path / "bytes.ini").write_bytes(RECEIVER_CONFIG.encode() + b"# \xff\n")
         for name, fragment in (("dir.ini", "cannot read {}"), ("bytes.ini", "{}: not UTF-8 text")):
             path = tmp_path / name
-            assert cli.main([command, str(path)]) == 2
+            assert cli.main(["run", str(path)]) == 2
             assert f"error: config: {fragment.format(path)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_receiver_budget_overflowing_a_float_rejected(self, tmp_path, capsys, command):
+    @AS_LISTED_OR_ORACLE
+    def test_receiver_budget_overflowing_a_float_rejected(self, tmp_path, capsys, strategies):
         # float(m_antennas * 2**budget_bits) raised OverflowError.
         text = RECEIVER_CONFIG + "budget_bits = 1100\n"
         self.run_expecting_config_error(
-            tmp_path, text, "[receiver]: budget_bits = 1100 gives a budget", capsys, command
+            tmp_path, text, "[receiver]: budget_bits = 1100 gives a budget", capsys, strategies
         )
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
     @pytest.mark.parametrize(
-        "task, fragment",
+        "task, key, size",
         [
-            ("task = logistic\nn_samples = 0", "features have shape (0, 30)"),
-            ("task = least_squares\nn_cols = 0", "features have shape (30, 0)"),
-            ("task = data.txt", "data.txt:2: non-finite label or value"),
+            ("logistic", "n_samples", 0),
+            ("logistic", "n_samples", -1),
+            ("logistic", "n_features", 0),
+            ("logistic", "n_features", -1),
+            ("least_squares", "n_rows", 0),
+            ("least_squares", "n_rows", -1),
+            ("least_squares", "n_cols", 0),
+            ("least_squares", "n_cols", -1),
         ],
     )
-    def test_qgd_data_it_cannot_train_on_rejected(self, tmp_path, capsys, task, fragment):
-        # These printed RuntimeWarnings and an overflow blamed on eta, or
-        # exited 0 with rows of empty bits.
-        (tmp_path / "data.txt").write_text("1 1:1.0\n-1 1:nan\n")
-        text = TestRunQgd.CONFIG.replace("task = least_squares", task)
-        if "n_cols" in task:
-            text = text.replace("n_cols = 4\n", "")
-        else:
-            text = re.sub(r"^(n_rows|n_cols) = .*\n", "", text, flags=re.M)
-        err = self.run_expecting_config_error(tmp_path, text, fragment, capsys)
-        assert err.startswith("error: [qgd]: ")
+    def test_qgd_size_below_one_named(self, tmp_path, capsys, task, key, size):
+        # -1 failed inside numpy's draw with "negative dimensions are not
+        # allowed", and 0 was named only as the shape of the features.
+        text = re.sub(r"^(n_rows|n_cols) = .*\n", "", TestRunQgd.CONFIG, flags=re.M)
+        text = text.replace("task = least_squares", f"task = {task}\n{key} = {size}")
+        message = f"error: [qgd]: {key} must be >= 1, got {size}"
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert not (tmp_path / "out").exists()
 
 
@@ -628,6 +656,18 @@ def test_over_budget_penalized_answer_is_a_failed_row(tmp_path, capsys):
     assert "ppso" not in [entry["strategy"] for entry in summary["results"]]
 
 
+def test_penalty_weight_near_the_float_range_runs_clean(tmp_path, capsys):
+    # 1e308 times an excess overflowed with a RuntimeWarning, which
+    # -W error::RuntimeWarning turned into exit 1.
+    text = FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS) + "penalty_weight = 1e308\n"
+    config = write_config(tmp_path, text)
+    assert cli.main(["run", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_results(tmp_path / "out")
+    error = {r["strategy"]: r["minimax_error"] for r in rows}
+    assert error["ppso"] == error["gcpso"] == error["oracle"]
+
+
 def test_over_budget_qgd_step_is_a_failed_row(tmp_path, capsys):
     # As above: the weak penalty lets step 0's allocation spend 7 of 5 bits.
     text = """\
@@ -667,7 +707,11 @@ def test_shipped_config_builds(config):
     strategies = cli._split_list(ex.exp.raw("strategies"))
     assert strategies and set(strategies) <= set(ex.app.strategies)
     assert (ex.swarm is not None) == ex.exp.parser.has_section("swarm")
-    problem = next(ex.cases()).problem
+    if ex.app.cases is None:  # qgd: the first descent step's problem, at the zero start
+        task = ex.section.build(cli._qgd_builder(ex.section), seed=ex.seed)
+        problem = qgd_problem(task, np.zeros(task.dimension))
+    else:
+        problem = next(ex.app.cases(ex.section, ex.seed, ex.config_dir)).problem
     assert problem.dimension > 0
     uniform = np.full((1, problem.dimension), problem.budget_bits)
     assert problem.is_feasible(uniform[0])
@@ -676,22 +720,13 @@ def test_shipped_config_builds(config):
     assert values.shape == uniform.shape and np.isfinite(values).all()
 
 
-class TestOracleCommand:
-    def test_fir_toy_matches_direct_brute_force(self, tmp_path, capsys):
-        config = write_config(tmp_path, FIR_TOY_CONFIG.format(coeffs=TOY_COEFFS))
-        assert cli.main(["oracle", str(config)]) == 0
-        out = capsys.readouterr().out
-        spec = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 7)
-        problem = fir_problem(spec, load_coefficients(TOY_COEFFS), "fixed", budget_bits=3)
-        bits, value = brute_force_optimum(problem, cap=100000)
-        assert f"bits = {' '.join(str(b) for b in bits)}" in out
-        assert f"objective = {value!r}" in out
-
-    def test_oversized_search_space_refused(self, tmp_path, capsys):
+class TestOracleStrategy:
+    def test_oversized_search_space_is_a_failed_row(self, tmp_path, capsys):
         text = """\
 [experiment]
 application = receiver
-strategies = naive
+strategies = naive, oracle
+output_dir = out
 oracle_cap = 1000
 
 [receiver]
@@ -700,11 +735,18 @@ k_users = 4
 mc_channels = 2
 """
         config = write_config(tmp_path, text)
-        assert cli.main(["oracle", str(config)]) == 1
-        assert "oracle refused" in capsys.readouterr().err
+        assert cli.main(["run", str(config)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("strategy oracle at p_u_dB = 0.0: ")
+        assert "exceeds the cap of 1000" in err
+        _, rows = read_results(tmp_path / "out")
+        assert [r["strategy"] for r in rows] == ["naive", "oracle"]
+        assert rows[1] == {
+            "p_u_dB": "0.0", "strategy": "oracle", "sum_rate_bps_hz": "nan", "consumption": "nan",
+            "bits": "",
+        }
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_lattice_beyond_numpy_index_refused_whatever_the_cap(self, tmp_path, capsys, command):
+    def test_lattice_beyond_numpy_index_refused_whatever_the_cap(self, tmp_path, capsys):
         # 17^18 points: enumerating them raised "dimensions are too large".
         text = f"""\
 [experiment]
@@ -720,12 +762,16 @@ kind = float
 budget_bits = 8
 """
         config = write_config(tmp_path, text)
-        assert cli.main([command, str(config)]) == (1 if command == "oracle" else 0)
+        assert cli.main(["run", str(config)]) == 0
         err = capsys.readouterr().err
         assert "17^18 = 14063084452067724991009 candidates are more than numpy can index" in err
-        if command == "oracle":
-            assert err.startswith("oracle refused: ")
-        else:
-            assert read_results(tmp_path / "out")[1] == [
-                {"strategy": "oracle", "minimax_error": "nan", "consumption": "nan", "bits": ""}
-            ]
+        assert read_results(tmp_path / "out")[1] == [
+            {"strategy": "oracle", "minimax_error": "nan", "consumption": "nan", "bits": ""}
+        ]
+
+    def test_oracle_is_not_a_subcommand(self, capsys):
+        # The oracle runs as a strategy of run, for every case.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "experiment.ini"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err

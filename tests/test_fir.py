@@ -316,6 +316,19 @@ class TestFirProblem:
         with pytest.raises(ContractViolation):
             fir_problem(SPEC7, H7, "fixed", budget_bits=0)
 
+    @pytest.mark.parametrize("kind", ["fixed", "float"])
+    def test_budget_whose_widths_overflow_the_quantizers_rejected(self, kind):
+        # At 512 the top width is 1025, which valued as NaN (fixed) or
+        # +-inf (float) after overflow warnings.
+        with pytest.raises(ContractViolation, match="budget_bits must be >= 1 and <= 511, got 512"):
+            fir_problem(SPEC7, H7, kind, budget_bits=512)
+        p = fir_problem(SPEC7, H7, kind, budget_bits=511)
+        assert p.allowed_values[-1] == 1023
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = p.evaluate_objective_batch([[1023] * 4, [511] * 4, [1, 1023, 1, 1023]])
+        assert np.isfinite(values).all()
+
     def test_bad_exponent_width_rejected(self):
         # Wider than float64's 11-bit exponent overflows the quantizer.
         for width in (0, 12):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,14 @@ class TestPenalizedFitness:
         assert p.evaluate_consumption(b) == 15.0
         penalty = penalized_fitness_batch(p, b[None, :], 1e3)[0] - p.evaluate_objective(b)
         assert penalty == pytest.approx(3000.0)
+
+    def test_weight_times_excess_past_the_float_range_is_inf_without_warning(self):
+        # 1e308 times an excess of 2 overflowed with a RuntimeWarning.
+        p = linear_problem(2, tuple(range(1, 9)), 4.0, lambda b: 7.0, budget_bits=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            costs = penalized_fitness_batch(p, [[2, 2], [3, 3]], 1e308)
+        assert costs.tolist() == [7.0, math.inf]
 
     def test_nonpositive_weight_rejected(self):
         p = weighted_msqe_problem([1.0])

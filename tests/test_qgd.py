@@ -19,7 +19,6 @@ from bitalloc.qgd import (
     _loss_batch,
     gaussian_least_squares,
     gradient,
-    load_sparse_dataset,
     loss,
     qgd_problem,
     quantize_gradient,
@@ -141,19 +140,30 @@ class TestTaskValidation:
     def test_allowed_values_span_double_the_average(self):
         assert tiny_least_squares().allowed_values == tuple(range(1, 10))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no-rows", "no-columns"])
+    def test_features_without_rows_or_columns_rejected(self, shape):
+        # They trained into "Mean of empty slice" warnings and an
+        # overflow blamed on eta, or wrote rows with empty bits.
+        with pytest.raises(ContractViolation, match=re.escape(f"features have shape {shape}")):
+            QgdTask(
+                kind="logistic", features=np.zeros(shape), targets=np.ones(shape[0]),
+                eta=0.1, t_iter=1, budget_bits=2,
+            )
+
+    @pytest.mark.parametrize("size", [0, -1])
     @pytest.mark.parametrize(
-        "build, message",
+        "build, name",
         [
-            # They trained into "Mean of empty slice" warnings and an
-            # overflow blamed on eta, or wrote rows with empty bits.
-            (lambda: synthetic_classification(n_samples=0, t_iter=2), r"shape \(0, 30\)"),
-            (lambda: gaussian_least_squares(n_cols=0, t_iter=2), r"shape \(200, 0\)"),
+            (gaussian_least_squares, "n_rows"),
+            (gaussian_least_squares, "n_cols"),
+            (synthetic_classification, "n_samples"),
+            (synthetic_classification, "n_features"),
         ],
     )
-    def test_features_without_rows_or_columns_rejected(self, build, message):
-        for strategy in ("uniform", "gcpso"):
-            with pytest.raises(ContractViolation, match=message):
-                train(build(), strategy, SwarmConfig(n_pop=5, i_iter=2, restarts=1))
+    def test_size_below_one_rejected_by_name(self, build, name, size):
+        # -1 failed inside numpy's draw: "negative dimensions are not allowed".
+        with pytest.raises(ContractViolation, match=f"^{name} must be >= 1, got {size}$"):
+            build(**{name: size})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["features", "targets", "z_star"])
@@ -621,55 +631,3 @@ class TestConstructors:
         assert task.features.shape == (60, 7)
         assert np.isin(task.targets, (-1.0, 1.0)).all()
         assert task.kind == "logistic"
-
-
-class TestSparseLoader:
-    def test_one_based_rows(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("3 1:0.5 3:1.0\n7 2:-1.0\n")
-        task = load_sparse_dataset(path)
-        assert task.features.shape == (2, 3)
-        np.testing.assert_allclose(task.features[0], [0.5, 0.0, 1.0])
-        np.testing.assert_allclose(task.features[1], [0.0, -1.0, 0.0])
-        # Smaller raw label becomes -1.
-        np.testing.assert_array_equal(task.targets, [-1.0, 1.0])
-
-    def test_zero_based_rows(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("1 0:2.0\n-1 1:3.0\n")
-        task = load_sparse_dataset(path)
-        assert task.features.shape == (2, 2)
-        np.testing.assert_allclose(task.features[0], [2.0, 0.0])
-
-    def test_comments_ignored(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("# header\n1 1:1.0\n\n2 1:2.0  # trailing\n")
-        assert load_sparse_dataset(path).features.shape == (2, 1)
-
-    def test_more_than_two_labels_rejected(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("1 1:1.0\n2 1:1.0\n3 1:1.0\n")
-        with pytest.raises(ContractViolation, match="two label values"):
-            load_sparse_dataset(path)
-
-    def test_malformed_row_reported_with_line(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("1 1:1.0\n2 oops\n")
-        with pytest.raises(ContractViolation, match=":2:"):
-            load_sparse_dataset(path)
-
-    @pytest.mark.parametrize("row", ["-1 1:nan 2:1.0", "-1 2:-inf", "nan 1:1.0", "inf 1:1.0"])
-    def test_non_finite_value_or_label_reported_with_line(self, tmp_path, row):
-        # A nan value used to train into a RuntimeWarning and an overflow blamed on eta.
-        path = tmp_path / "data.txt"
-        path.write_text(f"1 1:1.0 2:0.5\n{row}\n")
-        message = re.escape(f"{path}:2: non-finite label or value")
-        for strategy in ("uniform", "gcpso"):
-            with pytest.raises(ContractViolation, match=message):
-                train(load_sparse_dataset(path, t_iter=2), strategy)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("# nothing\n")
-        with pytest.raises(ContractViolation, match="no samples"):
-            load_sparse_dataset(path)

@@ -4,7 +4,12 @@ import importlib
 import re
 from pathlib import Path
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+import pytest
+
+from bitalloc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def resolves(dotted: str) -> bool:
@@ -32,6 +37,33 @@ def test_every_package_name_in_the_readme_resolves():
     # The scan sees both a package-level and a module-level import.
     assert {"bitalloc.SwarmConfig", "bitalloc.fir.fir_problem"} <= names
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+def subcommands_named() -> set[str]:
+    """The word after `bitalloc` in every command line of the README's code
+    blocks and backticked spans, and of the shipped configs' comments."""
+    code = "\n".join(re.findall(r"```\w*\n(.*?)```", README, re.S))
+    words = set(re.findall(r"^\s*bitalloc ([\w-]+)", code, re.M))
+    words.update(re.findall(r"`bitalloc ([\w-]+)", README))
+    for config in (ROOT / "configs").glob("*.ini"):
+        words.update(re.findall(r"^#\s*bitalloc ([\w-]+)", config.read_text(), re.M))
+    return words
+
+
+def test_subcommand_scan_skips_imports():
+    # The README imports the package as `from bitalloc import ...`; only
+    # command lines count.
+    assert "from bitalloc import" in README
+    assert "import" not in subcommands_named()
+
+
+def test_every_subcommand_named_exists(capsys):
+    words = subcommands_named()
+    assert {"run", "check-convergence"} <= words  # the scan finds the README's commands
+    for word in sorted(words):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([word, "--help"])
+        assert exc.value.code == 0, f"bitalloc {word}: {capsys.readouterr().err}"
 
 
 def test_readme_states_the_shipped_schedule():

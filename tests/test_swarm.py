@@ -19,7 +19,9 @@ from bitalloc.problem import (
     lattice_index,
     penalized_fitness_batch,
 )
+from bitalloc.qgd import gaussian_least_squares, qgd_problem
 from bitalloc.quantizers import round_half_away
+from bitalloc.receiver import SystemConfig, receiver_problem
 from bitalloc.swarm import (
     V_MAX,
     SwarmConfig,
@@ -728,6 +730,35 @@ class TestEnginePostConditions:
             assert result.trace[-1] == result.best_cost
             assert result.best_cost == p.evaluate_objective(result.best)
             assert optimum <= result.best_cost
+
+
+MEMO_OFF_INSTANCES = {
+    # Lattices of 4^8 to 7^7 rows: more than a 100 x 101 swarm evaluates.
+    "fir13-fixed": lambda: toy_fir_problem(0, n_taps=13, kind="fixed", budget_bits=3),
+    "fir13-float": lambda: toy_fir_problem(1, n_taps=13, kind="float", budget_bits=3),
+    "receiver-8x2x20": lambda: receiver_problem(
+        SystemConfig(m_antennas=8, k_users=2, budget_bits=1, mc_channels=20, seed=2)
+    ),
+    "qgd-ls6": lambda: qgd_problem(
+        gaussian_least_squares(n_rows=30, n_cols=6, eta=0.001, t_iter=1, budget_bits=3, seed=3),
+        np.zeros(6),
+    ),
+}
+
+
+@pytest.mark.parametrize("i, name", enumerate(MEMO_OFF_INSTANCES))
+def test_memo_off_searches_reach_the_oracle_value(i, name):
+    # Every real workload searches with the memo off; this pins that both
+    # engines reach the optimum's value there. Values are compared, not
+    # vectors: on plateaus the engines stop at other optimal vectors.
+    p = MEMO_OFF_INSTANCES[name]()
+    cfg = SwarmConfig(n_pop=100, restarts=3, seed=i)
+    assert not swarm._memo_engages(p, cfg)
+    _, optimum = brute_force_optimum(p)
+    for runner in (run_ppso, run_gcpso):
+        result = runner(p, cfg)
+        assert p.is_feasible(result.best)
+        assert abs(result.best_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)), runner.__name__
 
 
 def _without_memo():
