@@ -29,13 +29,12 @@ import numpy as np
 from .problem import (
     AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks, read_text
 )
-from .quantizers import MAX_EXP_BITS, quantize_fixed_bits, quantize_float_bits
+from .quantizers import MAX_EXP_BITS, MAX_WIDTH, quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
 DEFAULT_EXP_BITS = 5
-# The top allowed width, 2 * 511 + 1 = 1023, is the widest that both
-# quantizers value without overflowing float64.
-MAX_BUDGET_BITS = 511
+# The top allowed width, 2 * MAX_BUDGET_BITS + 1, is the quantizers' MAX_WIDTH.
+MAX_BUDGET_BITS = (MAX_WIDTH - 1) // 2
 _CHUNK_ROWS = 4096
 
 
@@ -257,7 +256,8 @@ def fir_problem(
     if not 1 <= budget_bits <= MAX_BUDGET_BITS:
         raise ContractViolation(
             f"budget_bits must be >= 1 and <= {MAX_BUDGET_BITS}, got {budget_bits}; "
-            "the top width 2 * budget_bits + 1 must stay <= 1023, or the quantizers overflow"
+            f"the top width 2 * budget_bits + 1 must stay <= {MAX_WIDTH}, "
+            "or the quantizers overflow"
         )
     if not 1 <= exp_bits <= MAX_EXP_BITS:
         raise ContractViolation(f"exp_bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")

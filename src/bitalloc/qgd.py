@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .problem import AllocationProblem, ContractViolation
-from .quantizers import quantize_fixed_bits
+from .quantizers import MAX_WIDTH, quantize_fixed_bits
 from .swarm import SwarmConfig, run_gcpso, run_ppso
 
 _DATA_DOMAIN = 0xDA7A
@@ -85,6 +85,12 @@ class QgdTask:
             raise ContractViolation(f"step size must be positive and finite, got {self.eta}")
         if self.t_iter < 1 or self.budget_bits < 1:
             raise ContractViolation("t_iter and budget_bits must be >= 1")
+        top = 2 * self.budget_bits + 1
+        if top > MAX_WIDTH:
+            raise ContractViolation(
+                f"budget_bits = {self.budget_bits} allows widths up to {top}, over the "
+                f"quantizer's widest of {MAX_WIDTH}; use budget_bits <= {(MAX_WIDTH - 1) // 2}"
+            )
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "z_star", z_star)

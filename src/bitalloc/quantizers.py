@@ -20,6 +20,8 @@ smallest positive output 2**e_min flush to zero.
 Bit counts that name no grid (fractional bits below 0, exponent or
 significand bits below 1) raise ContractViolation, and so do exponent
 widths above MAX_EXP_BITS, the float64 exponent the arithmetic works in.
+Bit counts above MAX_WIDTH overflow float64 inside exp2 or ldexp; the
+applications keep their widths within it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import numpy as np
 from .problem import ContractViolation
 
 MAX_EXP_BITS = 11
+# The widest fractional or significand bit count both quantizers value:
+# 2.0 ** 1024 overflows float64.
+MAX_WIDTH = 1023
 
 
 def round_half_away(x):

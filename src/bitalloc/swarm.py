@@ -61,6 +61,21 @@ are not memoized; they only rank candidates within one row, and every
 cost the swarm compares or reports (the particle costs, best_cost, the
 trace) comes from the full objective.
 
+A memoized restart also stops at the swarm's fixed point, every particle
+at p_best = g_best with no move left (Poli 2009, IEEE TEC 13(4); Clerc &
+Kennedy 2002, IEEE TEC 6(1)): once an iteration leaves every position
+and personal best at g_best and every velocity rounding half away from
+zero to 0, it fills the rest of its trace with g_cost. That iteration
+moved no particle, so it settled g_best itself and the memos hold its
+repair and value. Every later pull (bests - pos) * r is then exactly 0,
+so each velocity only shrinks by w < 1 and, rounding being monotone,
+never moves a particle; every later settle sees g_best alone, at the
+pinned cost every p_cost already holds, so nothing improves and no row
+reaches the repair or the objective. The generator is dropped with the
+restart, so skipping its draws changes nothing. Without the memo a row's
+value may move in the last bits with its batch, and objective_rows
+counts every iteration, so such a search runs them all.
+
 step_swarm and greedy_repair_batch are module globals that the engine
 looks up at every call, so a tracer may swap them for timed wrappers.
 """
@@ -341,7 +356,8 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     strictly smallest cost; repair selects the repair swarm, which
     forces each moved swarm under the budget before valuing it."""
     objective = _Objective(problem, config)
-    use_hook = problem.objective_step_down is not None and objective.table is None
+    memo = objective.table is not None
+    use_hook = problem.objective_step_down is not None and not memo
     searched = replace(
         problem,
         objective_batch=objective,
@@ -381,6 +397,9 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
             if p_cost[i] < g_cost:
                 bests[1], g_cost = p_best[i], float(p_cost[i])
             trace[it] = g_cost
+            if memo and (bests == pos).all() and (round_half_away(vel) == 0).all():
+                trace[it + 1 :] = g_cost  # the swarm's fixed point: see the module docstring
+                break
         if best is None or g_cost < best[1]:
             best = (bests[1, 0].astype(np.int64), g_cost, trace, seed)
     assert best is not None  # restarts >= 1

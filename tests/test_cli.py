@@ -524,6 +524,16 @@ benchmark = a
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
+    def test_qgd_budget_beyond_the_quantizer_named(self, tmp_path, capsys):
+        # 600 bits exited 0, as the swarm never moved a width past 1023;
+        # a width of 1100 valued as "eta = 0.01 overflowed the step
+        # objective".
+        text = TestRunQgd.CONFIG.replace("budget_bits = 3", "budget_bits = 600")
+        text = text.replace("strategies = naive", "strategies = naive, gcpso")
+        message = "error: [qgd]: budget_bits = 600 allows widths up to 1201"
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "base, old, new, fragment",
         [

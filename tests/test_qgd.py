@@ -174,6 +174,19 @@ class TestTaskValidation:
         with pytest.raises(ContractViolation, match=f"{name} has a non-finite entry"):
             QgdTask(kind="least_squares", eta=0.1, t_iter=1, budget_bits=2, **data)
 
+    @pytest.mark.parametrize("build", [gaussian_least_squares, synthetic_classification])
+    def test_budget_whose_widths_overflow_the_quantizer_rejected_by_name(self, build):
+        # A budget of 600 built, and valuing a width of 1100 then raised
+        # "eta = 0.001 overflowed the step objective", blaming eta.
+        with pytest.raises(ContractViolation, match=r"^budget_bits = 512 allows widths up to 1025"):
+            build(budget_bits=512)
+        task = build(budget_bits=511, seed=1)
+        problem = qgd_problem(task, np.zeros(task.dimension))
+        widths = np.full((2, task.dimension), 1023)
+        widths[1, ::2] = 1
+        assert task.allowed_values[-1] == 1023
+        assert np.isfinite(problem.evaluate_objective_batch(widths)).all()
+
 
 class TestQuantizeGradient:
     def test_zero_gradient_passes_through(self):

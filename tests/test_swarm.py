@@ -1,12 +1,13 @@
 """Swarm engine: schedules, stepping, greedy repair and full runs."""
 
+import hashlib
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bitalloc import swarm
@@ -768,6 +769,11 @@ def _without_memo():
 class TestObjectiveMemo:
     @settings(max_examples=25, deadline=None)
     @given(memo_cases())
+    # After iteration 2 of restart 29, every particle and personal best
+    # sits at g_best = [3], but two velocities still round to a move:
+    # iteration 3 finds [4]. Stopping there on positions alone lost it.
+    @example((row_loop_problem([0.5], (1, 2, 3, 4), 3, 1),
+              SwarmConfig(n_pop=4, i_iter=4, restarts=2, seed=29)))
     def test_answers_are_bit_identical_with_and_without_the_memo(self, case):
         p, cfg = case
         assert swarm._memo_engages(p, cfg)
@@ -918,3 +924,88 @@ class TestRepairMemo:
         # is valued unrepaired.
         assert len(calls) == self.CFG.restarts * self.CFG.i_iter
         assert all(keys.size == self.CFG.n_pop for keys in calls)
+
+
+def _counting_steps(calls):
+    """step_swarm, counting its calls in calls[0]."""
+    step = swarm.step_swarm
+
+    def counter(*args):
+        calls[0] += 1
+        return step(*args)
+
+    return mock.patch.object(swarm, "step_swarm", counter)
+
+
+def _searches_digest(runner, make):
+    """sha256 over best, its dtype, best_cost, trace, seed, objective_rows
+    and step_down_rows of toys 0-5 of a family, searched with
+    SwarmConfig(seed=i, restarts=2)."""
+    digest = hashlib.sha256()
+    for i in range(6):
+        r = runner(make(i), SwarmConfig(seed=i, restarts=2))
+        for field in (r.best.tobytes(), str(r.best.dtype), float(r.best_cost).hex(),
+                      r.trace.tobytes(), r.seed, r.objective_rows, r.step_down_rows):
+            digest.update(repr(field).encode())
+    return digest.hexdigest()
+
+
+class TestFixedPointExit:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 100), st.integers(0, 2**32 - 1))
+    def test_a_settled_swarm_with_sub_half_velocities_never_moves(self, start, seed):
+        # Every particle at p_best = g_best with each |velocity| < 0.5:
+        # whatever is drawn, no later schedule step moves a particle.
+        rng = np.random.default_rng(seed)
+        pos = np.tile(rng.integers(1, 8, size=3).astype(float), (4, 1))
+        vel = rng.uniform(-0.4999, 0.4999, size=pos.shape)
+        bests = np.stack([pos, pos])
+        for it in range(start, 101):
+            w, c1, c2 = schedule_hyperparams(it, 100)
+            r = rng.random(bests.shape) * np.array([c1, c2])[:, None, None]
+            new_pos, vel = step_swarm(pos, vel, bests, r, w, 1, 7)
+            assert new_pos.tobytes() == pos.tobytes()
+            assert (round_half_away(vel) == 0).all()
+
+    # Recorded before a memoized search could stop at the swarm's fixed
+    # point, by _searches_digest on the code of that time: stopping must
+    # move no bit of any answer, trace or counter.
+    @pytest.mark.parametrize(
+        "make, runner, expected",
+        [
+            (toy_fir_problem, run_ppso,
+             "859749ee0e938ffc82c9c33f67c839acca3ff84ab4858164b9a366280148e6f6"),
+            (toy_fir_problem, run_gcpso,
+             "a4f43a8f6c6130843b727716f65ebf6ba14d5dd20a1102055492b6e0f6d9a9d9"),
+            (toy_receiver_problem, run_ppso,
+             "177916329868abf72ad5a48f2361f4b34dd08fe0fd65b18931201817beb387d7"),
+            (toy_receiver_problem, run_gcpso,
+             "735ed77d6ee9aa35728de41a5877420a71771019d97284bc7b4caf969371f9a8"),
+            (toy_qgd_problem, run_ppso,
+             "b90ac1746273960803ad1c193368e461dc6727895d31c663c22433daa50302a3"),
+            (toy_qgd_problem, run_gcpso,
+             "6140f9932e00d93909db61aa8eab54f0c60b07e7da762701272601c82f6bc8ad"),
+        ],
+    )
+    def test_toy_searches_reproduce_their_recorded_digests(self, make, runner, expected):
+        assert _searches_digest(runner, make) == expected
+
+    @pytest.mark.parametrize("runner", [run_ppso, run_gcpso])
+    def test_a_frozen_memoized_restart_stops_early(self, runner):
+        # 4 ** 3 = 64 allocations: the memo engages, and both swarms
+        # settle on one row well before i_iter.
+        p, cfg = toy_receiver_problem(0), SwarmConfig(seed=0, restarts=1)
+        assert swarm._memo_engages(p, cfg)
+        calls = [0]
+        with _counting_steps(calls):
+            result = runner(p, cfg)
+        assert calls[0] < cfg.i_iter
+        assert (result.trace[calls[0] :] == result.best_cost).all()
+
+    @pytest.mark.parametrize("runner", [run_ppso, run_gcpso])
+    def test_without_the_memo_every_iteration_steps(self, runner):
+        p, cfg = toy_receiver_problem(0), SwarmConfig(seed=0, restarts=2)
+        calls = [0]
+        with _without_memo(), _counting_steps(calls):
+            runner(p, cfg)
+        assert calls[0] == cfg.i_iter * cfg.restarts
