@@ -259,7 +259,7 @@ def fir_problem(
             f"the top width 2 * budget_bits + 1 must stay <= {MAX_WIDTH}, "
             "or the quantizers overflow"
         )
-    if not 1 <= exp_bits <= MAX_EXP_BITS:
+    if not 1 <= exp_bits <= MAX_EXP_BITS or exp_bits % 1:
         raise ContractViolation(f"exp_bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
     ev = _MinimaxEvaluator(spec, coeffs)
 

@@ -233,9 +233,9 @@ def penalized_fitness_batch(
 def lattice_index(problem: AllocationProblem, mat) -> np.ndarray:
     """Each row's index in the lattice of allowed allocations: b - lo in
     mixed radix len(allowed_values), first coordinate most significant,
-    so index order is lexicographic. The swarm's memo tables are laid
-    out in its order and brute_force_optimum enumerates it; lattice_rows
-    is its inverse."""
+    so index order is lexicographic; a row off the lattice raises. The
+    checked definition the swarm memo's radix key is tested against;
+    brute_force_optimum enumerates its order, lattice_rows inverts it."""
     shape = (len(problem.allowed_values),) * problem.dimension
     return np.ravel_multi_index(tuple((np.asarray(mat) - problem.allowed_values[0]).T), shape)
 

@@ -17,11 +17,11 @@ overflow saturates to the largest finite value
 (2**m - 1) * 2**(e_max - m + 1) and is flagged, and inputs below the
 smallest positive output 2**e_min flush to zero.
 
-Bit counts that name no grid (fractional bits below 0, exponent or
-significand bits below 1) raise ContractViolation, and so do exponent
-widths above MAX_EXP_BITS, the float64 exponent the arithmetic works in.
-Bit counts above MAX_WIDTH overflow float64 inside exp2 or ldexp; the
-applications keep their widths within it.
+Bit counts that name no grid raise ContractViolation: counts that are
+not whole numbers, fractional bits below 0, exponent or significand bits
+below 1, exponent widths above MAX_EXP_BITS, the float64 exponent the
+arithmetic works in, and fractional or significand widths above
+MAX_WIDTH, past which exp2 or ldexp overflow float64.
 """
 
 from __future__ import annotations
@@ -34,6 +34,22 @@ MAX_EXP_BITS = 11
 # The widest fractional or significand bit count both quantizers value:
 # 2.0 ** 1024 overflows float64.
 MAX_WIDTH = 1023
+
+
+def _checked_bits(bits, what: str, least: int, most: int = MAX_WIDTH, cap: str = "MAX_WIDTH"):
+    """bits as an array, refused unless each count is a whole number in
+    least..most; an integer dtype, the applications' own, costs a min and a max."""
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "iu":
+        odd = np.trunc(bits) != bits
+        if odd.any():
+            raise ContractViolation(f"{what} must be whole numbers, got {bits[odd][0]}")
+    low, high = bits.min(initial=least), bits.max(initial=least)
+    if low < least or high > most:
+        raise ContractViolation(
+            f"{what} must be >= {least} and <= {most} ({cap}), got {low if low < least else high}"
+        )
+    return bits
 
 
 def round_half_away(x):
@@ -49,9 +65,7 @@ def quantize_fixed_bits(x, frac_bits):
     clamps the result into [-1, 1 - 2**-b]. Returns an array.
     """
     x = np.asarray(x, dtype=float)
-    scale = np.exp2(np.asarray(frac_bits, dtype=float))
-    if (scale < 1.0).any():  # exactly where frac_bits < 0
-        raise ContractViolation(f"fractional bits must be >= 0, got {np.min(frac_bits)}")
+    scale = np.exp2(_checked_bits(frac_bits, "fractional bits", 0), dtype=float)
     q = round_half_away(x * scale) / scale
     return np.clip(q, -1.0, 1.0 - 1.0 / scale)
 
@@ -63,11 +77,8 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     overflowed entries saturate to the largest finite value.
     """
     x = np.asarray(x, dtype=float)
-    m = np.asarray(mantissa_bits)
-    if not 1 <= exp_bits <= MAX_EXP_BITS:
-        raise ContractViolation(f"exponent bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
-    if (m < 1).any():
-        raise ContractViolation(f"significand bits must be >= 1, got {m.min()}")
+    _checked_bits(exp_bits, "exponent bits", 1, MAX_EXP_BITS, "MAX_EXP_BITS")
+    m = _checked_bits(mantissa_bits, "significand bits", 1)
     bias = 2 ** (exp_bits - 1) - 1
     e_min, e_max = -bias, 2 ** (exp_bits - 1)
 

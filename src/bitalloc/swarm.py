@@ -27,28 +27,29 @@ holding integers exactly; problems and the repair get int64 rows. The
 best-reduction runs in particle-index order, so results do not depend
 on evaluation scheduling. Runs are deterministic for a given seed.
 
-A search (all its restarts) runs on a copy of the problem whose
-objective is one _Objective, so every objective evaluation goes through
-it: the swarm's costs, the penalized fitness and the repair's step-down
-candidates. It counts the rows sent to the problem
-(RunResult.objective_rows). When the allowed lattice is no larger than
-the rows one restart evaluates, len(allowed) ** N <= n_pop * (i_iter + 1),
-rows must repeat, so it also memoizes: each row is keyed by its
-problem.lattice_index, and only rows whose key it has not seen reach
+A search (all its restarts) is one _Search, which runs the engine on its
+own copy of the problem, so every objective evaluation (the uniform
+start, the penalized fitness, the repairs and their step-down
+candidates) goes through it and is counted (RunResult.objective_rows).
+When the allowed lattice is no larger than the rows one restart
+evaluates, len(allowed) ** N <= n_pop * (i_iter + 1), rows must repeat,
+so it also memoizes. One radix key, (b - lo) @ radix, serves every row
+the memo sees: the engine builds each inside lo..hi, where the key is
+exactly problem.lattice_index. Only rows whose key it has not seen reach
 the problem, one per distinct key, in key order. An unseen key's value
 reads NaN: the contract forbids NaN values and the problem's batch
-evaluator rejects one before the memo stores it, so NaN never stands
-for a real value. The objective is pure by contract, so memoizing
-changes no value beyond pinning one per row for the whole search (a
-batch objective may otherwise differ in the last bits between batches).
-The repair swarm then also repairs each distinct row once per search:
-the memo maps a key to its repaired row and that row's cost, and an
-iteration repairs and values only the keys it has not repaired before.
-With every value pinned, the greedy repair is a pure function of the
-row, and each step-down candidate of a row repaired before is already
-known, so repairing only the new rows sends the objective the same new
-rows, in the same order, as repairing all of them: no value and no
-answer moves. Larger spaces bypass both memos.
+evaluator rejects one before the memo stores it, so NaN never stands for
+a real value. The objective is pure by contract, so memoizing changes no
+value beyond pinning one per row for the whole search (a batch objective
+may otherwise differ in the last bits between batches). The repair swarm
+then also repairs each distinct row once per search: the memo maps a key
+to its repaired row and that row's cost, and an iteration repairs and
+values only the keys it has not repaired before. With every value
+pinned, the greedy repair is a pure function of the row, and each
+step-down candidate of a row repaired before is already known, so
+repairing only the new rows sends the objective the same new rows, in
+the same order, as repairing all of them: no value and no answer moves.
+Larger spaces bypass both memos.
 
 The repair takes its step-down values from the problem's
 evaluate_step_down_batch. When the problem supplies objective_step_down
@@ -85,7 +86,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -94,7 +94,6 @@ from .problem import (
     AllocationProblem,
     ContractViolation,
     InfeasibleBudgetError,
-    lattice_index,
     penalized_fitness_batch,
 )
 from .quantizers import round_half_away
@@ -278,74 +277,79 @@ def _memo_engages(problem: AllocationProblem, config: SwarmConfig) -> bool:
     return len(problem.allowed_values) ** problem.dimension <= config.n_pop * (config.i_iter + 1)
 
 
-class _Objective:
-    """F for one search, the objective_batch of the engine's copy of the
-    problem: counts the rows sent to the problem and, when _memo_engages,
-    holds the memos of the module docstring, dense over the lattice (at
-    most n_pop * (i_iter + 1) keys) and dropped with the search: table,
+class _Search:
+    """One search, all its restarts. problem is the engine's copy of the
+    given problem: its objective, _objective, counts the rows sent to the
+    given one and, when _memo_engages, fills the module docstring's memos,
+    dense over the lattice (at most n_pop * (i_iter + 1) keys): table,
     each key's value; repaired_rows and repaired_cost, its repair and
-    that repair's value; a value reads NaN until it is known. step_down
-    counts the candidates of the problem's step-down hook, which the
-    engine uses only when the memo is off."""
+    that repair's value; NaN until known. The copy keeps the given
+    step-down hook, counted, only when the memo is off. settle is
+    repair_and_value for the repair swarm, penalized otherwise."""
 
-    def __init__(self, problem: AllocationProblem, config: SwarmConfig):
-        self.problem = problem
-        self.rows = 0
-        self.step_down_rows = 0
-        self.table: Optional[np.ndarray] = None
-        if _memo_engages(problem, config):
+    def __init__(self, problem: AllocationProblem, config: SwarmConfig, repair: bool):
+        self.given, self.penalty_weight = problem, config.penalty_weight
+        self.rows = self.step_down_rows = 0
+        self.memo = _memo_engages(problem, config)
+        keep_hook = problem.objective_step_down is not None and not self.memo
+        hook = self._step_down if keep_hook else None
+        self.problem = replace(problem, objective_batch=self._objective, objective_step_down=hook)
+        self.settle = self.repair_and_value if repair else self.penalized
+        if self.memo:
             base, n = len(problem.allowed_values), problem.dimension
             self.table = np.full(base**n, np.nan)
             self.repaired_cost = self.table.copy()
             self.repaired_rows = np.empty((self.table.size, n))
             self.radix = (base ** np.arange(n - 1, -1, -1)).astype(float)
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            self.rows += mat.shape[0]
-            return self.problem.objective_batch(mat)
-        return self._values(lattice_index(self.problem, mat), mat)
+    def _keys(self, mat: np.ndarray) -> np.ndarray:
+        """Each row's lattice_index as (mat - lo) @ radix, exact because the
+        engine builds every row the memo sees inside lo..hi, where each
+        term and partial sum is an integer below the table size."""
+        return ((mat - self.given.allowed_values[0]) @ self.radix).astype(np.intp)
 
-    def _values(self, keys: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """F of mat's rows, whose lattice indices are keys: the unknown
-        keys go to the problem once each, in key order."""
+    def _objective(self, mat: np.ndarray) -> np.ndarray:
+        """F of mat's rows; with the memo, the unknown keys go to the given
+        problem once each, in key order."""
+        if not self.memo:
+            self.rows += mat.shape[0]
+            return self.given.objective_batch(mat)
+        keys = self._keys(mat)
         values = self.table[keys]
         missing = np.isnan(values)
         if missing.any():
             unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
-            self.table[new] = self.problem.evaluate_objective_batch(mat[unknown[first]])
+            self.table[new] = self.given.evaluate_objective_batch(mat[unknown[first]])
             self.rows += new.size
             values = self.table[keys]
         return values
 
-    def step_down(self, mat: np.ndarray) -> np.ndarray:
+    def _step_down(self, mat: np.ndarray) -> np.ndarray:
         self.step_down_rows += mat.size
-        return self.problem.objective_step_down(mat)
+        return self.given.objective_step_down(mat)
 
-    def repair_and_value(
-        self, problem: AllocationProblem, mat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(greedy_repair_batch(problem, mat), F of its rows), the repair
-        swarm's settle; problem is the engine's copy, whose objective is
-        this memo. With the memo engaged, mat's rows, which the move
-        clamped into lo..hi, are keyed as (mat - lo) @ radix, their
-        lattice_index exactly: each term and partial sum is an integer
-        below the table size. The repair, looked up at call time, gets
-        only the rows not repaired before in this search, in key order,
-        and their repairs are valued right after it."""
-        if self.table is None:
-            rows = greedy_repair_batch(problem, mat.astype(np.int64))
-            return rows.astype(float), problem.evaluate_objective_batch(rows)
-        keys = ((mat - problem.allowed_values[0]) @ self.radix).astype(np.intp)
+    def penalized(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, its rows' penalized fitness), the penalized swarm's settle."""
+        return pos, penalized_fitness_batch(self.problem, pos.astype(np.int64), self.penalty_weight)
+
+    def repair_and_value(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(greedy_repair_batch(problem, mat) as float64, F of its rows), the
+        repair swarm's settle. With the memo, the repair, looked up at call
+        time, gets only the rows not repaired before in this search, in
+        key order, and their repairs are valued right after it."""
+        if not self.memo:
+            rows = greedy_repair_batch(self.problem, mat.astype(np.int64))
+            return rows.astype(float), self.problem.evaluate_objective_batch(rows)
+        keys = self._keys(mat)
         cost = self.repaired_cost[keys]
         missing = np.isnan(cost)
         if missing.any():
             unknown = np.flatnonzero(missing)
             new, first = np.unique(keys[unknown], return_index=True)
-            fixed = greedy_repair_batch(problem, mat[unknown[first]].astype(np.int64))
+            fixed = greedy_repair_batch(self.problem, mat[unknown[first]].astype(np.int64))
             self.repaired_rows[new] = fixed
-            self.repaired_cost[new] = self._values(lattice_index(problem, fixed), fixed)
+            self.repaired_cost[new] = self._objective(fixed)
             cost = self.repaired_cost[keys]
         return self.repaired_rows.take(keys, axis=0), cost
 
@@ -355,32 +359,16 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     with a fresh generator, and report the earliest restart with the
     strictly smallest cost; repair selects the repair swarm, which
     forces each moved swarm under the budget before valuing it."""
-    objective = _Objective(problem, config)
-    memo = objective.table is not None
-    use_hook = problem.objective_step_down is not None and not memo
-    searched = replace(
-        problem,
-        objective_batch=objective,
-        objective_step_down=objective.step_down if use_hook else None,
-    )
-    # settle turns each moved swarm into the positions and costs the
-    # swarm keeps; the uniform start is valued by F alone.
-    if repair:
-        settle = partial(objective.repair_and_value, searched)
-    else:
-
-        def settle(pos):
-            cost = penalized_fitness_batch(searched, pos.astype(np.int64), config.penalty_weight)
-            return pos, cost
-
+    search = _Search(problem, config, repair)
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     schedule = [schedule_hyperparams(it, config.i_iter) for it in range(1, config.i_iter + 1)]
     best: Optional[tuple] = None
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
-        pos, vel = init_swarm(searched, config.n_pop, rng)
+        pos, vel = init_swarm(problem, config.n_pop, rng)
         bests = np.stack([pos, pos])  # p_best over g_best broadcast, all uniform
-        p_best, p_cost = bests[0], searched.evaluate_objective_batch(pos.astype(np.int64)).copy()
+        p_best = bests[0]
+        p_cost = search.problem.evaluate_objective_batch(pos.astype(np.int64)).copy()  # by F alone
         g_cost = float(p_cost[p_cost.argmin()])
         trace = np.full(config.i_iter + 1, g_cost)
         for it, (w, c1, c2) in enumerate(schedule, start=1):
@@ -388,7 +376,7 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
             r[0] *= c1
             r[1] *= c2
             pos, vel = step_swarm(pos, vel, bests, r, w, lo, hi)
-            pos, cost = settle(pos)
+            pos, cost = search.settle(pos)
             improved = cost < p_cost
             # A full-shape mask copies faster than one broadcast along rows.
             np.copyto(p_best, pos, where=improved.repeat(problem.dimension).reshape(pos.shape))
@@ -397,13 +385,14 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
             if p_cost[i] < g_cost:
                 bests[1], g_cost = p_best[i], float(p_cost[i])
             trace[it] = g_cost
-            if memo and (bests == pos).all() and (round_half_away(vel) == 0).all():
+            if search.memo and (bests == pos).all() and (round_half_away(vel) == 0).all():
                 trace[it + 1 :] = g_cost  # the swarm's fixed point: see the module docstring
                 break
         if best is None or g_cost < best[1]:
             best = (bests[1, 0].astype(np.int64), g_cost, trace, seed)
     assert best is not None  # restarts >= 1
-    return RunResult(*best, objective_rows=objective.rows, step_down_rows=objective.step_down_rows)
+    search.problem = search.settle = None  # both refer back to search: free its memos now
+    return RunResult(*best, objective_rows=search.rows, step_down_rows=search.step_down_rows)
 
 
 def run_ppso(problem: AllocationProblem, config: SwarmConfig = SwarmConfig()) -> RunResult:

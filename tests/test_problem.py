@@ -23,7 +23,7 @@ from bitalloc.problem import (
     penalized_fitness_batch,
     read_text,
 )
-from bitalloc.swarm import SwarmConfig, _Objective
+from bitalloc.swarm import SwarmConfig, _Search
 
 from bitalloc.qgd import qgd_problem, synthetic_classification
 
@@ -292,11 +292,12 @@ class TestLatticeIndex:
         np.testing.assert_array_equal(lattice_index(p, rows), np.arange(len(rows)))
         # The memo stores each row's value at its key: F is the row's
         # position in the product, so the table reads 0, 1, 2, ...
-        memo = _Objective(p, SwarmConfig(n_pop=len(rows), i_iter=1))
-        assert memo.table is not None
-        np.testing.assert_array_equal(memo(rows[::-1]), np.arange(len(rows))[::-1])
-        np.testing.assert_array_equal(memo.table, np.arange(len(rows)))
-        assert memo.rows == len(rows)
+        search = _Search(p, SwarmConfig(n_pop=len(rows), i_iter=1), repair=False)
+        assert search.memo
+        values = search.problem.evaluate_objective_batch(rows[::-1])
+        np.testing.assert_array_equal(values, np.arange(len(rows))[::-1])
+        np.testing.assert_array_equal(search.table, np.arange(len(rows)))
+        assert search.rows == len(rows)
 
 
 def test_text_that_is_not_utf8_names_the_file(tmp_path):

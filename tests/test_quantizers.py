@@ -136,6 +136,26 @@ class TestQuantizeFixed:
         with pytest.raises(ContractViolation, match="fractional bits must be >= 0"):
             quantize_fixed_bits([0.3, -0.2, 0.9], frac_bits)
 
+    @pytest.mark.parametrize(
+        "frac_bits, message",
+        [
+            # 1024 returned NaN after an overflow in exp2.
+            (1024, r"fractional bits must be >= 0 and <= 1023 \(MAX_WIDTH\), got 1024"),
+            (np.array([3, 2000, 2]), r"<= 1023 \(MAX_WIDTH\), got 2000"),
+            (np.inf, r"<= 1023 \(MAX_WIDTH\), got inf"),
+            # 2.5 returned 0.3536, rounding on a grid of 2 ** -2.5.
+            (2.5, "fractional bits must be whole numbers, got 2.5"),
+            (np.array([3.0, np.nan]), "fractional bits must be whole numbers, got nan"),
+        ],
+    )
+    def test_bit_count_naming_no_grid_rejected(self, frac_bits, message):
+        with pytest.raises(ContractViolation, match=message):
+            quantize_fixed_bits([0.3, -0.2, 0.9], frac_bits)
+
+    def test_whole_counts_up_to_the_widest_accepted(self):
+        assert quantize_fixed_bits(0.3, 1023) == 0.3
+        assert quantize_fixed_bits(0.3, 8.0) == quantize_fixed_bits(0.3, 8) == 77 / 256
+
 
 class TestFloatSpec:
     """The range of a format with e exponent and m significand bits, as literal values."""
@@ -228,6 +248,12 @@ class TestQuantizeFloat:
             (5, np.array([3, 0, 2]), "significand bits must be >= 1"),
             (0, 3, "exponent bits must be >= 1"),
             (12, 3, "exponent bits must be >= 1 and <= 11"),
+            # 1025 returned inf after an overflow in ldexp; 1024 warned.
+            (5, 1025, r"significand bits must be >= 1 and <= 1023 \(MAX_WIDTH\), got 1025"),
+            (5, np.array([3, 1024]), r"<= 1023 \(MAX_WIDTH\), got 1024"),
+            # 4.5 exponent bits flushed 1e-3 to 9.77e-4, where 4 give 0.0.
+            (4.5, 3, "exponent bits must be whole numbers, got 4.5"),
+            (5, 2.5, "significand bits must be whole numbers, got 2.5"),
         ],
     )
     def test_impossible_widths_rejected(self, exp_bits, mantissa_bits, message):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -848,6 +849,26 @@ def _recording_repair(calls):
     return mock.patch.object(swarm, "greedy_repair_batch", recorder)
 
 
+# The engine code that asks a search for keys, and the rows each hands it.
+_ASKERS = {
+    "_run_restarts": "uniform start",
+    "penalized": "ppso positions",
+    "evaluate_step_down_batch": "hookless candidates",
+    "repair_and_value": "repaired rows",
+}
+
+
+def _row_kind(frame):
+    """The kind of row a search keys, read off the engine code that asked:
+    frame is the caller of _Search._keys. repair_and_value keys the moved
+    positions itself and its repairs through the search's objective."""
+    if frame.f_code.co_name == "repair_and_value":
+        return "gcpso positions"
+    while frame.f_code.co_name not in _ASKERS:
+        frame = frame.f_back
+    return _ASKERS[frame.f_code.co_name]
+
+
 class TestRepairMemo:
     CFG = SwarmConfig(n_pop=40, i_iter=40, restarts=3, seed=7)
 
@@ -855,20 +876,20 @@ class TestRepairMemo:
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_key_space_path_gives_each_particles_repair_and_its_memo_value(self, make, i):
         p = make(i)
-        objective = swarm._Objective(p, SwarmConfig(seed=i, restarts=1))
-        assert objective.table is not None
-        searched = replace(p, objective_batch=objective, objective_step_down=None)
+        search = swarm._Search(p, SwarmConfig(seed=i, restarts=1), repair=True)
+        assert search.memo
         lo, hi = p.allowed_values[0], p.allowed_values[-1]
         rng = np.random.default_rng(i)
         first, fresh = rng.integers(lo, hi + 1, size=(2, 30, p.dimension))
         # The second batch repeats the first: those keys are known.
         for mat in (first, np.concatenate([first[::-1], fresh])):
-            rows, costs = objective.repair_and_value(searched, mat)
+            rows, costs = search.repair_and_value(mat)
             assert rows.dtype == np.float64
             rows = rows.astype(np.int64)
             for particle, row in zip(mat, rows):
-                assert greedy_repair_batch(searched, particle[None, :]).tobytes() == row.tobytes()
-            assert costs.tobytes() == objective.table[lattice_index(p, rows)].tobytes()
+                fixed = greedy_repair_batch(search.problem, particle[None, :])
+                assert fixed.tobytes() == row.tobytes()
+            assert costs.tobytes() == search.table[lattice_index(p, rows)].tobytes()
             assert not np.isnan(costs).any()
             assert (p.evaluate_consumption_batch(rows) <= p.budget).all()
 
@@ -891,18 +912,39 @@ class TestRepairMemo:
             objective_batch=lambda mat: lattice_index(p, mat).astype(float),
             consumption_batch=lambda mat: np.zeros(len(mat)),
         )
-        objective = swarm._Objective(p, SwarmConfig())
-        assert objective.table is not None
-        searched = replace(p, objective_batch=objective)
+        search = swarm._Search(p, SwarmConfig(), repair=True)
+        assert search.memo
         rng = np.random.default_rng(n)
         rows = rng.integers(lo, lo + base, size=(300, n)).astype(float)
         rows[:2] = [lo], [lo + base - 1]  # the first and the last key
         index = lattice_index(p, rows.astype(np.int64))
-        repaired, costs = objective.repair_and_value(searched, rows)
+        repaired, costs = search.repair_and_value(rows)
         assert repaired.tobytes() == rows.tobytes()
         assert costs.tobytes() == index.astype(float).tobytes()
-        assert objective.repaired_cost[index].tobytes() == index.astype(float).tobytes()
-        assert np.isnan(np.delete(objective.repaired_cost, index)).all()
+        assert search.repaired_cost[index].tobytes() == index.astype(float).tobytes()
+        assert np.isnan(np.delete(search.repaired_cost, index)).all()
+
+    @pytest.mark.parametrize("make", [toy_fir_problem, toy_receiver_problem, toy_qgd_problem])
+    def test_every_memo_key_of_a_search_is_the_lattice_index(self, make):
+        # The memo's radix key is a row's lattice_index only inside
+        # lo..hi, and lattice_index refuses a row outside it, so every
+        # key of toys 0-2 is checked against it, for each kind of row.
+        keys, kinds = swarm._Search._keys, set()
+
+        def checked(search, mat):
+            kinds.add(_row_kind(sys._getframe(1)))
+            out = keys(search, mat)
+            assert (mat == np.trunc(mat)).all()
+            assert out.tobytes() == lattice_index(search.given, mat.astype(np.int64)).tobytes()
+            return out
+
+        with mock.patch.object(swarm._Search, "_keys", checked):
+            for i in range(3):
+                p, cfg = make(i), SwarmConfig(seed=i, restarts=1)
+                assert swarm._memo_engages(p, cfg)
+                run_ppso(p, cfg)
+                run_gcpso(p, cfg)
+        assert kinds == {"gcpso positions", *_ASKERS.values()}
 
     def test_each_distinct_row_is_repaired_once_per_search(self):
         p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
