@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ContractViolation
+from .problem import ContractViolation, require_int
 from .swarm import schedule_hyperparams
 
 
@@ -118,8 +118,7 @@ def check_schedule(iterations: int) -> ConvergenceReport:
     directions at equal rates, so c stays 1.5 while w sweeps from near
     0.9 down to 0.4.
     """
-    if iterations < 1:
-        raise ContractViolation(f"iterations must be >= 1, got {iterations}")
+    iterations = require_int(iterations, "iterations", 1)
     worst: ConvergenceReport | None = None
     worst_margin = np.inf
     for it in range(1, iterations + 1):
@@ -139,8 +138,7 @@ def order2_stable_from(iterations: int) -> int:
     13(4)). w falls while c1 + c2 stays 3, so it then holds to the end:
     from iteration 24 of 100. The last iteration always qualifies, since
     there w = 0.4 and 3 < 24 (1 - 0.16) / 5, about 4.03."""
-    if iterations < 1:
-        raise ContractViolation(f"iterations must be >= 1, got {iterations}")
+    iterations = require_int(iterations, "iterations", 1)
     for it in range(1, iterations):
         w, c1, c2 = schedule_hyperparams(it, iterations)
         if abs(w) < 1 and c1 + c2 < 24 * (1 - w * w) / (7 - 5 * w):

@@ -27,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
-    AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks, read_text
+    AllocationProblem, ContractViolation, InfeasibleBudgetError, by_chunks, read_text, require_int
 )
-from .quantizers import MAX_EXP_BITS, MAX_WIDTH, quantize_fixed_bits, quantize_float_bits
+from .quantizers import MAX_BUDGET_BITS, MAX_EXP_BITS, quantize_fixed_bits, quantize_float_bits
 
 POINTS_PER_TAP = 16  # grid points per band per tap
 DEFAULT_EXP_BITS = 5
-# The top allowed width, 2 * MAX_BUDGET_BITS + 1, is the quantizers' MAX_WIDTH.
-MAX_BUDGET_BITS = (MAX_WIDTH - 1) // 2
 _CHUNK_ROWS = 4096
 
 
@@ -71,7 +69,8 @@ class FilterSpec:
             raise ContractViolation(f"desired must be finite, got {self.desired}")
         if not all(0 < w < math.inf for w in self.weights):
             raise ContractViolation(f"weights must be positive and finite, got {self.weights}")
-        if self.n_taps < 3 or self.n_taps % 2 == 0:
+        object.__setattr__(self, "n_taps", require_int(self.n_taps, "n_taps", 3))
+        if self.n_taps % 2 == 0:
             raise ContractViolation(f"n_taps must be odd and >= 3, got {self.n_taps}")
 
     @classmethod
@@ -253,14 +252,8 @@ def fir_problem(
     """
     if kind not in ("fixed", "float"):
         raise ContractViolation(f"unknown quantization kind {kind!r}; use 'fixed' or 'float'")
-    if not 1 <= budget_bits <= MAX_BUDGET_BITS:
-        raise ContractViolation(
-            f"budget_bits must be >= 1 and <= {MAX_BUDGET_BITS}, got {budget_bits}; "
-            f"the top width 2 * budget_bits + 1 must stay <= {MAX_WIDTH}, "
-            "or the quantizers overflow"
-        )
-    if not 1 <= exp_bits <= MAX_EXP_BITS or exp_bits % 1:
-        raise ContractViolation(f"exp_bits must be >= 1 and <= {MAX_EXP_BITS}, got {exp_bits}")
+    budget_bits = require_int(budget_bits, "budget_bits", 1, MAX_BUDGET_BITS)
+    exp_bits = require_int(exp_bits, "exp_bits", 1, MAX_EXP_BITS)
     ev = _MinimaxEvaluator(spec, coeffs)
 
     def objective_batch(mat: np.ndarray) -> np.ndarray:
@@ -291,9 +284,9 @@ def lc_fixed_alloc(n_taps: int, budget_bits: int) -> np.ndarray:
     budget forces all coordinates equal, so the integer answer is the
     uniform vector and no mapping step is needed.
     """
-    if n_taps < 3 or n_taps % 2 == 0:
+    if require_int(n_taps, "n_taps", 3) % 2 == 0:
         raise ContractViolation(f"n_taps must be odd and >= 3, got {n_taps}")
-    return np.full((n_taps + 1) // 2, budget_bits, dtype=np.int64)
+    return np.full((n_taps + 1) // 2, require_int(budget_bits, "budget_bits", 1), dtype=np.int64)
 
 
 def lc_float_alloc(h, m_bar: int) -> np.ndarray:
@@ -316,7 +309,7 @@ def lc_float_alloc(h, m_bar: int) -> np.ndarray:
         )
     log_mag = np.log2(np.abs(h))
     gm_log = log_mag.mean()
-    return m_bar + log_mag - gm_log
+    return require_int(m_bar, "m_bar", 1) + log_mag - gm_log
 
 
 def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
@@ -350,7 +343,7 @@ def lc_float_map(m_tilde, h, m_bar: int) -> np.ndarray:
     bits = np.where(fractional, np.ceil(mt), mt)
     bits = np.maximum(bits, 1.0).astype(np.int64)
 
-    budget = float(n * m_bar)
+    budget = float(n * require_int(m_bar, "m_bar", 1))
     total = float(cons_weights @ bits)
     if total <= budget:
         return bits

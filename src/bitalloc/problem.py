@@ -7,10 +7,11 @@ map a (rows, N) integer matrix of candidate allocations to one value
 per row; single-vector evaluation goes through the same callables on a
 one-row matrix, so every formula has exactly one implementation. A
 scalar function f lifts to the batch form with ``lambda mat:
-np.array([f(row) for row in mat])``. This module adds the penalty
-wrapper used by the penalized swarm, the row chunking of the batch
-kernels, the reader of the applications' text files, the lattice index,
-and an exhaustive oracle for desk-scale instances.
+np.array([f(row) for row in mat])``. This module adds the integer rule
+every size, width and seed passes (require_int), the penalty wrapper
+used by the penalized swarm, the row chunking of the batch kernels, the
+reader of the applications' text files, the lattice index, and an
+exhaustive oracle for desk-scale instances.
 
 Objectives may be stochastic underneath (Monte-Carlo rates); the
 contract requires implementations to pin their randomness at problem
@@ -40,6 +41,7 @@ objective_batch wraps the same F (a counter, a memo, a tracer) keeps it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -54,6 +56,18 @@ DEFAULT_ORACLE_CAP = 10**6
 
 class ContractViolation(ValueError):
     """An argument broke a documented precondition."""
+
+
+def require_int(value, name: str, least: int, most: Optional[int] = None) -> int:
+    """value as an int, when it is an integer (a numpy one too, never a
+    bool) in least..most; anything else is a ContractViolation naming it.
+    A numpy integer leaves as an int, so no later sum or power wraps."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    if value < least or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f">= {least} and <= {most}"
+        raise ContractViolation(f"{name} must be {bounds}, got {value}")
+    return int(value)
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -97,8 +111,7 @@ class AllocationProblem:
     objective_step_down: Optional[StepDownFunction] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ContractViolation(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", require_int(self.dimension, "dimension", 1))
         allowed = tuple(sorted(set(int(v) for v in self.allowed_values)))
         if not allowed:
             raise ContractViolation("allowed_values must be nonempty")

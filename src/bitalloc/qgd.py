@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation
-from .quantizers import MAX_WIDTH, quantize_fixed_bits
+from .problem import AllocationProblem, ContractViolation, require_int
+from .quantizers import MAX_BUDGET_BITS, quantize_fixed_bits
 from .swarm import SwarmConfig, run_gcpso, run_ppso
 
 _DATA_DOMAIN = 0xDA7A
@@ -83,14 +83,9 @@ class QgdTask:
             raise ContractViolation("logistic labels must be -1 or +1")
         if not 0 < self.eta < np.inf:
             raise ContractViolation(f"step size must be positive and finite, got {self.eta}")
-        if self.t_iter < 1 or self.budget_bits < 1:
-            raise ContractViolation("t_iter and budget_bits must be >= 1")
-        top = 2 * self.budget_bits + 1
-        if top > MAX_WIDTH:
-            raise ContractViolation(
-                f"budget_bits = {self.budget_bits} allows widths up to {top}, over the "
-                f"quantizer's widest of {MAX_WIDTH}; use budget_bits <= {(MAX_WIDTH - 1) // 2}"
-            )
+        for name, least, most in (("t_iter", 1, None), ("budget_bits", 1, MAX_BUDGET_BITS),
+                                  ("seed", 0, None)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, least, most))
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "z_star", z_star)
@@ -380,11 +375,11 @@ def train(
 # -- task constructors ---------------------------------------------------------
 
 
-def _check_sizes(**sizes: int) -> None:
-    """Reject a size below 1 by name, before a draw of that shape."""
+def _check_sizes(seed: int, **sizes: int) -> None:
+    """Reject a non-integer size or seed by name, before a draw from them."""
+    require_int(seed, "seed", 0)
     for name, size in sizes.items():
-        if size < 1:
-            raise ContractViolation(f"{name} must be >= 1, got {size}")
+        require_int(size, name, 1)
 
 
 def gaussian_least_squares(
@@ -396,7 +391,7 @@ def gaussian_least_squares(
     seed: int = 0,
 ) -> QgdTask:
     """Random Gaussian design with a known planted target, noiseless."""
-    _check_sizes(n_rows=n_rows, n_cols=n_cols)
+    _check_sizes(seed, n_rows=n_rows, n_cols=n_cols)
     rng = np.random.default_rng([_DATA_DOMAIN, seed])
     A = rng.standard_normal((n_rows, n_cols))
     z_star = rng.standard_normal(n_cols)
@@ -422,7 +417,7 @@ def synthetic_classification(
 ) -> QgdTask:
     """Two unit-variance Gaussian clouds with opposite labels, centred at
     -u and +u for a random unit vector u; linearly separable-ish."""
-    _check_sizes(n_samples=n_samples, n_features=n_features)
+    _check_sizes(seed, n_samples=n_samples, n_features=n_features)
     rng = np.random.default_rng([_DATA_DOMAIN, seed, 1])
     direction = rng.standard_normal(n_features)
     direction /= np.linalg.norm(direction)

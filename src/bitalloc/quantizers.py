@@ -34,6 +34,9 @@ MAX_EXP_BITS = 11
 # The widest fractional or significand bit count both quantizers value:
 # 2.0 ** 1024 overflows float64.
 MAX_WIDTH = 1023
+# The widest budget_bits an application takes: its widths run up to
+# 2 * budget_bits + 1, which must stay within MAX_WIDTH.
+MAX_BUDGET_BITS = (MAX_WIDTH - 1) // 2
 
 
 def _checked_bits(bits, what: str, least: int, most: int = MAX_WIDTH, cap: str = "MAX_WIDTH"):
@@ -84,14 +87,10 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
 
     ax = np.abs(x)
     frac, ex = np.frexp(ax)  # ax = frac * 2**ex, frac in [0.5, 1)
-    e = ex - 1
-    # integer significand k = rint(ax / 2**(e - m + 1)), computed exactly
-    k = np.rint(np.ldexp(ax, np.asarray(m - 1 - e, dtype=np.int64)))
-    carry = k >= np.exp2(m)  # rounding crossed a binade boundary
-    k = np.where(carry, np.ldexp(1.0, np.asarray(m, dtype=np.int64) - 1), k)
-    e = np.where(carry, e + 1, e)
-
-    q = np.sign(x) * np.ldexp(k, np.asarray(e - m + 1, dtype=np.int64))
+    m = np.asarray(m, dtype=np.int64)
+    k = np.rint(np.ldexp(frac, m))  # the integer significand, computed exactly
+    e = ex - 1 + (k == np.exp2(m))  # k = 2**m: rounding carried into the next binade
+    q = np.sign(x) * np.ldexp(k, ex - m)
 
     over = e > e_max
     if over.any():  # never at MAX_EXP_BITS, where max_fin overflows float64

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import AllocationProblem, ContractViolation, by_chunks
+from .problem import AllocationProblem, ContractViolation, by_chunks, require_int
 
 # Normalized distortion of an optimal scalar quantizer for a unit-power
 # Gaussian input, per bit width; beyond five bits the asymptotic
@@ -71,14 +71,16 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.m_antennas >= self.k_users >= 1:
+        for name, least in (
+            ("m_antennas", 1), ("k_users", 1), ("budget_bits", 1), ("mc_channels", 1), ("seed", 0)
+        ):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, least))
+        if self.m_antennas < self.k_users:
             raise ContractViolation(
-                f"need m_antennas >= k_users >= 1, got M={self.m_antennas}, K={self.k_users}"
+                f"need m_antennas >= k_users, got M={self.m_antennas}, K={self.k_users}"
             )
         if not 0 < self.p_u < math.inf:
             raise ContractViolation(f"p_u must be positive and finite, got {self.p_u}")
-        if self.budget_bits < 1:
-            raise ContractViolation(f"budget_bits must be >= 1, got {self.budget_bits}")
         try:
             math.ldexp(self.m_antennas, self.budget_bits)  # the budget, m_antennas * 2^budget_bits
         except OverflowError:
@@ -86,8 +88,6 @@ class SystemConfig:
                 f"budget_bits = {self.budget_bits} gives a budget m_antennas * 2^budget_bits "
                 "that overflows a float"
             ) from None
-        if self.mc_channels < 1:
-            raise ContractViolation(f"mc_channels must be >= 1, got {self.mc_channels}")
 
     @property
     def allowed_values(self) -> tuple[int, ...]:

@@ -84,7 +84,6 @@ looks up at every call, so a tracer may swap them for timed wrappers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -95,6 +94,7 @@ from .problem import (
     ContractViolation,
     InfeasibleBudgetError,
     penalized_fitness_batch,
+    require_int,
 )
 from .quantizers import round_half_away
 
@@ -135,9 +135,7 @@ class SwarmConfig:
 
     def __post_init__(self):
         for name, least in (("n_pop", 1), ("i_iter", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-                raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, require_int(getattr(self, name), name, least))
         if not 0 < self.penalty_weight < math.inf:
             raise ContractViolation(f"need a finite penalty_weight > 0, got {self.penalty_weight}")
 
@@ -210,18 +208,18 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
     rows = mat[idx]
     while idx.size:
         floor = rows == lo
-        if floor.all(axis=1).any():
-            raise ContractViolation(
-                "budget repair ran out of bits to remove: the all-minimum allocation "
-                f"exceeds the budget of {problem.budget}, so consumption is not "
-                "nondecreasing in every coordinate"
-            )
         values = problem.evaluate_step_down_batch(rows)
         values[floor] = np.inf
         at = np.arange(idx.size)
         j = np.argmin(values, axis=1)  # lowest index wins ties
-        stuck = floor[at, j]  # every candidate above the floor is +inf
+        stuck = floor[at, j]  # every candidate above the floor is +inf, as on an all-floor row
         if stuck.any():
+            if floor[stuck].all(axis=1).any():
+                raise ContractViolation(
+                    "budget repair ran out of bits to remove: the all-minimum allocation "
+                    f"exceeds the budget of {problem.budget}, so consumption is not "
+                    "nondecreasing in every coordinate"
+                )
             j[stuck] = np.argmin(floor[stuck], axis=1)
         rows[at, j] -= 1
         mat[idx] = rows

@@ -530,7 +530,7 @@ benchmark = a
         # objective".
         text = TestRunQgd.CONFIG.replace("budget_bits = 3", "budget_bits = 600")
         text = text.replace("strategies = naive", "strategies = naive, gcpso")
-        message = "error: [qgd]: budget_bits = 600 allows widths up to 1201"
+        message = "error: [qgd]: budget_bits must be >= 1 and <= 511, got 600"
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert not (tmp_path / "out").exists()
 

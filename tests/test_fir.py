@@ -332,8 +332,12 @@ class TestFirProblem:
     def test_bad_exponent_width_rejected(self):
         # Wider than float64's 11-bit exponent overflows the quantizer.
         # 4.5 built a problem whose every value used 4.5 exponent bits.
-        for width in (0, 12, 4.5):
-            with pytest.raises(ContractViolation, match="exp_bits must be >= 1 and <= 11"):
+        for width, message in (
+            (0, "exp_bits must be >= 1 and <= 11"),
+            (12, "exp_bits must be >= 1 and <= 11"),
+            (4.5, "exp_bits must be an integer, got 4.5"),
+        ):
+            with pytest.raises(ContractViolation, match=message):
                 fir_problem(SPEC7, H7, "float", budget_bits=3, exp_bits=width)
 
     def test_widest_exponent_quantizes_without_warnings(self):

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalloc.fir import CoefficientSet, FilterSpec, fir_problem
+from bitalloc.convergence import check_schedule, order2_stable_from
+from bitalloc.fir import (
+    CoefficientSet, FilterSpec, fir_problem, lc_fixed_alloc, lc_float_alloc, lc_float_map
+)
 from bitalloc.problem import (
     AllocationProblem,
     ContractViolation,
@@ -25,7 +28,8 @@ from bitalloc.problem import (
 )
 from bitalloc.swarm import SwarmConfig, _Search
 
-from bitalloc.qgd import qgd_problem, synthetic_classification
+from bitalloc.qgd import QgdTask, gaussian_least_squares, qgd_problem, synthetic_classification
+from bitalloc.receiver import SystemConfig, receiver_problem
 
 from conftest import toy_fir_problem, toy_receiver_problem, weighted_msqe_problem
 
@@ -249,6 +253,113 @@ class TestPenalizedFitness:
             assert fitness == objective
         else:
             assert fitness > objective
+
+
+SPEC5 = FilterSpec.of_pi([(0.0, 0.4), (0.6, 1.0)], [1.0, 0.0], [1.0, 1.0], 5)
+COEFFS5 = CoefficientSet(h=np.array([0.1, 0.3, 0.5, 0.3, 0.1]))
+
+
+def _with(build, **base):
+    """build(**base, overridden by the keywords it is called with)."""
+    return lambda **kw: build(**{**base, **kw})
+
+
+def _sum_problem(**kw):
+    total = lambda mat: np.asarray(mat, dtype=float).sum(axis=1)
+    return AllocationProblem(allowed_values=(1, 2, 3), budget_bits=2, budget=4.0,
+                             objective_batch=total, consumption_batch=total, **kw)
+
+
+def _params(label, build, good, *names, least=1, most=None):
+    """One case per name: the builder's label, the builder, which takes the
+    parameter as a keyword and makes every other argument valid, the
+    parameter, its bounds and a valid value."""
+    return [(label, build, name, least, most, good) for name in names]
+
+
+_FIR = _with(fir_problem, spec=SPEC5, coeffs=COEFFS5, kind="float", budget_bits=2)
+_LC = _with(lc_fixed_alloc, n_taps=5, budget_bits=2)
+_RX = _with(lambda **kw: receiver_problem(SystemConfig(**kw)), m_antennas=4, k_users=2,
+            mc_channels=2)
+_TASK = _with(QgdTask, kind="least_squares", features=np.eye(3), targets=np.ones(3), eta=0.1,
+              t_iter=1, budget_bits=2)
+_LSQ = _with(gaussian_least_squares, n_rows=6, n_cols=3, t_iter=1)
+_LOGIT = _with(synthetic_classification, n_samples=6, n_features=3, t_iter=1)
+
+# Every integer size, width and seed the library takes.
+_INTEGER_PARAMETERS = [
+    *_params("AllocationProblem", _sum_problem, 2, "dimension"),
+    *_params("SwarmConfig", SwarmConfig, 3, "n_pop", "i_iter", "restarts"),
+    *_params("SwarmConfig", SwarmConfig, 3, "seed", least=0),
+    *_params("check_schedule", check_schedule, 5, "iterations"),
+    *_params("order2_stable_from", order2_stable_from, 5, "iterations"),
+    *_params("FilterSpec", _with(FilterSpec, bands=SPEC5.bands, desired=SPEC5.desired,
+                                 weights=SPEC5.weights), 5, "n_taps", least=3),
+    *_params("lc_fixed_alloc", _LC, 7, "n_taps", least=3),
+    *_params("lc_fixed_alloc", _LC, 3, "budget_bits"),
+    *_params("lc_float_alloc", _with(lc_float_alloc, h=COEFFS5.h), 3, "m_bar"),
+    *_params("lc_float_map", _with(lc_float_map, m_tilde=lc_float_alloc(COEFFS5.h, 3),
+                                   h=COEFFS5.h), 3, "m_bar"),
+    *_params("fir_problem", _FIR, 3, "budget_bits", most=511),
+    *_params("fir_problem", _FIR, 3, "exp_bits", most=11),
+    *_params("receiver_problem", _RX, 2, "m_antennas", "k_users", "budget_bits", "mc_channels"),
+    *_params("receiver_problem", _RX, 2, "seed", least=0),
+    *_params("QgdTask", _TASK, 2, "t_iter"),
+    *_params("QgdTask", _TASK, 2, "budget_bits", most=511),
+    *_params("QgdTask", _TASK, 2, "seed", least=0),
+    *_params("gaussian_least_squares", _LSQ, 3, "n_rows", "n_cols", "t_iter"),
+    *_params("gaussian_least_squares", _LSQ, 3, "budget_bits", most=511),
+    *_params("gaussian_least_squares", _LSQ, 3, "seed", least=0),
+    *_params("synthetic_classification", _LOGIT, 3, "n_samples", "n_features", "t_iter"),
+    *_params("synthetic_classification", _LOGIT, 3, "budget_bits", most=511),
+    *_params("synthetic_classification", _LOGIT, 3, "seed", least=0),
+]
+_IDS = [f"{label}.{name}" for label, _, name, *_ in _INTEGER_PARAMETERS]
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("bad", [2.5, True, "3", "below"])
+    @pytest.mark.parametrize("label, build, name, least, most, good", _INTEGER_PARAMETERS, ids=_IDS)
+    def test_non_integer_or_too_small_refused_by_name(self, label, build, name, least, most,
+                                                      good, bad):
+        # Outside SwarmConfig these raised a bare TypeError from deep
+        # inside the code (2.5 budget_bits in range or math.ldexp), or built
+        # without complaint (True widths, 2.5 mc_channels, a seed of -1).
+        if bad == "below":
+            bad = least - 1
+            bounds = f">= {least}" if most is None else f">= {least} and <= {most}"
+            message = f"{name} must be {bounds}, got {bad}"
+        else:
+            message = f"{name} must be an integer, got {bad!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation) as info:
+                build(**{name: bad})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("label, build, name, least, most, good", _INTEGER_PARAMETERS, ids=_IDS)
+    def test_numpy_integers_accepted_and_kept_as_int(self, label, build, name, least, most,
+                                                     good, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, plain = build(**{name: kind(good)}), build(**{name: good})
+        if hasattr(out, name):
+            assert type(getattr(out, name)) is int and getattr(out, name) == good
+        if isinstance(out, np.ndarray):
+            np.testing.assert_array_equal(out, plain)
+
+    def test_numpy_widths_do_not_wrap(self):
+        # np.uint8(200) made the top width 2 * 200 + 1 wrap in uint8
+        # arithmetic (an overflow warning); 2 ** np.int64(70) read 0, so
+        # the receiver's budget was 0 and its uniform start "infeasible".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fir = fir_problem(SPEC5, COEFFS5, "fixed", budget_bits=np.uint8(200))
+            cfg = SystemConfig(m_antennas=2, k_users=1, budget_bits=np.int64(70), mc_channels=1)
+            rx = receiver_problem(cfg)
+        assert fir.allowed_values[-1] == 401 and fir.budget == 5 * 200
+        assert rx.budget == 2.0**71
 
 
 class TestLatticeIndex:

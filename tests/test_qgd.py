@@ -178,7 +178,7 @@ class TestTaskValidation:
     def test_budget_whose_widths_overflow_the_quantizer_rejected_by_name(self, build):
         # A budget of 600 built, and valuing a width of 1100 then raised
         # "eta = 0.001 overflowed the step objective", blaming eta.
-        with pytest.raises(ContractViolation, match=r"^budget_bits = 512 allows widths up to 1025"):
+        with pytest.raises(ContractViolation, match=r"^budget_bits must be >= 1 and <= 511, got 512$"):
             build(budget_bits=512)
         task = build(budget_bits=511, seed=1)
         problem = qgd_problem(task, np.zeros(task.dimension))

@@ -202,6 +202,33 @@ class TestQuantizeFloat:
         assert value == 1.0
         assert not overflowed
 
+    @pytest.mark.parametrize("exp_bits, m", [(2, 1), (3, 3), (5, 8), (8, 24), (11, 40)])
+    def test_just_below_a_power_of_two_rounds_up_to_it(self, exp_bits, m):
+        # The carry into the next binade, at every exponent of the format
+        # and one past its top, where the carried value overflows. (At 52
+        # bits, a subnormal just below 2**-1022 is already on the grid.)
+        e_min, e_max = 1 - 2 ** (exp_bits - 1), 2 ** (exp_bits - 1)
+        powers = np.arange(e_min, min(e_max + 1, 1023) + 1)
+        below = np.nextafter(np.ldexp(1.0, powers), 0.0)
+        q, over = quantize_float_bits(np.concatenate([below, -below]), exp_bits, m)
+        past = powers > e_max
+        top = (2.0**m - 1) * 2.0 ** (e_max + 1 - m) if past.any() else 0.0
+        want = np.where(past, top, np.ldexp(1.0, powers))
+        np.testing.assert_array_equal(q, np.concatenate([want, -want]))
+        np.testing.assert_array_equal(over, np.tile(past, 2))
+
+    def test_narrow_integer_widths_value_like_int64_widths(self):
+        # exp2 of a uint8 width ran in float16, of an int16 or uint16 one
+        # in float32: 30 significand bits overflowed float16 (a warning)
+        # or saturated at 131072.0, past the largest finite 131071.9998...
+        x = np.array([1e30, 0.1, -3.0])
+        want, want_over = quantize_float_bits(x, 5, np.full(3, 30))
+        assert want[0] == (2.0**30 - 1) * 2.0**-13
+        for dtype in (np.uint8, np.int16, np.uint16):
+            q, over = quantize_float_bits(x, 5, np.full(3, 30, dtype=dtype))
+            np.testing.assert_array_equal(q, want)
+            np.testing.assert_array_equal(over, want_over)
+
     def test_underflow_flushes_to_zero(self):
         # e = 3: the smallest positive value is 2^-3.
         assert quantize_float_in_range(0.125, 3, 4) == 0.125

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -83,7 +84,8 @@ class TestSwarmConfig:
     )
     def test_sizes_and_seeds_must_be_integers_named_when_not(self, field, value):
         # Each used to pass the config and crash the run inside numpy.
-        with pytest.raises(ContractViolation, match=f"^{field} must be an integer"):
+        rule = "must be >= 0" if value == -1 else "must be an integer"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(f'{field} {rule}, got {value!r}')}$"):
             SwarmConfig(**{field: value})
 
     def test_numpy_integers_accepted(self):
@@ -472,6 +474,23 @@ class TestGreedyRepair:
         # [1, 2] costs 1 and is feasible; the stuck [2, 1] still raises.
         with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
             greedy_repair_batch(self.decreasing_problem(), np.array([[1, 2], [2, 1]]))
+
+    def test_row_that_steps_down_to_the_floor_over_budget_raises_in_the_search_too(self):
+        # C = (b - 2)^2 on 0..4 with a budget of 0.5: [4] rescales to [1],
+        # still over, and its one step down reaches the floor [0], which
+        # costs 4; so does every moved particle of a repair swarm but [3].
+        p = AllocationProblem(
+            dimension=1,
+            allowed_values=(0, 1, 2, 3, 4),
+            budget_bits=2,
+            budget=0.5,
+            objective_batch=lambda mat: mat[:, 0].astype(float),
+            consumption_batch=lambda mat: (mat[:, 0] - 2.0) ** 2,
+        )
+        with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
+            greedy_repair_batch(p, [[4.0]])
+        with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
+            run_gcpso(p, SwarmConfig(n_pop=5, i_iter=5, restarts=1))
 
     @staticmethod
     def infinite_problem():
