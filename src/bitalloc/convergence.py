@@ -113,22 +113,15 @@ def check_schedule(iterations: int) -> ConvergenceReport:
     vary them per iteration; this helper reconciles the two views by
     evaluating the check pointwise at every iteration of an
     iterations-long search, taken from the engines' own
-    schedule_hyperparams, and returning the report with the smallest
-    margin threshold - lambda_max(P). c1 and c2 move in opposite
+    schedule_hyperparams, and returning the earliest report with the
+    smallest margin threshold - lambda_max(P). c1 and c2 move in opposite
     directions at equal rates, so c stays 1.5 while w sweeps from near
     0.9 down to 0.4.
     """
     iterations = require_int(iterations, "iterations", 1)
-    worst: ConvergenceReport | None = None
-    worst_margin = np.inf
-    for it in range(1, iterations + 1):
-        report = check_convergence_conditions(*schedule_hyperparams(it, iterations))
-        margin = report.threshold - report.lambda_max_P
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = report
-    assert worst is not None
-    return worst
+    schedule = (schedule_hyperparams(it, iterations) for it in range(1, iterations + 1))
+    reports = (check_convergence_conditions(*params) for params in schedule)
+    return min(reports, key=lambda report: report.threshold - report.lambda_max_P)
 
 
 def order2_stable_from(iterations: int) -> int:

@@ -21,7 +21,9 @@ A row's value may still depend, in the last bits, on the batch it is
 evaluated in (BLAS blocking, ``einsum`` path choice), so values agree
 across batch compositions to rounding only; the swarm engine pins one
 value per distinct row for each search. A NaN value breaks the
-contract: the batch evaluators reject it and name the row.
+contract: the batch evaluators reject it and name the row. So does a
+row with a fractional or non-finite entry (check_batch, which the greedy
+repair calls too): a truncating objective would value another row.
 
 evaluate_step_down_batch(mat) values every one-coordinate step down
 of every row at once, for any problem: an (r, n) matrix whose entry
@@ -147,16 +149,26 @@ class AllocationProblem:
             )
         return b
 
-    def _check_matrix(self, mat) -> np.ndarray:
+    def check_batch(self, mat) -> np.ndarray:
+        """mat as a (rows, N) array of whole numbers; another shape, or a
+        row with a fractional or non-finite entry, is a ContractViolation
+        naming it. An integer dtype passes on its dtype alone."""
         mat = np.asarray(mat)
         if mat.ndim != 2 or mat.shape[1] != self.dimension:
             raise ContractViolation(
                 f"allocation batch has shape {mat.shape}, expected (rows, {self.dimension})"
             )
+        if mat.dtype.kind not in "iu":
+            odd = ~np.isfinite(mat) | (np.trunc(mat) != mat)
+            if odd.any():
+                i = int(np.flatnonzero(odd.any(axis=1))[0])
+                raise ContractViolation(
+                    f"allocation batch row {i} is not whole numbers: {mat[i].tolist()}"
+                )
         return mat
 
     def _evaluate_batch(self, fn: BatchFunction, mat, what: str) -> np.ndarray:
-        mat = self._check_matrix(mat)
+        mat = self.check_batch(mat)
         out = np.asarray(fn(mat), dtype=float)
         if out.shape != (mat.shape[0],):
             raise ContractViolation(
@@ -177,7 +189,7 @@ class AllocationProblem:
         lower), F(row i) where b_j is already the lowest allowed value:
         objective_step_down(mat) checked like the batch evaluators, or,
         without the hook, the r * n candidate rows as one objective batch."""
-        mat = self._check_matrix(mat)
+        mat = self.check_batch(mat)
         if self.objective_step_down is None:
             r, n = mat.shape
             diag = np.arange(n)
@@ -265,10 +277,9 @@ def brute_force_optimum(
     """Exhaustively minimize F over all feasible allocations.
 
     Candidates are enumerated in lattice_index order, which is
-    lexicographic, in chunks of 65,536 rows. The first feasible chunk's
-    minimum is the first incumbent, even at F = +inf, and after it only
-    strict improvements replace the incumbent, so ties resolve to the
-    lexicographically smallest feasible vector. Single threaded by
+    lexicographic, in chunks of 65,536 rows. The answer is the first
+    minimum of the feasible rows, even at F = +inf, so ties resolve to
+    the lexicographically smallest feasible vector. Single threaded by
     contract (determinism over speed). A lattice larger than numpy's
     index type can count is refused whatever the cap.
     """
@@ -281,8 +292,7 @@ def brute_force_optimum(
             f"{base}^{n} = {size} candidates "
             f"exceeds the cap of {cap}; raise the cap only for instances you can wait on"
         )
-    best_vec: Optional[np.ndarray] = None
-    best_val = np.inf
+    firsts = []  # each feasible chunk's first minimum, its row copied out of the chunk
     for start in range(0, size, 65536):
         chunk = lattice_rows(problem, np.arange(start, min(start + 65536, size)))
         feasible = problem.evaluate_consumption_batch(chunk) <= problem.budget
@@ -290,9 +300,6 @@ def brute_force_optimum(
             continue
         rows = chunk[feasible]
         vals = problem.evaluate_objective_batch(rows)
-        i = int(np.argmin(vals))  # first minimum = lexicographically smallest
-        if best_vec is None or vals[i] < best_val:
-            best_val = float(vals[i])
-            best_vec = rows[i].copy()
-    assert best_vec is not None  # the uniform vector is feasible
-    return best_vec, best_val
+        i = int(np.argmin(vals))
+        firsts.append((rows[i].copy(), float(vals[i])))
+    return min(firsts, key=lambda first: first[1])  # the uniform vector is feasible

@@ -13,9 +13,12 @@ counts the whole significand (there is no hidden bit): the value set is
 sign * k * 2**(E - m + 1) with integer significand 0 <= k <= 2**m - 1
 and exponent E in [e_min, e_max] = [-(2**(e-1) - 1), 2**(e-1)]. Ties
 round to even significand. There are no reserved infinity/NaN codes:
-overflow saturates to the largest finite value
-(2**m - 1) * 2**(e_max - m + 1) and is flagged, and inputs below the
-smallest positive output 2**e_min flush to zero.
+overflow, an infinite input included, saturates to the largest value
+of the format that float64 holds, (2**m' - 1) * 2**(top - m' + 1) with
+m' = min(m, 53) and top = min(e_max, 1023), and is flagged; inputs
+below the smallest positive output 2**e_min flush to zero. At
+MAX_EXP_BITS, e_max = 1024 and the format's top binade lies past
+float64, so a result in it overflows too.
 
 Bit counts that name no grid raise ContractViolation: counts that are
 not whole numbers, fractional bits below 0, exponent or significand bits
@@ -77,7 +80,7 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     """Float rounding with (broadcastable) per-element significand bits.
 
     Ties round to even significand. Returns (values, overflow_mask);
-    overflowed entries saturate to the largest finite value.
+    overflowed entries, infinities included, saturate (module docstring).
     """
     x = np.asarray(x, dtype=float)
     _checked_bits(exp_bits, "exponent bits", 1, MAX_EXP_BITS, "MAX_EXP_BITS")
@@ -90,12 +93,14 @@ def quantize_float_bits(x, exp_bits, mantissa_bits):
     m = np.asarray(m, dtype=np.int64)
     k = np.rint(np.ldexp(frac, m))  # the integer significand, computed exactly
     e = ex - 1 + (k == np.exp2(m))  # k = 2**m: rounding carried into the next binade
-    q = np.sign(x) * np.ldexp(k, ex - m)
-
-    over = e > e_max
-    if over.any():  # never at MAX_EXP_BITS, where max_fin overflows float64
-        max_fin = (np.exp2(m) - 1.0) * np.exp2(float(e_max) + 1 - m)
-        q = np.where(over, np.sign(x) * max_fin, q)
+    with np.errstate(over="ignore"):  # a carry to 2**1024 reads inf, saturated below
+        q = np.sign(x) * np.ldexp(k, ex - m)
     q = np.where(e < e_min, 0.0, q)  # flush to zero below the bottom exponent
     q = np.where(ax == 0.0, 0.0, q)
-    return q, np.asarray(over & (ax > 0.0))
+
+    top = np.minimum(e_max, 1023)  # float64 holds no value of the binade 2**1024
+    over = (e > top) | np.isinf(ax)
+    if over.any():
+        max_fin = np.ldexp(1.0 - np.exp2(-np.minimum(m, 53)), top + 1)
+        q = np.where(over, np.sign(x) * max_fin, q)
+    return q, np.asarray(over)

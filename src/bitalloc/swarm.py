@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -182,31 +181,29 @@ def schedule_hyperparams(it: int, i_iter: int) -> tuple[float, float, float]:
 def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarray:
     """Force every row of an allocation matrix under the budget.
 
-    Per row: clip into the allowed range; if over budget, rescale by
-    budget / C(b), round half away from zero and clip again; then
-    repeatedly step down by one bit the coordinate above the floor whose
-    step increases the objective least (lowest index on ties, +inf
-    included) until the row is feasible. Rows that were feasible to
-    begin with pass through untouched. Consumption must be nondecreasing
-    in every coordinate, as in all applications here, so the all-minimum
-    row costs no more than the uniform start; reaching it over budget is
-    a ContractViolation. Each greedy pass works on the rows still over
-    budget, in row order.
+    The rows must be whole numbers (problem.check_batch). Per row: clip
+    into the allowed range; if over budget, rescale by budget / C(b),
+    round half away from zero and clip again; then repeatedly step down
+    by one bit the coordinate above the floor whose step increases the
+    objective least (lowest index on ties, +inf included) until the row
+    is feasible. Rows that were feasible to begin with pass through
+    untouched. Consumption must be nondecreasing in every coordinate, as
+    in all applications here, so the all-minimum row costs no more than
+    the uniform start; reaching it over budget is a ContractViolation.
+    Each greedy pass works on the rows still over budget, in row order.
     """
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
-    mat = np.clip(mat, lo, hi).astype(np.int64)
-
+    mat = np.clip(problem.check_batch(mat), lo, hi).astype(np.int64)
     cons = problem.evaluate_consumption_batch(mat)
-    over = cons > problem.budget
-    if over.any():
-        scale = problem.budget / cons[over]
-        mat[over] = np.clip(round_half_away(mat[over] * scale[:, None]), lo, hi)
-        cons[over] = problem.evaluate_consumption_batch(mat[over])
-        over = cons > problem.budget
-
-    idx = np.flatnonzero(over)
-    rows = mat[idx]
+    idx = np.flatnonzero(cons > problem.budget)
+    scale = problem.budget / cons[idx]
+    rows = np.clip(round_half_away(mat[idx] * scale[:, None]), lo, hi).astype(np.int64)
     while idx.size:
+        mat[idx] = rows
+        still = problem.evaluate_consumption_batch(rows) > problem.budget
+        if not still.any():
+            break
+        idx, rows = idx[still], rows[still]
         floor = rows == lo
         values = problem.evaluate_step_down_batch(rows)
         values[floor] = np.inf
@@ -222,9 +219,6 @@ def greedy_repair_batch(problem: AllocationProblem, mat: np.ndarray) -> np.ndarr
                 )
             j[stuck] = np.argmin(floor[stuck], axis=1)
         rows[at, j] -= 1
-        mat[idx] = rows
-        still = problem.evaluate_consumption_batch(rows) > problem.budget
-        idx, rows = idx[still], rows[still]
     return mat
 
 
@@ -280,10 +274,11 @@ class _Search:
     given problem: its objective, _objective, counts the rows sent to the
     given one and, when _memo_engages, fills the module docstring's memos,
     dense over the lattice (at most n_pop * (i_iter + 1) keys): table,
-    each key's value; repaired_rows and repaired_cost, its repair and
-    that repair's value; NaN until known. The copy keeps the given
-    step-down hook, counted, only when the memo is off. settle is
-    repair_and_value for the repair swarm, penalized otherwise."""
+    each key's value; for the repair swarm only, repaired_rows and
+    repaired_cost, its repair and that repair's value; NaN until known.
+    The copy keeps the given step-down hook, counted, only when the memo
+    is off. settle is repair_and_value for the repair swarm, penalized
+    otherwise."""
 
     def __init__(self, problem: AllocationProblem, config: SwarmConfig, repair: bool):
         self.given, self.penalty_weight = problem, config.penalty_weight
@@ -296,9 +291,10 @@ class _Search:
         if self.memo:
             base, n = len(problem.allowed_values), problem.dimension
             self.table = np.full(base**n, np.nan)
-            self.repaired_cost = self.table.copy()
-            self.repaired_rows = np.empty((self.table.size, n))
             self.radix = (base ** np.arange(n - 1, -1, -1)).astype(float)
+            if repair:
+                self.repaired_cost = np.full(self.table.size, np.nan)
+                self.repaired_rows = np.empty((self.table.size, n))
 
     def _keys(self, mat: np.ndarray) -> np.ndarray:
         """Each row's lattice_index as (mat - lo) @ radix, exact because the
@@ -360,7 +356,7 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
     search = _Search(problem, config, repair)
     lo, hi = problem.allowed_values[0], problem.allowed_values[-1]
     schedule = [schedule_hyperparams(it, config.i_iter) for it in range(1, config.i_iter + 1)]
-    best: Optional[tuple] = None
+    restarts = []
     for seed in range(config.seed, config.seed + config.restarts):
         rng = np.random.default_rng([_SEED_DOMAIN, seed])
         pos, vel = init_swarm(problem, config.n_pop, rng)
@@ -386,10 +382,9 @@ def _run_restarts(problem: AllocationProblem, config: SwarmConfig, repair: bool)
             if search.memo and (bests == pos).all() and (round_half_away(vel) == 0).all():
                 trace[it + 1 :] = g_cost  # the swarm's fixed point: see the module docstring
                 break
-        if best is None or g_cost < best[1]:
-            best = (bests[1, 0].astype(np.int64), g_cost, trace, seed)
-    assert best is not None  # restarts >= 1
+        restarts.append((bests[1, 0].astype(np.int64), g_cost, trace, seed))
     search.problem = search.settle = None  # both refer back to search: free its memos now
+    best = min(restarts, key=lambda restart: restart[1])  # the earliest of equal costs
     return RunResult(*best, objective_rows=search.rows, step_down_rows=search.step_down_rows)
 
 

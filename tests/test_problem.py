@@ -31,7 +31,7 @@ from bitalloc.swarm import SwarmConfig, _Search
 from bitalloc.qgd import QgdTask, gaussian_least_squares, qgd_problem, synthetic_classification
 from bitalloc.receiver import SystemConfig, receiver_problem
 
-from conftest import toy_fir_problem, toy_receiver_problem, weighted_msqe_problem
+from conftest import toy_fir_problem, toy_qgd_problem, toy_receiver_problem, weighted_msqe_problem
 
 
 def linear_problem(dimension, allowed, budget, objective, budget_bits=1):
@@ -137,6 +137,28 @@ class TestAllocationProblem:
         message = r"consumption returned NaN for row 0, allocation \[2, 1\]"
         with pytest.raises(ContractViolation, match=message):
             bad.evaluate_consumption_batch(np.array([[2, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("row", [[2.5, 2, 2], [2, math.nan, 2], [2, 2, -math.inf]])
+    def test_fractional_or_non_finite_rows_refused_by_name(self, row):
+        # [2.5, 2, 2] read 560.75 under a penalty weight of 1e3: F of the
+        # truncated [2, 2, 2] plus 1e3 times the excess of 6.5 over 6.
+        p = toy_qgd_problem(0)
+        mat = np.array([[2, 2, 2], row])
+        shown = re.escape(str([float(v) for v in row]))
+        for evaluate in (
+            p.evaluate_objective_batch,
+            p.evaluate_consumption_batch,
+            p.evaluate_step_down_batch,
+            lambda mat: penalized_fitness_batch(p, mat, 1e3),
+            lambda mat: p.evaluate_objective(mat[1]),
+        ):
+            with pytest.raises(ContractViolation, match=rf"row \d is not whole numbers: {shown}"):
+                evaluate(mat)
+        # Whole rows of any real dtype pass and value like int64 rows.
+        whole = np.array([[2, 2, 2], [1, 2, 5]])
+        want = p.evaluate_objective_batch(whole).tobytes()
+        for dtype in (np.int32, np.uint8, np.float64, np.float32):
+            assert p.evaluate_objective_batch(whole.astype(dtype)).tobytes() == want
 
     def test_step_down_hook_checked_like_the_batch_evaluators(self):
         def hook(mat):
@@ -409,6 +431,22 @@ class TestLatticeIndex:
         np.testing.assert_array_equal(values, np.arange(len(rows))[::-1])
         np.testing.assert_array_equal(search.table, np.arange(len(rows)))
         assert search.rows == len(rows)
+
+    def test_oracle_keeps_the_first_minimum_across_chunks(self):
+        # F ties at 0 on the rows of lattice index 5 (chunk 0) and 70,000
+        # (chunk 1), 1 elsewhere: the lexicographic tie-break takes index 5.
+        chunks = []
+        given = self.problem(chunks)
+
+        def objective(mat):
+            return np.where(np.isin(lattice_index(given, mat), [5, 70_000]), 0.0, 1.0)
+
+        p = replace(given, objective_batch=objective)
+        chunks.clear()  # the copy's uniform-start check
+        best, value = brute_force_optimum(p)
+        assert [len(c) for c in chunks] == [65536, 78125 - 65536]
+        np.testing.assert_array_equal(best, lattice_rows(p, [5])[0])
+        assert value == 0.0
 
 
 def test_text_that_is_not_utf8_names_the_file(tmp_path):

@@ -217,6 +217,29 @@ class TestQuantizeFloat:
         np.testing.assert_array_equal(q, np.concatenate([want, -want]))
         np.testing.assert_array_equal(over, np.tile(past, 2))
 
+    @pytest.mark.parametrize("exp_bits", range(1, 12))
+    def test_infinities_and_the_largest_double_saturate_and_flag(self, exp_bits):
+        # inf came back as inf, or as 0.0 at one exponent bit, unflagged;
+        # the largest double raised an overflow warning in ldexp at every
+        # width and, at 11 exponent bits, came back as inf unflagged.
+        big = np.finfo(float).max
+        q, over = quantize_float_bits([np.inf, big, 1.0, -big, -np.inf], exp_bits, 4)
+        binade = min(2 ** (exp_bits - 1), 1023)  # the binade 2**1024 is past float64
+        top = 15 * 2.0 ** (binade - 3)
+        np.testing.assert_array_equal(q, [top, top, 1.0, -top, -top])
+        np.testing.assert_array_equal(over, [True, True, False, True, True])
+
+    @pytest.mark.parametrize(
+        "exp_bits, top, fits",
+        [(5, 2.0**17 - 2.0**-36, False), (11, np.finfo(float).max, True)],
+    )
+    def test_past_53_significand_bits_saturation_stays_inside_the_format(self, exp_bits, top, fits):
+        # The largest value of e = 5, m = 60 is (2**60 - 1) * 2**-43; it
+        # saturated to 2**17, past it, where float64 holds 2**17 - 2**-36.
+        q, over = quantize_float_bits([np.inf, -np.inf, 1e300], exp_bits, 60)
+        np.testing.assert_array_equal(q, [top, -top, 1e300 if fits else top])
+        np.testing.assert_array_equal(over, [True, True, not fits])
+
     def test_narrow_integer_widths_value_like_int64_widths(self):
         # exp2 of a uint8 width ran in float16, of an int16 or uint16 one
         # in float32: 30 significand bits overflowed float16 (a warning)

@@ -492,6 +492,14 @@ class TestGreedyRepair:
         with pytest.raises(ContractViolation, match="not nondecreasing in every coordinate"):
             run_gcpso(p, SwarmConfig(n_pop=5, i_iter=5, restarts=1))
 
+    @pytest.mark.parametrize("row", [[math.nan, 2, 2], [2, 2.5, 2]])
+    def test_fractional_or_non_finite_rows_refused_before_the_cast(self, row):
+        # [nan, 2, 2] came back as [-9223372036854775808, 2, 2], below the
+        # lattice, after an invalid-value warning in the cast.
+        shown = re.escape(str([float(v) for v in row]))
+        with pytest.raises(ContractViolation, match=rf"row 1 is not whole numbers: {shown}"):
+            greedy_repair_batch(toy_qgd_problem(0), [[2, 2, 2], row])
+
     @staticmethod
     def infinite_problem():
         """F = +inf everywhere, which the contract allows, and C = the
@@ -975,6 +983,13 @@ class TestRepairMemo:
         keys = np.concatenate(calls)
         assert np.unique(keys).size == keys.size
         assert p.is_feasible(result.best)
+
+    def test_a_memoized_penalized_search_builds_no_repair_memo(self):
+        p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
+        searches = [swarm._Search(p, self.CFG, repair) for repair in (False, True)]
+        assert all(search.memo for search in searches)
+        assert [hasattr(s, "repaired_rows") for s in searches] == [False, True]
+        assert [hasattr(s, "repaired_cost") for s in searches] == [False, True]
 
     def test_without_the_memo_every_engine_batch_is_repaired(self):
         p = weighted_msqe_problem([4.0, 1.0, 0.25], allowed=tuple(range(1, 8)))
