@@ -11,6 +11,11 @@ error. All randomness flows from the single seed in [experiment]; each
 module derives its own substream, so reruns of the same config produce
 byte-identical result files.
 
+Each application yields its cases: a FIR filter, one receiver problem
+per transmit power, or one quantized descent. One runner solves every
+case with every strategy and writes the result files only once all are
+solved, so a run that stops on an error (exit 2) writes nothing.
+
 Subcommands:
   run <config>               execute the experiment, write CSV results
   check-convergence          print the stability report for (w, c1, c2)
@@ -151,35 +156,46 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _bits_str(bits) -> str:
-    return " ".join(str(int(b)) for b in np.asarray(bits).ravel())
-
-
-def _add_failed(rows: list, labels: dict, strategy, message) -> None:
-    """Report a strategy that gave no allocation and append its nan row."""
-    at = "".join(f" at {name} = {value}" for name, value in labels.items())
-    print(f"strategy {strategy}{at}: {message}", file=sys.stderr)
-    rows.append([*map(_fmt, labels.values()), strategy, "nan", "nan", ""])
-
-
-def _add_result(rows: list, summary: list, labels: dict, strategy, key, value, cons, bits):
-    """Append one results.csv row and its summary.json entry."""
-    rows.append([*map(_fmt, labels.values()), strategy, _fmt(value), _fmt(cons), _bits_str(bits)])
-    entry = {"strategy": strategy, key: value, "consumption": cons, "bits": [int(b) for b in bits]}
-    summary.append({**labels, **entry})
-
-
-# -- problem builders, one per application ------------------------------------------
+# -- cases, one source per application ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Case:
-    """One problem an experiment solves, with the labels its outputs carry."""
+    """One problem an experiment solves, with the labels its outputs carry.
 
-    problem: AllocationProblem
+    solve(strategy) returns the allocation, the reported value, the
+    consumption and the trace file's (header, rows), or None for a strategy
+    that keeps no trace; it raises InfeasibleBudgetError or
+    SearchSpaceTooLarge for a strategy that gives no allocation."""
+
+    solve: Callable[[str], tuple]
     labels: dict = field(default_factory=dict)  # leading results.csv columns
     trace_suffix: str = ""
-    lc: Optional[Callable[[], np.ndarray]] = None  # closed-form allocation, if any
+    key: str = ""  # the value's summary.json name, when not the results column
+
+
+def _allocation_case(ex: _Experiment, problem: AllocationProblem, sign: float = 1.0,
+                     lc: Optional[Callable[[], np.ndarray]] = None, **case) -> _Case:
+    """A FIR or receiver case: naive, lc (the closed form), oracle or an
+    engine allocates, and the reported value is sign * objective."""
+
+    def solve(strategy: str) -> tuple:
+        trace = None
+        if strategy == "naive":
+            bits = np.full(problem.dimension, problem.budget_bits, dtype=np.int64)
+        elif strategy == "lc":
+            bits = lc()
+        elif strategy == "oracle":
+            bits, _ = brute_force_optimum(problem, cap=ex.cap)
+        else:
+            engine = run_gcpso if strategy == "gcpso" else run_ppso
+            result = engine(problem, ex.swarm or SwarmConfig(seed=ex.seed))
+            bits = result.best
+            trace = ["iteration", "best_cost"], [[it, _fmt(c)] for it, c in enumerate(result.trace)]
+        cons = problem.evaluate_consumption(bits)
+        return bits, sign * problem.evaluate_objective(bits), cons, trace
+
+    return _Case(solve, **case)
 
 
 def _fir_spec_from(section: _Section, n_taps: int) -> fir.FilterSpec:
@@ -207,13 +223,13 @@ def _fir_keys(section: _Section) -> tuple[str, ...]:
     return (*_defaults(fir.fir_problem), *spec_keys)
 
 
-def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
-    coeff_path = config_dir / section.raw("coefficients")  # an absolute path stays as is
+def _fir_cases(ex: _Experiment) -> Iterator[_Case]:
+    coeff_path = ex.config_dir / ex.section.raw("coefficients")  # an absolute path stays as is
     if not coeff_path.is_file():
         raise _fail("[fir] coefficients", f"file not found: {coeff_path}")
     coeffs = fir.load_coefficients(coeff_path)
-    spec = _fir_spec_from(section, coeffs.n_taps)
-    keys = {**_defaults(fir.fir_problem), **section.keys_for(fir.fir_problem)}
+    spec = _fir_spec_from(ex.section, coeffs.n_taps)
+    keys = {**_defaults(fir.fir_problem), **ex.section.keys_for(fir.fir_problem)}
     try:
         problem = fir.fir_problem(spec, coeffs, **keys)
     except ContractViolation as exc:
@@ -226,18 +242,18 @@ def _fir_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case
         relaxed = fir.lc_float_alloc(coeffs.h, budget_bits)
         return fir.lc_float_map(relaxed, coeffs.h, budget_bits)
 
-    yield _Case(problem, lc=lc)
+    yield _allocation_case(ex, problem, lc=lc)
 
 
 def _receiver_keys(section: _Section) -> tuple[str, ...]:
     return (*_defaults(receiver.SystemConfig, ("p_u", "seed")), "p_u_db")
 
 
-def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[_Case]:
+def _receiver_cases(ex: _Experiment) -> Iterator[_Case]:
     """One problem per transmit power in p_u_db, built when the sweep reaches it.
     Every power is checked before the first is built: its SystemConfig, and
     that no two powers would write the same trace file."""
-    p_u_db_list = [p + 0.0 for p in section.get("p_u_db", [0.0])]  # -0.0 becomes 0.0
+    p_u_db_list = [p + 0.0 for p in ex.section.get("p_u_db", [0.0])]  # -0.0 becomes 0.0
     if not p_u_db_list:
         raise _fail("[receiver] p_u_db", "at least one power is required")
     suffixes = [f"_pu{p:g}dB".replace("-", "m").replace(".", "p") for p in p_u_db_list]
@@ -249,9 +265,14 @@ def _receiver_cases(section: _Section, seed: int, config_dir: Path) -> Iterator[
         p_u_list = [10.0 ** (p / 10.0) for p in p_u_db_list]
     except OverflowError:
         raise _fail("[receiver] p_u_db", "powers above about 3082 dB overflow a float") from None
-    cfgs = [section.build(receiver.SystemConfig, p_u=p_u, seed=seed) for p_u in p_u_list]
+    for p_u_db, p_u in zip(p_u_db_list, p_u_list):
+        if not 0 < p_u < np.inf:  # nan, +-inf, or below about -3236 dB, which underflows
+            raise _fail("[receiver] p_u_db",
+                        f"{p_u_db!r} dB is a linear power of {p_u!r}, not positive and finite")
+    cfgs = [ex.section.build(receiver.SystemConfig, p_u=p_u, seed=ex.seed) for p_u in p_u_list]
     for cfg, p_u_db, suffix in zip(cfgs, p_u_db_list, suffixes):
-        yield _Case(receiver.receiver_problem(cfg), {"p_u_dB": p_u_db}, suffix)
+        problem = receiver.receiver_problem(cfg)
+        yield _allocation_case(ex, problem, -1.0, labels={"p_u_dB": p_u_db}, trace_suffix=suffix)
 
 
 _QGD_TASKS = {"least_squares": qgd.gaussian_least_squares, "logistic": qgd.synthetic_classification}
@@ -269,7 +290,24 @@ def _qgd_keys(section: _Section) -> tuple[str, ...]:
     return ("task", *_defaults(_qgd_builder(section), ("seed",)))
 
 
-# -- runners ---------------------------------------------------------------------
+def _qgd_cases(ex: _Experiment) -> Iterator[_Case]:
+    """One case, which trains once per strategy; without [swarm] the engines
+    use qgd's per-step default."""
+    task = ex.section.build(_qgd_builder(ex.section), seed=ex.seed)
+    metric = "error" if task.z_star is not None else "loss"
+
+    def solve(strategy: str) -> tuple:
+        result = qgd.train(task, "uniform" if strategy == "naive" else strategy, ex.swarm)
+        bits = result.allocations[-1]
+        trace = [[t, _fmt(value), int(result.allocations[t - 1].sum()) if t else 0]
+                 for t, value in enumerate(result.metric_trace)]
+        final = float(result.metric_trace[-1])
+        return bits, final, float(bits.sum()), (["iteration", metric, "bits_used"], trace)
+
+    yield _Case(solve, key=f"final_{metric}")
+
+
+# -- the experiment and its runner --------------------------------------------------
 
 
 class _Experiment:
@@ -309,89 +347,53 @@ class _Experiment:
         self.config_dir = config_path.resolve().parent
 
 
-def _run_allocations(ex: _Experiment, strategies, out_dir: Path) -> list:
-    """Solve every case with every strategy and score each allocation."""
-    swarm_cfg = ex.swarm or SwarmConfig(seed=ex.seed)
+def _run(ex: _Experiment, strategies: list, out_dir: Path) -> None:
+    """Solve every case with every strategy, then write the results, the
+    traces and the summary; a run that stops on an error writes nothing."""
+    json_summary = ex.exp.get("json_summary", False)  # a bad value fails before any solve
     rows, traces, summary = [], {}, []
-    for case in ex.app.cases(ex.section, ex.seed, ex.config_dir):
-        problem = case.problem
+    for case in ex.app.cases(ex):
+        labels = [_fmt(value) for value in case.labels.values()]
         for strategy in strategies:
-            trace = None
             try:
-                if strategy == "naive":
-                    bits = np.full(problem.dimension, problem.budget_bits, dtype=np.int64)
-                elif strategy == "lc":
-                    bits = case.lc()
-                elif strategy == "oracle":
-                    bits, _ = brute_force_optimum(problem, cap=ex.cap)
-                else:
-                    result = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, swarm_cfg)
-                    bits, trace = result.best, result.trace
+                bits, value, cons, trace = case.solve(strategy)
             except (InfeasibleBudgetError, SearchSpaceTooLarge) as exc:
-                _add_failed(rows, case.labels, strategy, exc)
+                at = "".join(f" at {name} = {v}" for name, v in case.labels.items())
+                print(f"strategy {strategy}{at}: {exc}", file=sys.stderr)
+                rows.append([*labels, strategy, "nan", "nan", ""])
                 continue
-            cons = problem.evaluate_consumption(bits)
+            bits = [int(b) for b in bits]
+            rows.append([*labels, strategy, _fmt(value), _fmt(cons), " ".join(map(str, bits))])
+            entry = {"strategy": strategy, case.key or ex.app.value: value, "consumption": cons}
+            summary.append({**case.labels, **entry, "bits": bits})
             if trace is not None:
-                traces[f"trace_{strategy}{case.trace_suffix}.csv"] = [
-                    [it, _fmt(cost)] for it, cost in enumerate(trace)
-                ]
-            value = ex.app.sign * problem.evaluate_objective(bits)
-            _add_result(rows, summary, case.labels, strategy, ex.app.value, value, cons, bits)
+                traces[f"trace_{strategy}{case.trace_suffix}.csv"] = trace
     header = [*case.labels, "strategy", ex.app.value, "consumption", "bits"]
     _write_csv(out_dir / "results.csv", ex.seed, header, rows)
-    for name, trace_rows in traces.items():
-        _write_csv(out_dir / name, ex.seed, ["iteration", "best_cost"], trace_rows)
-    return summary
-
-
-def _run_qgd(ex: _Experiment, strategies, out_dir: Path) -> list:
-    """Train once per strategy; without [swarm] the engines use qgd's per-step default."""
-    task = ex.section.build(_qgd_builder(ex.section), seed=ex.seed)
-    metric_name = "error" if task.z_star is not None else "loss"
-    rows, summary = [], []
-    for strategy in strategies:
-        qgd_strategy = "uniform" if strategy == "naive" else strategy
-        try:
-            result = qgd.train(task, qgd_strategy, swarm_config=ex.swarm)
-        except InfeasibleBudgetError as exc:
-            _add_failed(rows, {}, strategy, exc)
-            continue
-        trace_rows = [
-            [t, _fmt(value), int(result.allocations[t - 1].sum()) if t else 0]
-            for t, value in enumerate(result.metric_trace)
-        ]
-        header = ["iteration", metric_name, "bits_used"]
-        _write_csv(out_dir / f"trace_{strategy}.csv", ex.seed, header, trace_rows)
-        final, bits = float(result.metric_trace[-1]), result.allocations[-1]
-        key = f"final_{metric_name}"
-        _add_result(rows, summary, {}, strategy, key, final, float(bits.sum()), bits)
-    header = ["strategy", "final_metric", "consumption", "bits"]
-    _write_csv(out_dir / "results.csv", ex.seed, header, rows)
-    return summary
+    for name, (trace_header, trace_rows) in traces.items():
+        _write_csv(out_dir / name, ex.seed, trace_header, trace_rows)
+    if json_summary:
+        payload = {"application": ex.section.name, "seed": ex.seed, "results": summary}
+        (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class _Application(NamedTuple):
-    """How one application builds its problems and runs its strategies."""
+    """How one application reads its section and yields its cases."""
 
     keys: Callable[[_Section], tuple[str, ...]]  # the keys its section may set
     strategies: tuple[str, ...]
-    run: Callable[[_Experiment, list, Path], list]
-    # The problems _run_allocations solves; qgd builds one per descent step.
-    cases: Optional[Callable[[_Section, int, Path], Iterator[_Case]]] = None
-    value: str = ""  # results column of the reported objective
-    sign: float = 1.0  # the reported value is sign * objective
+    cases: Callable[[_Experiment], Iterator[_Case]]
+    value: str  # results column of the reported value
 
 
 _APPLICATIONS = {
     "fir": _Application(
-        _fir_keys, ("naive", "lc", "ppso", "gcpso", "oracle"), _run_allocations, _fir_cases,
-        "minimax_error",
+        _fir_keys, ("naive", "lc", "ppso", "gcpso", "oracle"), _fir_cases, "minimax_error"
     ),
     "receiver": _Application(
-        _receiver_keys, ("naive", "ppso", "gcpso", "oracle"), _run_allocations, _receiver_cases,
-        "sum_rate_bps_hz", -1.0,
+        _receiver_keys, ("naive", "ppso", "gcpso", "oracle"), _receiver_cases, "sum_rate_bps_hz"
     ),
-    "qgd": _Application(_qgd_keys, ("naive", "ppso", "gcpso"), _run_qgd),
+    "qgd": _Application(_qgd_keys, ("naive", "ppso", "gcpso"), _qgd_cases, "final_metric"),
 }
 
 
@@ -414,10 +416,7 @@ def run_experiment(config_path) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():  # checked before any strategy is solved
         raise _fail("[experiment] output_dir", f"{existing} exists and is not a directory")
-    summary = ex.app.run(ex, strategies, out_dir)
-    if ex.exp.get("json_summary", False):
-        payload = {"application": application, "seed": ex.seed, "results": summary}
-        (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _run(ex, strategies, out_dir)
     return 0
 
 

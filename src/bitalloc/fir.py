@@ -55,7 +55,7 @@ class FilterSpec:
         object.__setattr__(self, "desired", tuple(float(d) for d in self.desired))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not bands:
-            raise ContractViolation("at least one band is required")
+            raise ContractViolation("bands must hold at least one band")
         if len(self.desired) != len(bands) or len(self.weights) != len(bands):
             raise ContractViolation("bands, desired and weights must have equal length")
         prev_hi = -1.0

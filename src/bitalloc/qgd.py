@@ -82,7 +82,7 @@ class QgdTask:
         if self.kind == "logistic" and not np.isin(targets, (-1.0, 1.0)).all():
             raise ContractViolation("logistic labels must be -1 or +1")
         if not 0 < self.eta < np.inf:
-            raise ContractViolation(f"step size must be positive and finite, got {self.eta}")
+            raise ContractViolation(f"eta must be positive and finite, got {self.eta}")
         for name, least, most in (("t_iter", 1, None), ("budget_bits", 1, MAX_BUDGET_BITS),
                                   ("seed", 0, None)):
             object.__setattr__(self, name, require_int(getattr(self, name), name, least, most))
@@ -361,6 +361,9 @@ def train(
         else:
             problem = qgd_problem(task, z)
             cfg = replace(base_cfg, seed=base_cfg.seed + t)
+            # The engines are looked up in this module's globals at call
+            # time, so a caller can swap them for wrappers that see every
+            # step's problem, as perfbench's qgd workload does.
             bits = (run_gcpso if strategy == "gcpso" else run_ppso)(problem, cfg).best
         allocations[t] = bits
         with np.errstate(over="ignore", invalid="ignore"):

@@ -8,10 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from bitalloc import cli
+from bitalloc import cli, qgd
 from bitalloc.fir import FilterSpec, fir_problem, load_coefficients
 from bitalloc.problem import brute_force_optimum
-from bitalloc.qgd import qgd_problem, synthetic_classification, train
+from bitalloc.qgd import synthetic_classification, train
 
 from conftest import FIXTURE_DIR
 
@@ -330,11 +330,16 @@ class TestRunValidation:
     @AS_LISTED_OR_ORACLE
     def test_infinite_power_rejected(self, tmp_path, capsys, strategies):
         # An infinite p_u made every SINR NaN, which the rate read as 0, and
-        # 4000 dB overflowed on the way to a linear power. Every power is
-        # checked before the first is solved.
+        # 4000 dB overflowed on the way to a linear power. -inf dB and
+        # -4000 dB, a linear power of 0.0, were refused as "[receiver]: p_u
+        # must be positive and finite, got 0.0", naming neither the key nor
+        # the power given. Every power is checked before the first is solved.
         for powers, message in [
-            ("0, inf", "[receiver]: p_u must be positive and finite, got inf"),
+            ("0, inf", "[receiver] p_u_db: inf dB is a linear power of inf, not positive and finite"),
             ("0, 4000", "[receiver] p_u_db: powers above about 3082 dB overflow a float"),
+            ("-inf", "[receiver] p_u_db: -inf dB is a linear power of 0.0, not positive"),
+            ("0, -4000", "[receiver] p_u_db: -4000.0 dB is a linear power of 0.0, not positive"),
+            ("nan", "[receiver] p_u_db: nan dB is a linear power of nan, not positive"),
         ]:
             text = RECEIVER_CONFIG + f"p_u_db = {powers}\n"
             self.run_expecting_config_error(tmp_path, text, message, capsys, strategies)
@@ -495,7 +500,7 @@ benchmark = a
         # eta = inf wrote final_metric = nan for naive and failed a swarm
         # step on a NaN objective that did not name eta.
         text = TestRunQgd.CONFIG.replace("eta = 0.01", "eta = inf")
-        message = "[qgd]: step size must be positive and finite, got inf"
+        message = "[qgd]: eta must be positive and finite, got inf"
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
@@ -524,6 +529,29 @@ benchmark = a
         self.run_expecting_config_error(tmp_path, text, message, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
 
+    def test_run_stopped_at_its_second_strategy_writes_nothing(self, tmp_path, capsys):
+        # naive's one step is finite, then gcpso's step objective overflows.
+        # naive's trace was written as soon as naive finished, so the run
+        # exited 2 and left out/trace_naive.csv behind.
+        text = """\
+[experiment]
+application = qgd
+strategies = naive, gcpso
+seed = 0
+output_dir = out
+
+[qgd]
+task = least_squares
+n_rows = 20
+n_cols = 3
+eta = 3e152
+t_iter = 1
+budget_bits = 2
+"""
+        message = "error: eta = 3e+152 overflowed the step objective"
+        self.run_expecting_config_error(tmp_path, text, message, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.ini"]
+
     def test_qgd_budget_beyond_the_quantizer_named(self, tmp_path, capsys):
         # 600 bits exited 0, as the swarm never moved a width past 1023;
         # a width of 1100 valued as "eta = 0.01 overflowed the step
@@ -544,6 +572,8 @@ benchmark = a
              "[fir] bands: required when no benchmark letter is given"),
             ("fir", "bands = 0:0.4, 0.6:1", "bands = 0:0.6, 0.4:1",
              "[fir]: bands must be ascending and disjoint"),
+            # An empty list was refused as "at least one band is required".
+            ("fir", "bands = 0:0.4, 0.6:1", "bands =", "[fir]: bands must hold at least one band"),
             # An infinite weight exited 0 with every error inf.
             ("fir", "weights = 1, 1", "weights = 1, inf",
              "[fir]: weights must be positive and finite"),
@@ -556,7 +586,7 @@ benchmark = a
             ("fir", "strategies = naive, lc, ppso, gcpso, oracle", "strategies =",
              "[experiment] strategies: at least one strategy is required"),
         ],
-        ids=["seed", "ini", "bands", "spec", "weights", "desired", "powers", "application",
+        ids=["seed", "ini", "bands", "spec", "no bands", "weights", "desired", "powers", "application",
              "strategies"],
     )
     def test_bad_config_value_named(self, tmp_path, capsys, base, old, new, fragment):
@@ -711,17 +741,27 @@ penalty_weight = 1e-9
     assert not (tmp_path / "out" / "trace_ppso.csv").exists()
 
 
+class _Handed(Exception):
+    """Stops a search at its start, carrying the problem it was handed."""
+
+
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
-def test_shipped_config_builds(config):
+def test_shipped_config_builds(config, monkeypatch):
     ex = cli._Experiment(config)  # checks every section and key
     strategies = cli._split_list(ex.exp.raw("strategies"))
     assert strategies and set(strategies) <= set(ex.app.strategies)
     assert (ex.swarm is not None) == ex.exp.parser.has_section("swarm")
-    if ex.app.cases is None:  # qgd: the first descent step's problem, at the zero start
-        task = ex.section.build(cli._qgd_builder(ex.section), seed=ex.seed)
-        problem = qgd_problem(task, np.zeros(task.dimension))
-    else:
-        problem = next(ex.app.cases(ex.section, ex.seed, ex.config_dir)).problem
+
+    def handed(problem, config):
+        raise _Handed(problem)
+
+    # The first case's ppso problem: FIR and receiver search the case's own
+    # problem, qgd the first descent step's, at the zero start.
+    monkeypatch.setattr(cli, "run_ppso", handed)
+    monkeypatch.setattr(qgd, "run_ppso", handed)
+    with pytest.raises(_Handed) as caught:
+        next(ex.app.cases(ex)).solve("ppso")
+    problem = caught.value.args[0]
     assert problem.dimension > 0
     uniform = np.full((1, problem.dimension), problem.budget_bits)
     assert problem.is_feasible(uniform[0])
